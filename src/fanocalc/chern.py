@@ -1,11 +1,11 @@
 """Chern-class calculus for Grassmannians and their smooth linear sections.
 
-Total Chern classes are graded tuples of Schubert cycles.  Tensor-product
-classes are computed by the splitting principle made literal: the product
-prod (1 + x_i + y_j) over formal roots is expanded exactly, rewritten in the
-elementary symmetric polynomials of the two groups of roots, and only then
-evaluated on Schubert cycles.  The rewriting step is the classic greedy
-leading-term reduction, so every coefficient stays an exact integer.
+Total Chern classes are graded tuples of Schubert cycles.  The class of a
+tensor product comes from the multiplicativity of the Chern character:
+Newton's identities turn each factor's Chern classes into power sums of its
+roots, the power sums of the product follow by the binomial rule, and
+Newton's identities turn them back.  Every division on the way back is exact,
+so every coefficient stays an integer.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from .schubert import (
     unit,
     zero,
 )
-
-_MAX_TENSOR_RANK = 6
-
 
 class InconsistentPairingError(ValueError):
     """A linear pairing system admits no (integral) solution."""
@@ -59,11 +56,6 @@ class TotalChernClass:
         if 0 <= i <= self.limit:
             return self.components[i]
         return zero(self.context, max(i, 0))
-
-    def truncate(self, limit: int) -> "TotalChernClass":
-        limit = max(0, limit)
-        comps = [self.component(i) for i in range(limit + 1)]
-        return TotalChernClass(self.context, comps)
 
     def dual(self) -> "TotalChernClass":
         """Total class of the dual bundle: c_i |-> (-1)^i c_i."""
@@ -146,137 +138,56 @@ def tangent_bundle(ctx: Grassmannian) -> BundleModel:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial support for the splitting-principle expansion
+# tensor products through power sums of the Chern roots
 
-_Poly = dict  # exponent tuple -> int coefficient
+def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
+    """p_0 = rank, p_1, ..., p_limit of the Chern roots, by Newton's identities.
 
-
-def _poly_mul(p: _Poly, q: _Poly, cap: int | None = None) -> _Poly:
-    out: _Poly = {}
-    for e1, c1 in p.items():
-        d1 = sum(e1)
-        for e2, c2 in q.items():
-            if cap is not None and d1 + sum(e2) > cap:
-                continue
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-            if not out[key]:
-                del out[key]
-    return out
-
-
-def _elementary(nv: int, var_indices: tuple[int, ...], degree: int) -> _Poly:
-    """e_degree over the chosen variables, inside an nv-variable ring."""
-    out: _Poly = {}
-
-    def rec(start, left, exps):
-        if left == 0:
-            out[tuple(exps)] = 1
-            return
-        for pos in range(start, len(var_indices) - left + 1):
-            exps2 = list(exps)
-            exps2[var_indices[pos]] = 1
-            rec(pos + 1, left - 1, exps2)
-
-    rec(0, degree, [0] * nv)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _tensor_product_poly(ra: int, rb: int, cap: int) -> tuple[_Poly, ...]:
-    """prod_{i,j} (1 + x_i + y_j) truncated at total degree cap, split by degree."""
-    nv = ra + rb
-    poly: _Poly = {(0,) * nv: 1}
-    for i in range(ra):
-        for j in range(rb):
-            factor: _Poly = {(0,) * nv: 1}
-            ei = [0] * nv
-            ei[i] = 1
-            factor[tuple(ei)] = 1
-            ej = [0] * nv
-            ej[ra + j] = 1
-            factor[tuple(ej)] = 1
-            poly = _poly_mul(poly, factor, cap)
-    graded: list[_Poly] = [{} for _ in range(cap + 1)]
-    for exps, coeff in poly.items():
-        graded[sum(exps)][exps] = coeff
-    return tuple(graded)
-
-
-@lru_cache(maxsize=None)
-def _tensor_epoly(ra: int, rb: int, degree: int):
-    """Degree part of c(A tensor B) written in elementary symmetric monomials.
-
-    Returns a sorted tuple of ((a_mults, b_mults), coeff) where a_mults[i-1]
-    is the exponent of e_i(x) and likewise for b_mults over the y-roots.
+    p_m = sum_{i<m} (-1)^(i-1) c_i p_(m-i) + (-1)^(m-1) m c_m.
     """
-    nv = ra + rb
-    part = dict(_tensor_product_poly(ra, rb, degree)[degree])
-    ex = [_elementary(nv, tuple(range(ra)), i) for i in range(ra + 1)]
-    ey = [_elementary(nv, tuple(range(ra, nv)), j) for j in range(rb + 1)]
-    out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    guard = 0
-    while part:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("symmetric reduction failed to terminate")
-        lead = max(part)
-        coeff = part[lead]
-        alpha, beta = lead[:ra], lead[ra:]
-        if any(alpha[i] < alpha[i + 1] for i in range(ra - 1)) or any(
-            beta[j] < beta[j + 1] for j in range(rb - 1)
-        ):
-            raise RuntimeError("leading term is not bisymmetric-dominant")
-        a_mults = tuple(
-            alpha[i] - (alpha[i + 1] if i + 1 < ra else 0) for i in range(ra)
-        )
-        b_mults = tuple(
-            beta[j] - (beta[j + 1] if j + 1 < rb else 0) for j in range(rb)
-        )
-        factor: _Poly = {(0,) * nv: 1}
-        for i, mult in enumerate(a_mults):
-            for _ in range(mult):
-                factor = _poly_mul(factor, ex[i + 1])
-        for j, mult in enumerate(b_mults):
-            for _ in range(mult):
-                factor = _poly_mul(factor, ey[j + 1])
-        for exps, c in factor.items():
-            key = exps
-            part[key] = part.get(key, 0) - coeff * c
-            if not part[key]:
-                del part[key]
-        key = (a_mults, b_mults)
-        out[key] = out.get(key, 0) + coeff
-    return tuple(sorted((k, v) for k, v in out.items() if v))
+    c = bundle.total.component
+    sums = [bundle.rank * unit(bundle.total.context)]
+    for m in range(1, limit + 1):
+        acc = (-1) ** (m - 1) * m * c(m)
+        for i in range(1, m):
+            acc = acc + (-1) ** (i - 1) * (c(i) * sums[m - i])
+        sums.append(acc)
+    return sums
+
+
+def _divide_exactly(cycle: SchubertCycle, m: int) -> SchubertCycle:
+    quotient = {}
+    for parts, coeff in cycle.terms.items():
+        q, r = divmod(coeff, m)
+        if r:
+            raise ValueError(f"coefficient {coeff} of {parts} is not divisible by {m}")
+        quotient[parts] = q
+    return SchubertCycle(cycle.context, cycle.codim, quotient)
 
 
 def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
-    """Total Chern class of a tensor product of bundle models."""
+    """Total Chern class of a tensor product of bundle models.
+
+    The Chern character is multiplicative, so the power sums of the roots
+    x_i + y_j are p_m(A (x) B) = sum_t C(m, t) p_t(A) p_(m-t)(B); Newton's
+    identities m c_m = sum_{i<=m} (-1)^(i-1) c_(m-i) p_i turn them back into
+    Chern classes, with every division by m exact.
+    """
     if a.total.context != b.total.context:
         raise ContextMismatchError("bundle models from different contexts")
-    if a.rank > _MAX_TENSOR_RANK or b.rank > _MAX_TENSOR_RANK:
-        raise ValueError(f"tensor ranks above {_MAX_TENSOR_RANK} are not supported")
     ctx = a.total.context
     limit = min(ctx.dim, a.rank * b.rank)
+    pa, pb = _power_sums(a, limit), _power_sums(b, limit)
+    sums = [
+        sum((math.comb(m, t) * (pa[t] * pb[m - t]) for t in range(m + 1)), zero(ctx, m))
+        for m in range(limit + 1)
+    ]
     comps = [unit(ctx)]
     for m in range(1, limit + 1):
         acc = zero(ctx, m)
-        for (a_mults, b_mults), coeff in _tensor_epoly(a.rank, b.rank, m):
-            cyc = unit(ctx)
-            for i, mult in enumerate(a_mults):
-                for _ in range(mult):
-                    cyc = cyc * a.total.component(i + 1)
-                    if cyc.is_zero():
-                        break
-            for j, mult in enumerate(b_mults):
-                if cyc.is_zero():
-                    break
-                for _ in range(mult):
-                    cyc = cyc * b.total.component(j + 1)
-                    if cyc.is_zero():
-                        break
-            acc = acc + coeff * cyc
-        comps.append(acc)
+        for i in range(1, m + 1):
+            acc = acc + (-1) ** (i - 1) * (sums[i] * comps[m - i])
+        comps.append(_divide_exactly(acc, m))
     return TotalChernClass(ctx, comps)
 
 

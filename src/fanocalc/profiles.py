@@ -71,7 +71,7 @@ def section_profile(name: str, k: int, n: int, codim: int) -> FourfoldProfile:
     ctx = Grassmannian(k, n)
     if ctx.dim - codim != 4:
         raise ValueError(f"codim {codim} does not cut Gr({k},{n}) down to a fourfold")
-    model = section_chern(tangent_bundle(ctx).total, codim)
+    model = section_model(k, n, codim)
     s1 = sigma(ctx, 1)
     c1, c2, c3, c4 = (model.chern.component(i) for i in range(1, 5))
     h4 = section_degree(model, s1 ** 4)
@@ -93,6 +93,7 @@ def section_profile(name: str, k: int, n: int, codim: int) -> FourfoldProfile:
     )
 
 
+@lru_cache(maxsize=None)
 def section_model(k: int, n: int, codim: int) -> SectionModel:
     ctx = Grassmannian(k, n)
     return section_chern(tangent_bundle(ctx).total, codim)

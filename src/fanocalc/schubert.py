@@ -165,7 +165,7 @@ class SchubertCycle:
         if self.context != other.context or self._terms != other._terms:
             return False
         # two zero cycles of different codimension are still distinct
-        return self._terms or self.codim == other.codim
+        return bool(self._terms) or self.codim == other.codim
 
     def __hash__(self):
         return hash((self.context, self.codim, tuple(sorted(self._terms.items()))))
@@ -271,10 +271,6 @@ def zero(ctx: Grassmannian, codim: int = 0) -> SchubertCycle:
     return SchubertCycle(ctx, codim, {})
 
 
-def point_class(ctx: Grassmannian) -> SchubertCycle:
-    return sigma(ctx, *ctx.point)
-
-
 def _row_strips(mu, p, k, width):
     """Partitions lam >= mu with lam/mu a horizontal p-strip inside the box."""
     mu = tuple(mu) + (0,) * (k - len(mu))
@@ -366,13 +362,3 @@ def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
                     break
             total = total + (ca * sign) * cur
     return total
-
-
-def pieri_multiply(cycle: SchubertCycle, p: int, kind: str = "row") -> SchubertCycle:
-    """Free-function form of :meth:`SchubertCycle.pieri`."""
-    return cycle.pieri(p, kind)
-
-
-def integrate(cycle: SchubertCycle) -> int:
-    """Free-function form of :meth:`SchubertCycle.integral`."""
-    return cycle.integral()

@@ -1,10 +1,10 @@
-"""Chern engine tests: splitting-principle oracle, Whitney checks, sections."""
+"""Chern engine tests: split-root oracle, Whitney checks, sections."""
 
 import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanocalc.chern import (
@@ -13,6 +13,7 @@ from fanocalc.chern import (
     PlaneClass,
     SectionModel,
     TotalChernClass,
+    _divide_exactly,
     euler_of_section,
     plane_intersection_matrix,
     plane_normal_bundle,
@@ -52,13 +53,14 @@ def direct_tensor_total(ctx, xs, ys):
 
 
 # ---------------------------------------------------------------------------
-# tensor products via the splitting principle
+# tensor products against split roots
 
 @settings(max_examples=25, deadline=None)
 @given(
-    xs=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3),
+    xs=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=7),
     ys=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3),
 )
+@example(xs=[1, -2, 3, 0, -1, 2, -3], ys=[2, -1])
 def test_tensor_chern_matches_split_roots(xs, ys):
     got = tensor_chern(split_bundle(GR26, tuple(xs)), split_bundle(GR26, tuple(ys)))
     assert got == direct_tensor_total(GR26, xs, ys)
@@ -69,18 +71,18 @@ def test_tensor_chern_fixed_split_example():
     assert got == direct_tensor_total(GR25, (1, -2), (3,))
 
 
+def test_inexact_division_raises_instead_of_rounding():
+    cycle = 6 * sigma(GR25, 2) + 3 * sigma(GR25, 1, 1)
+    assert _divide_exactly(cycle, 3) == 2 * sigma(GR25, 2) + sigma(GR25, 1, 1)
+    with pytest.raises(ValueError):
+        _divide_exactly(cycle, 2)
+
+
 def test_tensor_degree_one_is_mixed_first_chern():
     sub, quot = universal_bundles(GR25)
     c1 = tensor_chern(sub, quot).component(1)
     expected = quot.rank * sub.total.component(1) + sub.rank * quot.total.component(1)
     assert c1 == expected
-
-
-def test_tensor_rank_cap():
-    big = BundleModel(7, unit_total(GR25))
-    small = BundleModel(1, unit_total(GR25))
-    with pytest.raises(ValueError):
-        tensor_chern(big, small)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,11 @@ def test_whitney_identity(ctx):
     assert sub.total.dual() * quot.total == unit_total(ctx)
 
 
-@pytest.mark.parametrize("ctx", [GR24, GR25, GR26, GR36], ids=repr)
+@pytest.mark.parametrize(
+    "ctx",
+    [GR24, GR25, GR26, GR36, Grassmannian(2, 8), Grassmannian(3, 7), Grassmannian(4, 8)],
+    ids=repr,
+)
 def test_top_chern_integrates_to_euler_number(ctx):
     top = tangent_bundle(ctx).total.component(ctx.dim)
     assert top.integral() == math.comb(ctx.n, ctx.k)

@@ -94,6 +94,21 @@ def test_check_passing_file(tmp_path):
     assert out.rstrip().endswith("3 assertions, 0 failed")
 
 
+def test_check_json_reports_cycle_equality_as_a_bool(tmp_path):
+    path = tmp_path / "pieri.scn"
+    path.write_text(
+        'scenario "pieri" {\n'
+        "  grassmannian 2 5\n"
+        '  assert sigma[1] * sigma[1] == sigma[2] + sigma[1, 1] cite "Pieri" label "p"\n'
+        "}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = invoke("check", str(path), "--format", "json")
+    assert code == 0, out
+    (result,) = json.loads(out)["scenarios"][0]["assertions"]
+    assert result["pass"] is True
+
+
 def test_check_failing_file(tmp_path):
     path = tmp_path / "typo.scn"
     path.write_text(

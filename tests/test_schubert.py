@@ -12,10 +12,7 @@ from fanocalc.schubert import (
     dual_partition,
     grass_dim,
     grass_euler,
-    integrate,
     normalize_partition,
-    pieri_multiply,
-    point_class,
     sigma,
     unit,
     zero,
@@ -82,12 +79,12 @@ def test_sigma1_fourth_power_in_gr25():
 
 def test_integral_of_non_top_cycle_is_zero():
     assert (sigma(GR25, 1) ** 3).integral() == 0
-    assert integrate(sigma(GR25, 2, 1)) == 0
+    assert sigma(GR25, 2, 1).integral() == 0
 
 
 def test_point_class_integrates_to_one():
     for ctx in (GR24, GR25, GR26, GR36):
-        assert point_class(ctx).integral() == 1
+        assert sigma(ctx, *ctx.point).integral() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +149,20 @@ def test_unit_and_zero_behave(a):
     assert a - a == zero(GR26, a.codim)
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=_cycles(GR26))
+def test_equality_is_a_bool(a):
+    assert (a == a) is True
+    assert (a == zero(GR26, a.codim + 1)) is False
+
+
 # ---------------------------------------------------------------------------
 # Pieri strips
 
 def test_column_pieri_matches_oracle():
     for lam in GR25.basis():
         for p in range(0, 3):
-            got = pieri_multiply(sigma(GR25, *lam), p, "column").terms
+            got = sigma(GR25, *lam).pieri(p, "column").terms
             want = oracle_product(2, 5, lam, (1,) * p) if p else (
                 {lam: 1} if lam else {(): 1}
             )
@@ -170,7 +174,7 @@ def test_column_pieri_matches_oracle():
 def test_row_pieri_matches_oracle():
     for lam in GR26.basis():
         for p in range(1, 4):
-            got = pieri_multiply(sigma(GR26, *lam), p, "row").terms
+            got = sigma(GR26, *lam).pieri(p, "row").terms
             assert got == oracle_product(2, 6, lam, (p,)), (lam, p)
 
 
