@@ -4,8 +4,17 @@ Cycles are integer combinations of Schubert classes sigma_lambda, indexed by
 partitions lying in the k x (n-k) box.  Products are computed by expanding
 one factor through the Giambelli determinant into special classes sigma_p
 and applying the Pieri rule repeatedly, so every structure constant is an
-exact (arbitrary-precision) integer.  All values are immutable and all
-operations are pure functions.
+exact (arbitrary-precision) integer.  The ring is commutative, so the factor
+with fewer Giambelli words is the one expanded.  All values are immutable and
+all operations are pure functions.
+
+The public ``SchubertCycle(...)`` constructor and ``sigma`` validate every
+key.  The kernel (``pieri``, ``multiply``, sums, negation and integer
+multiples) builds its results through ``SchubertCycle._trusted``, which
+relies on an invariant instead: every key it is given is already a box
+partition, without trailing zeros, of weight ``codim``.  The Pieri rule reads
+its horizontal strips from a cached table, ``_row_strips``, keyed by the
+partition, the strip size and the box, so no strip is enumerated twice.
 """
 
 from __future__ import annotations
@@ -143,6 +152,18 @@ class SchubertCycle:
         self.codim = codim
         self._terms = {p: c for p, c in clean.items() if c}
 
+    @classmethod
+    def _trusted(cls, context: Grassmannian, codim: int, terms: dict) -> "SchubertCycle":
+        """A cycle from keys that are already box partitions of weight ``codim``.
+
+        Only zero coefficients are dropped; nothing is re-validated.
+        """
+        cycle = object.__new__(cls)
+        cycle.context = context
+        cycle.codim = codim
+        cycle._terms = {p: c for p, c in terms.items() if c}
+        return cycle
+
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
@@ -180,10 +201,10 @@ class SchubertCycle:
         merged = dict(self._terms)
         for p, c in other._terms.items():
             merged[p] = merged.get(p, 0) + c
-        return SchubertCycle(self.context, codim, merged)
+        return SchubertCycle._trusted(self.context, codim, merged)
 
     def __neg__(self):
-        return SchubertCycle(
+        return SchubertCycle._trusted(
             self.context, self.codim, {p: -c for p, c in self._terms.items()}
         )
 
@@ -192,7 +213,7 @@ class SchubertCycle:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SchubertCycle(
+            return SchubertCycle._trusted(
                 self.context, self.codim, {p: c * other for p, c in self._terms.items()}
             )
         if isinstance(other, SchubertCycle):
@@ -212,8 +233,8 @@ class SchubertCycle:
             out = out * self
         return out
 
-    def pieri(self, p: int, kind: str = "row") -> "SchubertCycle":
-        """Multiply by the special class sigma_p (``row``) or sigma_{1^p} (``column``).
+    def pieri(self, p: int) -> "SchubertCycle":
+        """Multiply by the special class sigma_p.
 
         Out-of-box partitions are dropped, which is exactly the quotient-ring
         product; ``p = 0`` is the identity.
@@ -223,14 +244,12 @@ class SchubertCycle:
         if p == 0:
             return self
         ctx = self.context
-        strips = _row_strips if kind == "row" else _column_strips
-        if kind not in ("row", "column"):
-            raise ValueError(f"unknown strip kind {kind!r}")
+        k, width = ctx.k, ctx.width
         out: dict[tuple[int, ...], int] = {}
         for mu, coeff in self._terms.items():
-            for lam in strips(mu, p, ctx.k, ctx.width):
+            for lam in _row_strips(mu, p, k, width):
                 out[lam] = out.get(lam, 0) + coeff
-        return SchubertCycle(ctx, self.codim + p, out)
+        return SchubertCycle._trusted(ctx, self.codim + p, out)
 
     def integral(self) -> int:
         """Coefficient of the point class when codim equals dim, else 0."""
@@ -271,48 +290,30 @@ def zero(ctx: Grassmannian, codim: int = 0) -> SchubertCycle:
     return SchubertCycle(ctx, codim, {})
 
 
-def _row_strips(mu, p, k, width):
-    """Partitions lam >= mu with lam/mu a horizontal p-strip inside the box."""
-    mu = tuple(mu) + (0,) * (k - len(mu))
+@lru_cache(maxsize=None)
+def _row_strips(mu: tuple[int, ...], p: int, k: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions lam >= mu with lam/mu a horizontal p-strip inside the box.
+
+    ``mu`` is a box partition without trailing zeros, and so is every lam
+    returned.  The table has at most one entry per box partition and strip
+    size that the Giambelli words of the box can ask for.
+    """
+    padded = mu + (0,) * (k - len(mu))
     out = []
 
     def rec(i, rem, prefix):
         if i == k:
             if rem == 0:
-                out.append(normalize_partition(prefix))
+                # weakly decreasing, so the non-zero parts are a prefix
+                out.append(tuple(x for x in prefix if x))
             return
-        lo = mu[i]
-        hi = min(width if i == 0 else mu[i - 1], lo + rem)
+        lo = padded[i]
+        hi = min(width if i == 0 else padded[i - 1], lo + rem)
         for lam_i in range(lo, hi + 1):
             rec(i + 1, rem - (lam_i - lo), prefix + [lam_i])
 
     rec(0, p, [])
-    return out
-
-
-def _column_strips(mu, p, k, width):
-    """Partitions lam >= mu with lam/mu a vertical p-strip inside the box."""
-    mu = tuple(mu) + (0,) * (k - len(mu))
-    out = []
-
-    def rec(i, rem, prefix):
-        if i == k:
-            if rem == 0:
-                out.append(normalize_partition(prefix))
-            return
-        for extra in (0, 1):
-            lam_i = mu[i] + extra
-            if extra > rem:
-                continue
-            if i == 0:
-                if lam_i > width:
-                    continue
-            elif lam_i > prefix[i - 1]:
-                continue
-            rec(i + 1, rem - extra, prefix + [lam_i])
-
-    rec(0, p, [])
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -345,20 +346,32 @@ def _giambelli_monomials(lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ..
     return tuple(words)
 
 
+def _word_count(cycle: SchubertCycle) -> int:
+    return sum(len(_giambelli_monomials(lam)) for lam in cycle._terms)
+
+
 def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
-    """Chow-ring product, via Giambelli expansion of ``a`` and iterated Pieri."""
+    """Chow-ring product, via Giambelli expansion of one factor and iterated Pieri.
+
+    The factor whose terms have fewer Giambelli words in total is expanded;
+    the other one is carried through the Pieri steps.
+    """
     a._require_same_context(b)
     ctx = a.context
     codim = a.codim + b.codim
     if codim > ctx.dim or a.is_zero() or b.is_zero():
         return zero(ctx, codim)
-    total = zero(ctx, codim)
+    if _word_count(b) < _word_count(a):
+        a, b = b, a
+    total: dict[tuple[int, ...], int] = {}
     for lam, ca in sorted(a._terms.items()):
         for sign, word in _giambelli_monomials(lam):
             cur = b
             for m in word:
-                cur = cur.pieri(m, "row")
+                cur = cur.pieri(m)
                 if cur.is_zero():
                     break
-            total = total + (ca * sign) * cur
-    return total
+            scale = ca * sign
+            for mu, c in cur._terms.items():
+                total[mu] = total.get(mu, 0) + scale * c
+    return SchubertCycle._trusted(ctx, codim, total)

@@ -109,6 +109,22 @@ def test_check_json_reports_cycle_equality_as_a_bool(tmp_path):
     assert result["pass"] is True
 
 
+def test_check_top_chern_degree_of_gr510(tmp_path):
+    # c_top of Gr(5,10) integrates to its Euler number C(10,5)
+    path = tmp_path / "gr510.scn"
+    path.write_text(
+        'scenario "gr510" {\n'
+        "  grassmannian 5 10\n"
+        '  assert degree(chern(5, 10, 0, 25)) == 252 cite "Euler number C(10,5)" label "e"\n'
+        "}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = invoke("check", str(path), "--format", "json")
+    assert code == 0, out
+    (result,) = json.loads(out)["scenarios"][0]["assertions"]
+    assert result["pass"] is True
+
+
 def test_check_failing_file(tmp_path):
     path = tmp_path / "typo.scn"
     path.write_text(
