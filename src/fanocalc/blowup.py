@@ -15,15 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 
 class NonIntegralCharacteristicError(ArithmeticError):
     """Riemann-Roch produced a non-integer: the input data is inconsistent."""
-
-
-class InconsistentContractionError(ValueError):
-    """Divisor data incompatible with the claimed contraction type."""
 
 
 @dataclass(frozen=True)
@@ -259,10 +255,7 @@ def chi_riemann_roch(model: BlowupModel, d: Divisor) -> int:
     d3c1 = quartic_number(model, d, d, d, c1)
     d2c1c1 = quartic_number(model, d, d, c1, c1)
     d2c2 = _c2_pairing(model, d, d)
-    dc1c2 = sum(
-        coeff * pair_degree2(model, symbol, d, c1)
-        for symbol, coeff in c2_blowup(model).items()
-    )
+    dc1c2 = _c2_pairing(model, d, c1)
     bracket = d4 + 2 * d3c1 + d2c1c1 + d2c2 + dc1c2
     if bracket % 24:
         raise NonIntegralCharacteristicError(
@@ -278,51 +271,11 @@ def euler_blowup(model: BlowupModel) -> int:
     return model.base.euler + model.center.euler
 
 
-def threefold_blowup_k3(k3: int, kc: int, genus: int) -> int:
-    """(-K)^3 change under blowing up a curve in a threefold, reported as K^3."""
-    return k3 - 2 * kc + 2 - 2 * genus
-
-
-def solve_linear(a: int, b: int, rhs: int = 0) -> Fraction:
+def solve_linear(a: int, b: int, rhs: int) -> Fraction:
     """The solution of a*x + b = rhs, exactly."""
     if a == 0:
         raise ValueError("cannot solve a degenerate linear equation")
     return Fraction(rhs - b, a)
-
-
-class CenterInference(NamedTuple):
-    degree: int
-    canonical_pairing: int
-    c2_minus_euler: int
-
-
-def infer_center_invariants(
-    model: BlowupModel,
-    hyperplane: Divisor,
-    exceptional: Divisor,
-    index: int,
-) -> CenterInference:
-    """Invariants of the surface contracted on the other side of a link.
-
-    ``hyperplane`` and ``exceptional`` name the divisor classes that play H
-    and E for the second contraction, expressed in the coordinates of this
-    model; ``index`` is the Fano index of the second target.  The inversion
-    of the surface-center monomial table requires hyperplane^3 . exceptional
-    to vanish; if it does not, the divisors do not describe a surface
-    contraction and :class:`InconsistentContractionError` is raised.
-    """
-    def q(*divs: Divisor) -> int:
-        return quartic_number(model, *divs)
-
-    l, e = hyperplane, exceptional
-    if q(l, l, l, e) != 0:
-        raise InconsistentContractionError(
-            f"{l}^3 . {e} = {q(l, l, l, e)} does not vanish"
-        )
-    degree = -q(l, l, e, e)
-    canonical_pairing = -q(l, e, e, e) - index * degree
-    c2_minus_euler = q(e, e, e, e) + index * canonical_pairing + index * index * degree
-    return CenterInference(degree, canonical_pairing, c2_minus_euler)
 
 
 def adjunction_genus(lk: int, l2: int) -> int:
@@ -330,20 +283,3 @@ def adjunction_genus(lk: int, l2: int) -> int:
     if (lk + l2) % 2:
         raise ValueError(f"L.K + L^2 = {lk + l2} must be even")
     return (lk + l2) // 2 + 1
-
-
-class NoetherCheck(NamedTuple):
-    holds: bool
-    picard_rank: int
-
-
-def noether_check(kc2: int, euler: int) -> NoetherCheck:
-    """Noether's identity for a rational surface, plus the Picard rank it implies."""
-    return NoetherCheck(kc2 + euler == 12, 10 - kc2)
-
-
-def genus_from_degree(l4: int) -> int:
-    """Genus of a Fano fourfold of index 2 from the degree of its half-anticanonical class."""
-    if l4 % 2:
-        raise ValueError(f"degree {l4} must be even")
-    return l4 // 2 + 1

@@ -18,14 +18,10 @@ from .schubert import (
     ContextMismatchError,
     Grassmannian,
     SchubertCycle,
-    normalize_partition,
     sigma,
     unit,
     zero,
 )
-
-class InconsistentPairingError(ValueError):
-    """A linear pairing system admits no (integral) solution."""
 
 
 class TotalChernClass:
@@ -61,17 +57,6 @@ class TotalChernClass:
         """Total class of the dual bundle: c_i |-> (-1)^i c_i."""
         comps = [c if i % 2 == 0 else -c for i, c in enumerate(self.components)]
         return TotalChernClass(self.context, comps)
-
-    def inverse(self, limit: int | None = None) -> "TotalChernClass":
-        """Formal series inverse, component by component."""
-        limit = self.limit if limit is None else limit
-        inv = [unit(self.context)]
-        for m in range(1, limit + 1):
-            acc = zero(self.context, m)
-            for j in range(1, m + 1):
-                acc = acc - self.component(j) * inv[m - j]
-            inv.append(acc)
-        return TotalChernClass(self.context, inv)
 
     def __mul__(self, other):
         if not isinstance(other, TotalChernClass):
@@ -220,16 +205,14 @@ class SectionModel:
         return terms[(1,)]
 
 
-def section_chern(ambient: TotalChernClass, codim: int, limit: int | None = None) -> SectionModel:
+def section_chern(ambient: TotalChernClass, codim: int) -> SectionModel:
     """Adjunction along ``codim`` hyperplanes: divide by (1 + sigma_1)^codim."""
     ctx = ambient.context
     if codim < 0 or codim >= ctx.dim:
         raise ValueError("section codimension must satisfy 0 <= codim < dim")
-    sdim = ctx.dim - codim
-    limit = sdim if limit is None else min(limit, ctx.dim)
     s1 = sigma(ctx, 1)
     comps = []
-    for m in range(limit + 1):
+    for m in range(ctx.dim - codim + 1):
         acc = zero(ctx, m)
         for j in range(m + 1):
             # coefficient of sigma_1^(m-j) in (1 + sigma_1)^(-codim)
@@ -246,92 +229,3 @@ def section_degree(model: SectionModel, cycle: SchubertCycle) -> int:
     if cycle.context != model.context:
         raise ContextMismatchError("cycle from a different context")
     return (cycle * sigma(model.context, 1) ** model.codim).integral()
-
-
-def euler_of_section(model: SectionModel) -> int:
-    """Euler number: degree of the top Chern class of the section."""
-    return section_degree(model, model.chern.component(model.dim))
-
-
-@dataclass(frozen=True)
-class PlaneClass:
-    """A plane (linearly embedded P^2) inside a section, named by its box partition."""
-
-    context: Grassmannian
-    parts: tuple[int, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        parts = normalize_partition(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not self.context.contains(parts):
-            raise ValueError(f"{parts} violates the box of {self.context}")
-
-    def cycle(self) -> SchubertCycle:
-        return sigma(self.context, *self.parts)
-
-
-def plane_normal_bundle(model: SectionModel, plane: PlaneClass) -> tuple[int, int]:
-    """(c_1, c_2) of the normal bundle of a plane inside the section.
-
-    c_1 is reported by its degree on a line: (index - 3), since the plane's
-    own Chern classes are 3l and 3.  c_2 comes from restricting the Whitney
-    identity c(N) c(plane) = c(section)|_plane and pairing in the ambient
-    ring.
-    """
-    if plane.context != model.context:
-        raise ContextMismatchError("plane from a different context")
-    if sum(plane.parts) != model.context.dim - 2:
-        raise ValueError("plane class must have the codimension of a surface")
-    a = model.index - 3
-    pairing = (model.chern.component(2) * plane.cycle()).integral()
-    return a, pairing - 3 * a - 3
-
-
-def plane_intersection_matrix(
-    model: SectionModel,
-    planes: tuple[PlaneClass, PlaneClass],
-    h2_coefficients: tuple[int, int] | None = None,
-) -> list[list[int]]:
-    """Intersection matrix of two plane classes spanning the middle cohomology.
-
-    Diagonal entries are the normal-bundle c_2's (self-intersections).  The
-    square of the hyperplane class decomposes as u * plane_0 + v * plane_1;
-    by default u and v are read off from the ambient expansion of
-    sigma_1^(codim + 2).  The off-diagonal entry is then solved from the two
-    pairings deg(sigma_1^2 . plane_i); disagreement between the two
-    equations, or a non-integral solution, raises
-    :class:`InconsistentPairingError`.
-    """
-    if len(planes) != 2:
-        raise ValueError("exactly two plane classes are required")
-    if h2_coefficients is None:
-        push = sigma(model.context, 1) ** (model.codim + 2)
-        u = push.coefficient(planes[0].parts)
-        v = push.coefficient(planes[1].parts)
-    else:
-        u, v = h2_coefficients
-    diag = [plane_normal_bundle(model, p)[1] for p in planes]
-    s1sq = sigma(model.context, 1) ** 2
-    pairings = [(s1sq * p.cycle()).integral() for p in planes]
-    # pairings[0] = u*diag[0] + v*x ; pairings[1] = u*x + v*diag[1]
-    candidates = []
-    if v != 0:
-        candidates.append((pairings[0] - u * diag[0], v))
-    if u != 0:
-        candidates.append((pairings[1] - v * diag[1], u))
-    if not candidates:
-        raise InconsistentPairingError("inconsistent pairing system: u = v = 0")
-    values = []
-    for num, den in candidates:
-        if num % den:
-            raise InconsistentPairingError(
-                f"inconsistent pairing system: {num} is not divisible by {den}"
-            )
-        values.append(num // den)
-    if len(set(values)) != 1:
-        raise InconsistentPairingError(
-            f"inconsistent pairing system: off-diagonal candidates {values}"
-        )
-    x = values[0]
-    return [[diag[0], x], [x, diag[1]]]

@@ -25,14 +25,14 @@ index, chi and euler literals against the derived values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
 from .schubert import Grassmannian, SchubertCycle, grass_dim, sigma
-from .scenarios import Assertion, Scenario
 
 _MAX_DEPTH = 64
 
@@ -274,6 +274,23 @@ class _Parser:
     def fail(self, tok: _Token, message: str):
         raise ParseError(tok.line, tok.column, message)
 
+    def int_value(self, tok: _Token) -> int:
+        try:
+            return int(tok.value)
+        except ValueError:
+            # the only way int() fails on a run of decimal digits
+            self.fail(
+                tok,
+                f"integer literal has {len(tok.value)} digits, more than the"
+                f" interpreter's limit of {sys.get_int_max_str_digits()}",
+            )
+
+    def nest(self):
+        """Enter one nesting level; callers leave it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail(self.peek(), "expression nesting too deep")
+
     def expect_sym(self, sym: str) -> _Token:
         tok = self.next()
         if tok.kind != "SYM" or tok.value != sym:
@@ -308,7 +325,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "INT":
             self.fail(tok, f"expected an integer, found {self._describe(tok)}")
-        return sign * int(tok.value)
+        return sign * self.int_value(tok)
 
     @staticmethod
     def _describe(tok: _Token) -> str:
@@ -422,10 +439,7 @@ class _Parser:
     # expressions
 
     def parse_expr(self):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError(tok.line, tok.column, "expression nesting too deep")
+        self.nest()
         try:
             node = self.parse_term()
             while True:
@@ -451,9 +465,7 @@ class _Parser:
     def parse_unary(self):
         tok = self.peek()
         if tok.kind == "SYM" and tok.value == "-":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise ParseError(tok.line, tok.column, "expression nesting too deep")
+            self.nest()
             try:
                 self.next()
                 return Neg(self.parse_unary())
@@ -465,9 +477,7 @@ class _Parser:
         node = self.parse_atom()
         tok = self.peek()
         if tok.kind == "SYM" and tok.value == "^":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise ParseError(tok.line, tok.column, "expression nesting too deep")
+            self.nest()
             try:
                 self.next()
                 return BinOp("^", node, self.parse_unary())
@@ -478,7 +488,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "INT":
-            return IntLit(int(tok.value))
+            return IntLit(self.int_value(tok))
         if tok.kind == "SYM" and tok.value == "(":
             node = self.parse_expr()
             self.expect_sym(")")
@@ -584,6 +594,29 @@ def _print_scenario(node: ScenarioNode) -> str:
     lines.extend("  " + _print_statement(s) for s in node.statements)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# what a document builds: scenarios of deferred assertions
+
+@dataclass
+class Assertion:
+    label: str
+    cite: str
+    op: str
+    expected: Callable[[], object]
+    actual: Callable[[], object]
+
+    def __post_init__(self):
+        if self.op not in ("==", "!="):
+            raise ValueError(f"unsupported comparison {self.op!r}")
+
+
+@dataclass
+class Scenario:
+    name: str
+    assertions: list
+    notes: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

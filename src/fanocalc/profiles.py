@@ -10,6 +10,7 @@ K^2 = 5 and Euler number 7).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .blowup import BlowupModel, CurveCenter, FourfoldProfile, SurfaceCenter
 from .chern import SectionModel, section_chern, section_degree, tangent_bundle
@@ -33,12 +34,7 @@ def ci_profile(name: str, degrees: tuple[int, ...] = ()) -> FourfoldProfile:
         raise ValueError("hypersurface degrees must be at least 2")
     n = 4 + len(degrees)
     # c(X) = (1+h)^(n+1) / prod(1+d h), as a truncated integer series in h
-    series = [0] * 5
-    series[0] = 1
-    from math import comb
-
-    numer = [comb(n + 1, j) for j in range(5)]
-    coeffs = list(numer)
+    coeffs = [comb(n + 1, j) for j in range(5)]
     for d in degrees:
         inv = [(-d) ** m for m in range(5)]
         coeffs = [

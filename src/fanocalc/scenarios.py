@@ -13,29 +13,12 @@ silently corrected; see the sanity and v14 scenarios.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-
-@dataclass
-class Assertion:
-    label: str
-    cite: str
-    op: str
-    expected: Callable[[], object]
-    actual: Callable[[], object]
-
-    def __post_init__(self):
-        if self.op not in ("==", "!="):
-            raise ValueError(f"unsupported comparison {self.op!r}")
-
-
-@dataclass
-class Scenario:
-    name: str
-    assertions: list
-    notes: list = field(default_factory=list)
+from . import dsl
+from .dsl import Assertion, Scenario  # noqa: F401  (part of this module's interface)
 
 
 @dataclass(frozen=True)
@@ -312,8 +295,6 @@ BUILTIN_NOTES = {
 
 def builtin_scenarios() -> list:
     """The ten built-in scenarios, parsed from their DSL sources, sorted by name."""
-    from . import dsl
-
     scenarios = []
     for name in sorted(BUILTIN_SOURCES):
         document = dsl.parse(BUILTIN_SOURCES[name])

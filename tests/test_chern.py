@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 
 from fanocalc.chern import (
     BundleModel,
-    InconsistentPairingError,
-    PlaneClass,
     SectionModel,
     TotalChernClass,
     _divide_exactly,
-    euler_of_section,
-    plane_intersection_matrix,
-    plane_normal_bundle,
     section_chern,
     section_degree,
     tangent_bundle,
@@ -120,14 +115,6 @@ def test_dual_is_an_involution():
     assert sub.total.dual().dual() == sub.total
 
 
-def test_inverse_is_a_series_inverse():
-    _, quot = universal_bundles(GR25)
-    limit = 5
-    product = quot.total * quot.total.inverse(limit)
-    for i in range(1, limit + 1):
-        assert product.component(i).is_zero()
-
-
 def test_bundle_rank_constrains_total_class():
     s1 = sigma(GR25, 1)
     total = TotalChernClass(GR25, [unit(GR25), s1, s1 * s1])
@@ -154,7 +141,7 @@ def test_w5_section_invariants():
     assert model.chern.component(2).terms == {(2,): 4, (1, 1): 5}
     assert section_degree(model, sigma(GR25, 1) ** 4) == 5
     assert section_degree(model, model.chern.component(2) * sigma(GR25, 1) ** 2) == 22
-    assert euler_of_section(model) == 6
+    assert section_degree(model, model.chern.component(model.dim)) == 6
 
 
 def test_v14_section_invariants():
@@ -165,7 +152,7 @@ def test_v14_section_invariants():
     assert model.chern.component(2).terms == {(2,): 2, (1, 1): 4}
     assert section_degree(model, sigma(GR26, 1) ** 4) == 14
     assert section_degree(model, model.chern.component(2) * sigma(GR26, 1) ** 2) == 38
-    assert euler_of_section(model) == 12
+    assert section_degree(model, model.chern.component(model.dim)) == 12
 
 
 def test_codim_zero_section_is_the_ambient_space():
@@ -173,15 +160,7 @@ def test_codim_zero_section_is_the_ambient_space():
     assert model.dim == 4
     assert model.index == 4
     assert section_degree(model, sigma(GR24, 1) ** 4) == 2
-    assert euler_of_section(model) == 6
-
-
-def test_section_chern_limit_independence():
-    ambient = tangent_bundle(GR25).total
-    short = section_chern(ambient, 2)
-    long = section_chern(ambient, 2, limit=6)
-    for i in range(short.chern.limit + 1):
-        assert short.chern.component(i) == long.chern.component(i)
+    assert section_degree(model, model.chern.component(model.dim)) == 6
 
 
 def test_section_codim_bounds():
@@ -196,50 +175,3 @@ def test_index_requires_multiple_of_sigma1():
     model = SectionModel(GR25, 0, unit_total(GR25, 1))
     with pytest.raises(ValueError):
         model.index
-
-
-# ---------------------------------------------------------------------------
-# planes and their intersection matrix
-
-def test_plane_normal_bundles():
-    w5 = w5_model()
-    xi = PlaneClass(GR25, (2, 2), "Xi")
-    pi = PlaneClass(GR25, (3, 1), "Pi")
-    assert plane_normal_bundle(w5, xi) == (0, 2)
-    assert plane_normal_bundle(w5, pi) == (0, 1)
-    v14 = v14_model()
-    assert plane_normal_bundle(v14, PlaneClass(GR26, (4, 2))) == (-1, 2)
-
-
-def test_plane_intersection_matrix():
-    w5 = w5_model()
-    planes = (PlaneClass(GR25, (2, 2)), PlaneClass(GR25, (3, 1)))
-    matrix = plane_intersection_matrix(w5, planes)
-    assert matrix == [[2, -1], [-1, 1]]
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    assert det == 1
-
-
-def test_plane_matrix_reads_h2_decomposition_from_ambient():
-    # sigma_1^4 = 3 sigma_{3,1} + 2 sigma_{2,2} forces h^2 = 2 Xi + 3 Pi
-    w5 = w5_model()
-    planes = (PlaneClass(GR25, (2, 2)), PlaneClass(GR25, (3, 1)))
-    explicit = plane_intersection_matrix(w5, planes, h2_coefficients=(2, 3))
-    assert explicit == plane_intersection_matrix(w5, planes)
-
-
-def test_plane_matrix_inconsistent_systems():
-    w5 = w5_model()
-    planes = (PlaneClass(GR25, (2, 2)), PlaneClass(GR25, (3, 1)))
-    with pytest.raises(InconsistentPairingError):
-        plane_intersection_matrix(w5, planes, h2_coefficients=(0, 0))
-    with pytest.raises(InconsistentPairingError):
-        plane_intersection_matrix(w5, planes, h2_coefficients=(0, 4))
-    with pytest.raises(InconsistentPairingError):
-        plane_intersection_matrix(w5, planes, h2_coefficients=(1, 1))
-
-
-def test_plane_class_must_be_a_surface_class():
-    w5 = w5_model()
-    with pytest.raises(ValueError):
-        plane_normal_bundle(w5, PlaneClass(GR25, (1,)))

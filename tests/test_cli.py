@@ -148,6 +148,15 @@ def test_check_parse_error_exits_2(tmp_path):
     assert "line 1, column 15" in err
 
 
+def test_check_overlong_literal_exits_2(tmp_path):
+    path = tmp_path / "long.scn"
+    path.write_text('scenario "x" {\n  assert ' + "1" * 5000 + ' == 1 cite "x"\n}\n', encoding="utf-8")
+    code, out, err = invoke("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2, column 10: integer literal has 5000 digits" in err
+
+
 def test_check_missing_file_exits_2(tmp_path):
     code, _, err = invoke("check", str(tmp_path / "absent.scn"))
     assert code == 2

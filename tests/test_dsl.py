@@ -1,5 +1,7 @@
 """Scenario-language parser: grammar, positions, totality, round-trips."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,19 @@ def test_deep_nesting_is_a_parse_error():
         with pytest.raises(ParseError) as info:
             parse(f'scenario "deep" {{ assert {text} == 1 cite "x" }}')
         assert "nesting too deep" in info.value.message
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    # an expression literal, and a signed statement field
+    for source, position in (
+        (f'scenario "x" {{\n  assert {digits} == 1 cite "x"\n}}', (2, 10)),
+        (f'scenario "x" {{\n  grassmannian 2 -{digits}\n}}', (2, 19)),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == position
+        assert f"{len(digits)} digits" in info.value.message
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,69 @@
+"""Package layering, read from the sources: imports sit at module top, no cycles."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fanocalc"
+MODULES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def imports(tree):
+    """Every import statement of a module, with its enclosing function (or None)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((child, function))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def internal_targets(node):
+    """The package modules an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".") for a in node.names]
+        targets = [parts[1] for parts in names if parts[0] == "fanocalc" and len(parts) > 1]
+    elif node.level == 0 and (node.module or "").split(".")[0] != "fanocalc":
+        targets = []
+    else:
+        module = node.module or ""
+        if node.level == 0:
+            module = module.partition(".")[2]
+        targets = [module.split(".")[0]] if module else [a.name for a in node.names]
+    return [t for t in targets if t in MODULES]
+
+
+def test_no_import_inside_a_function():
+    nested = [
+        f"{name}.py:{node.lineno} in {function}()"
+        for name, tree in MODULES.items()
+        for node, function in imports(tree)
+        if function is not None
+    ]
+    assert nested == []
+
+
+def test_internal_import_graph_is_acyclic():
+    graph = {
+        name: {t for node, _ in imports(tree) for t in internal_targets(node)} - {name}
+        for name, tree in MODULES.items()
+    }
+    assert graph["dsl"] and graph["scenarios"], "the graph reader finds no edges"
+    # peel off modules whose imports are all peeled; what is left sits on or above a cycle
+    remaining = dict(graph)
+    while True:
+        leaves = [name for name, targets in remaining.items() if not targets & remaining.keys()]
+        if not leaves:
+            break
+        for name in leaves:
+            del remaining[name]
+    assert remaining == {}
