@@ -210,9 +210,8 @@ def c2_blowup(model: BlowupModel) -> dict:
 
 def pair_degree2(model: BlowupModel, symbol: str, d1: Divisor, d2: Divisor) -> int:
     """Pair a codimension-2 symbol (as in :func:`c2_blowup`) with D1 . D2."""
-    if symbol in ("hh", "he", "ee"):
-        first = {"hh": (H, H), "he": (H, E), "ee": (E, E)}[symbol]
-        return quartic_number(model, first[0], first[1], d1, d2)
+    if symbol == "he":
+        return quartic_number(model, H, E, d1, d2)
     if symbol == "c2":
         table = (model.base.c2h2, 0, 0)
         if isinstance(model.center, SurfaceCenter):

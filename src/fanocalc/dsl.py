@@ -1,7 +1,12 @@
 """A small declarative language for verification scenarios.
 
-Grammar (statements in any order and number; comments run from '#' to end of
-line; integers are signed decimal):
+Lexical rules: whitespace is space, tab, CR and LF only; a comment runs from
+'#' to the end of the line; an integer is a run of Unicode decimal digits; a
+name is a letter or '_' followed by letters, digits or '_'; a string is
+double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
+
+Grammar (statements in any order and number; integer fields may carry a
+leading '-'):
 
     document   := { scenario }
     scenario   := "scenario" STRING "{" { statement } "}"
@@ -25,6 +30,7 @@ index, chi and euler literals against the derived values.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,10 +66,22 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # lexer
 
-_SYMBOLS = ("==", "!=", "{", "}", "(", ")", "[", "]", ",", "+", "-", "*", "^")
+# One alternative per token kind.  \d is str.isdecimal and \w is
+# str.isalnum or '_', so IDENT also matches names that start with a
+# non-decimal digit such as '²'; the lexer rejects those.  STRING stops
+# before the closing quote, so the lexer can tell an unterminated string
+# from a bad escape.
+_TOKEN = re.compile(
+    r"(?P<SKIP>(?:[ \t\r\n]|#[^\n]*)+)"
+    r"|(?P<INT>\d+)"
+    r"|(?P<IDENT>\w+)"
+    r'|(?P<STRING>"(?:[^"\\\n]|\\["\\])*)'
+    r"|(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
+)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: one is built per token, and frozen costs twice as much
 class _Token:
     kind: str  # IDENT, INT, STRING, SYM, EOF
     value: str
@@ -73,85 +91,32 @@ class _Token:
 
 def _lex(source: str) -> list:
     tokens = []
-    line, col, i, n = 1, 1, 0, len(source)
-
-    def advance(ch: str):
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
+    line, line_start, pos = 1, 0, 0
+    match = _TOKEN.match
+    while (m := match(source, pos)) is not None:
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "SKIP":
+            newline = text.rfind("\n")
+            if newline >= 0:
+                line += text.count("\n")
+                line_start = pos + newline + 1
+        elif kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            break  # reported below as an unexpected character
         else:
-            col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                advance(source[i])
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            advance(ch)
-            buf = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated string literal")
-                c = source[i]
-                if c == '"':
-                    advance(c)
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or source[i + 1] not in ('"', "\\"):
-                        raise ParseError(line, col, "unsupported escape in string literal")
-                    buf.append(source[i + 1])
-                    advance(c)
-                    advance(source[i + 1])
-                    i += 2
-                    continue
-                buf.append(c)
-                advance(c)
-                i += 1
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            tokens.append(_Token("INT", source[i:j], start_line, start_col))
-            for c in source[i:j]:
-                advance(c)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", source[i:j], start_line, start_col))
-            for c in source[i:j]:
-                advance(c)
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in ("==", "!="):
-            tokens.append(_Token("SYM", two, start_line, start_col))
-            advance(two[0])
-            advance(two[1])
-            i += 2
-            continue
-        if ch in "{}()[],+-*^":
-            tokens.append(_Token("SYM", ch, start_line, start_col))
-            advance(ch)
-            i += 1
-            continue
-        raise ParseError(start_line, start_col, f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", line, col))
+            column = pos - line_start + 1
+            if kind == "STRING":
+                if not source.startswith('"', end):
+                    if source.startswith("\\", end):
+                        column = end - line_start + 1
+                        raise ParseError(line, column, "unsupported escape in string literal")
+                    raise ParseError(line, column, "unterminated string literal")
+                text = _ESCAPE.sub(r"\1", text[1:])
+                end += 1
+            tokens.append(_Token(kind, text, line, column))
+        pos = end
+    if pos < len(source):
+        raise ParseError(line, pos - line_start + 1, f"unexpected character {source[pos]!r}")
+    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -177,8 +142,6 @@ class SigmaAtom:
 class Call:
     name: str
     args: tuple
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -256,6 +219,12 @@ class Document:
 # ---------------------------------------------------------------------------
 # parser
 
+_CENTER_FIELDS = {
+    "curve": ("genus", "hc"),
+    "surface": ("hhc", "hkc", "kc2", "euler", "c2xc"),
+}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -264,6 +233,11 @@ class _Parser:
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
+
+    def at(self, text: str) -> bool:
+        """Whether the next token is the keyword or symbol ``text``."""
+        tok = self.tokens[self.pos]
+        return tok.value == text and tok.kind != "STRING"
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -291,16 +265,11 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             self.fail(self.peek(), "expression nesting too deep")
 
-    def expect_sym(self, sym: str) -> _Token:
+    def expect(self, text: str, wanted: Optional[str] = None) -> _Token:
+        """Consume the keyword or symbol ``text``; ``wanted`` overrides the message."""
         tok = self.next()
-        if tok.kind != "SYM" or tok.value != sym:
-            self.fail(tok, f"expected {sym!r}, found {self._describe(tok)}")
-        return tok
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "IDENT" or tok.value != word:
-            self.fail(tok, f"expected {word!r}, found {self._describe(tok)}")
+        if tok.value != text or tok.kind == "STRING":
+            self.fail(tok, f"expected {wanted or repr(text)}, found {self._describe(tok)}")
         return tok
 
     def expect_ident(self) -> _Token:
@@ -316,16 +285,18 @@ class _Parser:
         return tok
 
     def expect_int(self) -> int:
-        tok = self.peek()
         sign = 1
-        if tok.kind == "SYM" and tok.value == "-":
+        if self.at("-"):
             self.next()
             sign = -1
-            tok = self.peek()
         tok = self.next()
         if tok.kind != "INT":
             self.fail(tok, f"expected an integer, found {self._describe(tok)}")
         return sign * self.int_value(tok)
+
+    def expect_field(self, word: str) -> int:
+        self.expect(word)
+        return self.expect_int()
 
     @staticmethod
     def _describe(tok: _Token) -> str:
@@ -340,101 +311,85 @@ class _Parser:
     def parse_document(self) -> Document:
         doc = Document()
         seen = set()
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                return doc
-            if tok.kind == "IDENT" and tok.value == "scenario":
-                node = self.parse_scenario()
-                if node.name in seen:
-                    raise ParseError(node.line, node.column, f"duplicate scenario name {node.name!r}")
-                seen.add(node.name)
-                doc.scenarios.append(node)
-            else:
-                self.fail(tok, f"expected 'scenario', found {self._describe(tok)}")
+        while self.peek().kind != "EOF":
+            node = self.parse_scenario()
+            if node.name in seen:
+                raise ParseError(node.line, node.column, f"duplicate scenario name {node.name!r}")
+            seen.add(node.name)
+            doc.scenarios.append(node)
+        return doc
 
     def parse_scenario(self) -> ScenarioNode:
-        kw = self.expect_keyword("scenario")
+        kw = self.expect("scenario")
         name = self.expect_string().value
-        self.expect_sym("{")
+        self.expect("{")
         statements = []
-        while True:
+        while not self.at("}"):
             tok = self.peek()
-            if tok.kind == "SYM" and tok.value == "}":
-                self.next()
-                return ScenarioNode(name, statements, kw.line, kw.column)
-            if tok.kind == "IDENT" and tok.value == "profile":
-                statements.append(self.parse_profile())
-            elif tok.kind == "IDENT" and tok.value == "center":
-                statements.append(self.parse_center())
-            elif tok.kind == "IDENT" and tok.value == "grassmannian":
-                statements.append(self.parse_grass())
-            elif tok.kind == "IDENT" and tok.value == "assert":
-                statements.append(self.parse_assert())
-            else:
+            parse_statement = self._STATEMENTS.get(tok.value) if tok.kind == "IDENT" else None
+            if parse_statement is None:
                 self.fail(tok, f"expected a statement or '}}', found {self._describe(tok)}")
+            statements.append(parse_statement(self))
+        self.next()
+        return ScenarioNode(name, statements, kw.line, kw.column)
+
+    # each statement parser starts at its keyword, which parse_scenario has matched
 
     def parse_profile(self) -> ProfileStmt:
-        kw = self.expect_keyword("profile")
+        kw = self.next()
         ident = self.expect_ident().value
-        self.expect_keyword("h4")
-        h4 = self.expect_int()
-        self.expect_keyword("index")
-        index = self.expect_int()
-        tok = self.peek()
+        h4 = self.expect_field("h4")
+        index = self.expect_field("index")
         c2h2 = ambient = codim = None
-        if tok.kind == "IDENT" and tok.value == "c2h2":
-            self.next()
-            c2h2 = self.expect_int()
-        elif tok.kind == "IDENT" and tok.value == "ambient":
+        if self.at("c2h2"):
+            c2h2 = self.expect_field("c2h2")
+        elif self.at("ambient"):
             self.next()
             ambient = self.expect_ident().value
-            self.expect_keyword("codim")
-            codim = self.expect_int()
+            codim = self.expect_field("codim")
         else:
+            tok = self.peek()
             self.fail(tok, f"expected 'c2h2' or 'ambient', found {self._describe(tok)}")
-        self.expect_keyword("chi")
-        chi = self.expect_int()
-        self.expect_keyword("euler")
-        euler = self.expect_int()
+        chi = self.expect_field("chi")
+        euler = self.expect_field("euler")
         return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler, kw.line, kw.column)
 
     def parse_center(self) -> CenterStmt:
-        kw = self.expect_keyword("center")
+        kw = self.next()
         tok = self.expect_ident()
-        if tok.value == "curve":
-            names = ("genus", "hc")
-        elif tok.value == "surface":
-            names = ("hhc", "hkc", "kc2", "euler", "c2xc")
-        else:
+        names = _CENTER_FIELDS.get(tok.value)
+        if names is None:
             self.fail(tok, f"expected 'curve' or 'surface', found {self._describe(tok)}")
-        fields = []
-        for name in names:
-            self.expect_keyword(name)
-            fields.append((name, self.expect_int()))
-        return CenterStmt(tok.value, tuple(fields), kw.line, kw.column)
+        fields = tuple((name, self.expect_field(name)) for name in names)
+        return CenterStmt(tok.value, fields, kw.line, kw.column)
 
     def parse_grass(self) -> GrassStmt:
-        kw = self.expect_keyword("grassmannian")
+        kw = self.next()
         k = self.expect_int()
         n = self.expect_int()
         return GrassStmt(k, n, kw.line, kw.column)
 
     def parse_assert(self) -> AssertStmt:
-        kw = self.expect_keyword("assert")
+        kw = self.next()
         left = self.parse_expr()
         tok = self.next()
         if tok.kind != "SYM" or tok.value not in ("==", "!="):
             self.fail(tok, f"expected '==' or '!=', found {self._describe(tok)}")
         right = self.parse_expr()
-        self.expect_keyword("cite")
+        self.expect("cite")
         cite = self.expect_string().value
         label = None
-        nxt = self.peek()
-        if nxt.kind == "IDENT" and nxt.value == "label":
+        if self.at("label"):
             self.next()
             label = self.expect_string().value
         return AssertStmt(left, tok.value, right, cite, label, kw.line, kw.column)
+
+    _STATEMENTS = {
+        "profile": parse_profile,
+        "center": parse_center,
+        "grassmannian": parse_grass,
+        "assert": parse_assert,
+    }
 
     # expressions
 
@@ -442,29 +397,22 @@ class _Parser:
         self.nest()
         try:
             node = self.parse_term()
-            while True:
-                tok = self.peek()
-                if tok.kind == "SYM" and tok.value in ("+", "-"):
-                    self.next()
-                    node = BinOp(tok.value, node, self.parse_term())
-                else:
-                    return node
+            while (tok := self.peek()).kind == "SYM" and tok.value in ("+", "-"):
+                self.next()
+                node = BinOp(tok.value, node, self.parse_term())
+            return node
         finally:
             self.depth -= 1
 
     def parse_term(self):
         node = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.value == "*":
-                self.next()
-                node = BinOp("*", node, self.parse_unary())
-            else:
-                return node
+        while self.at("*"):
+            self.next()
+            node = BinOp("*", node, self.parse_unary())
+        return node
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == "-":
+        if self.at("-"):
             self.nest()
             try:
                 self.next()
@@ -475,8 +423,7 @@ class _Parser:
 
     def parse_power(self):
         node = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == "^":
+        if self.at("^"):
             self.nest()
             try:
                 self.next()
@@ -489,36 +436,32 @@ class _Parser:
         tok = self.next()
         if tok.kind == "INT":
             return IntLit(self.int_value(tok))
-        if tok.kind == "SYM" and tok.value == "(":
-            node = self.parse_expr()
-            self.expect_sym(")")
-            return node
         if tok.kind == "IDENT":
-            nxt = self.peek()
-            if tok.value == "sigma" and nxt.kind == "SYM" and nxt.value == "[":
-                self.next()
-                parts = [self.expect_int()]
-                while True:
-                    t = self.next()
-                    if t.kind == "SYM" and t.value == "]":
-                        return SigmaAtom(tuple(parts))
-                    if t.kind == "SYM" and t.value == ",":
-                        parts.append(self.expect_int())
-                    else:
-                        self.fail(t, f"expected ',' or ']', found {self._describe(t)}")
-            if nxt.kind == "SYM" and nxt.value == "(":
+            if self.at("("):
                 self.next()
                 args = []
-                if not (self.peek().kind == "SYM" and self.peek().value == ")"):
+                if not self.at(")"):
                     args.append(self.parse_expr())
-                    while self.peek().kind == "SYM" and self.peek().value == ",":
+                    while self.at(","):
                         self.next()
                         args.append(self.parse_expr())
-                self.expect_sym(")")
-                return Call(tok.value, tuple(args), tok.line, tok.column)
+                self.expect(")")
+                return Call(tok.value, tuple(args))
+            if tok.value == "sigma" and self.at("["):
+                self.next()
+                parts = [self.expect_int()]
+                while self.at(","):
+                    self.next()
+                    parts.append(self.expect_int())
+                self.expect("]", "',' or ']'")
+                return SigmaAtom(tuple(parts))
             if tok.value in ("H", "E"):
                 return DivisorAtom(tok.value)
             self.fail(tok, f"unknown name {tok.value!r}")
+        if tok.kind == "SYM" and tok.value == "(":
+            node = self.parse_expr()
+            self.expect(")")
+            return node
         self.fail(tok, f"expected an expression, found {self._describe(tok)}")
 
 
@@ -622,32 +565,31 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # evaluation
 
+_SETUP_KEYWORDS = {ProfileStmt: "profile", CenterStmt: "center", GrassStmt: "grassmannian"}
+
+
 class _Setup:
     """Deferred, validated scenario state shared by all assertion thunks."""
 
     def __init__(self):
-        self.profile_stmt: Optional[ProfileStmt] = None
-        self.center_stmt: Optional[CenterStmt] = None
-        self.grass_stmt: Optional[GrassStmt] = None
+        self.statements = {}  # keyword -> the scenario's one statement of that kind
 
     def add(self, stmt):
-        if isinstance(stmt, ProfileStmt):
-            if self.profile_stmt is not None:
-                raise ParseError(stmt.line, stmt.column, "duplicate profile statement")
-            self.profile_stmt = stmt
-        elif isinstance(stmt, CenterStmt):
-            if self.center_stmt is not None:
-                raise ParseError(stmt.line, stmt.column, "duplicate center statement")
-            self.center_stmt = stmt
-        elif isinstance(stmt, GrassStmt):
-            if self.grass_stmt is not None:
-                raise ParseError(stmt.line, stmt.column, "duplicate grassmannian statement")
-            self.grass_stmt = stmt
+        keyword = _SETUP_KEYWORDS.get(type(stmt))
+        if keyword is None:
+            return
+        if keyword in self.statements:
+            raise ParseError(stmt.line, stmt.column, f"duplicate {keyword} statement")
+        self.statements[keyword] = stmt
+
+    def statement(self, keyword: str):
+        stmt = self.statements.get(keyword)
+        if stmt is None:
+            raise ValueError(f"no {keyword} statement in this scenario")
+        return stmt
 
     def profile(self):
-        stmt = self.profile_stmt
-        if stmt is None:
-            raise ValueError("no profile statement in this scenario")
+        stmt = self.statement("profile")
         if stmt.ambient is None:
             return blowup.FourfoldProfile(
                 name=stmt.ident,
@@ -677,9 +619,7 @@ class _Setup:
         return derived
 
     def center(self):
-        stmt = self.center_stmt
-        if stmt is None:
-            raise ValueError("no center statement in this scenario")
+        stmt = self.statement("center")
         values = dict(stmt.fields)
         if stmt.kind == "curve":
             return CurveCenter(genus=values["genus"], hc=values["hc"])
@@ -695,9 +635,8 @@ class _Setup:
         return BlowupModel(self.profile(), self.center())
 
     def grassmannian(self) -> Grassmannian:
-        if self.grass_stmt is None:
-            raise ValueError("no grassmannian statement in this scenario")
-        return Grassmannian(self.grass_stmt.k, self.grass_stmt.n)
+        stmt = self.statement("grassmannian")
+        return Grassmannian(stmt.k, stmt.n)
 
 
 def _as_int(value, what: str) -> int:

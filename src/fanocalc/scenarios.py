@@ -23,6 +23,8 @@ from .dsl import Assertion, Scenario  # noqa: F401  (part of this module's inter
 
 @dataclass(frozen=True)
 class AssertionResult:
+    """One report row; ``expected`` and ``actual`` hold the rendered values."""
+
     label: str
     cite: str
     expected: object
@@ -44,6 +46,7 @@ class ScenarioResult:
 def _render(value):
     """JSON-safe, deterministic rendering of an assertion value."""
     if isinstance(value, bool) or isinstance(value, int):
+        str(value)  # raises here, not in the report, past the int-string limit
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
@@ -53,10 +56,13 @@ def _render(value):
 
 
 def _evaluate(thunk: Callable[[], object]):
+    """(value, rendering, ok): a side that fails to evaluate or to render is an error."""
     try:
-        return thunk(), True
+        value = thunk()
+        return value, _render(value), True
     except Exception as exc:  # noqa: BLE001 - reported, never swallowed
-        return f"error: {type(exc).__name__}: {exc}", False
+        error = f"error: {type(exc).__name__}: {exc}"
+        return error, error, False
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ class Report:
                     "assertions": [
                         {
                             "label": r.label,
-                            "expected": _render(r.expected),
-                            "actual": _render(r.actual),
+                            "expected": r.expected,
+                            "actual": r.actual,
                             "pass": r.passed,
                             "cite": r.cite,
                         }
@@ -107,8 +113,8 @@ class Report:
             for r in s.results:
                 status = "PASS" if r.passed else "FAIL"
                 lines.append(
-                    f"{status} {s.name}/{r.label} expected={_render(r.expected)}"
-                    f" actual={_render(r.actual)} cite: {r.cite}"
+                    f"{status} {s.name}/{r.label} expected={r.expected}"
+                    f" actual={r.actual} cite: {r.cite}"
                 )
             if verbose:
                 for note in s.notes:
@@ -123,13 +129,13 @@ def run(scenarios: Sequence[Scenario]) -> Report:
     for scenario in sorted(scenarios, key=lambda s: s.name):
         results = []
         for a in scenario.assertions:
-            expected, ok_e = _evaluate(a.expected)
-            actual, ok_a = _evaluate(a.actual)
+            expected, shown_expected, ok_e = _evaluate(a.expected)
+            actual, shown_actual, ok_a = _evaluate(a.actual)
             if ok_e and ok_a:
                 passed = (actual == expected) if a.op == "==" else (actual != expected)
             else:
                 passed = False
-            results.append(AssertionResult(a.label, a.cite, expected, actual, passed))
+            results.append(AssertionResult(a.label, a.cite, shown_expected, shown_actual, passed))
         outcomes.append(ScenarioResult(scenario.name, tuple(results), tuple(scenario.notes)))
     return Report(tuple(outcomes))
 

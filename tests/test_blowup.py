@@ -160,8 +160,9 @@ def test_c2_symbol_validation(models):
         pair_degree2(models["p4-line"], "center", H, H)
     with pytest.raises(ValueError):
         pair_degree2(models["w5-xi"], "fiber", H, H)
-    with pytest.raises(ValueError):
-        pair_degree2(models["w5-xi"], "squiggle", H, H)
+    for unknown in ("squiggle", "hh"):
+        with pytest.raises(ValueError):
+            pair_degree2(models["w5-xi"], unknown, H, H)
 
 
 def test_c2_normal_matches_the_chern_engine(models):

@@ -157,6 +157,23 @@ def test_check_overlong_literal_exits_2(tmp_path):
     assert "line 2, column 10: integer literal has 5000 digits" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("expr", ["2^20000", "solve(3, 0, 2^20000)"])
+def test_check_unrenderable_value_fails_its_row(tmp_path, expr, fmt):
+    # a value past the interpreter's int-string limit is that side's error, not a crash
+    path = tmp_path / "huge.scn"
+    path.write_text(f'scenario "huge" {{\n  assert {expr} == 0 cite "x"\n}}\n', encoding="utf-8")
+    code, out, err = invoke("check", str(path), "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        (row,) = json.loads(out)["scenarios"][0]["assertions"]
+        assert (row["pass"], row["expected"]) == (False, 0)
+        assert row["actual"].startswith("error: ValueError: ")
+    else:
+        assert out.startswith("FAIL huge/a01 expected=0 actual=error: ValueError: ")
+        assert out.endswith("1 assertions, 1 failed\n")
+
+
 def test_check_missing_file_exits_2(tmp_path):
     code, _, err = invoke("check", str(tmp_path / "absent.scn"))
     assert code == 2

@@ -104,6 +104,14 @@ def test_statement_keyword_errors():
         parse('scenario "a" { center point }')
     with pytest.raises(ParseError):
         parse('scenario "a" { frobnicate }')
+    # a string is never a keyword or a symbol, whatever it holds
+    for text in ('"assert"', '"}"'):
+        with pytest.raises(ParseError) as info:
+            parse(f'scenario "a" {{ {text} }}')
+        assert info.value.message == "expected a statement or '}', found a string"
+    with pytest.raises(ParseError) as info:
+        parse('scenario "a" { assert 1 == 1 "cite" "x" }')
+    assert info.value.message == "expected 'cite', found a string"
 
 
 def test_string_escapes():
@@ -119,6 +127,30 @@ def test_bad_strings():
         parse('scenario "a\nb" {}')
     with pytest.raises(ParseError):
         parse('scenario "a\\nb" {}')
+
+
+@pytest.mark.parametrize(
+    "source, outcome",
+    [
+        ('scenario "x" {\n', (2, 1, "expected a statement or '}', found end of input")),
+        ('scenario "a" { grassmannian \u0662 \u0665 }', "grassmannian 2 5"),
+        ('scenario "a" { assert \u00b2 == 1 cite "x" }', (1, 23, "unexpected character '\u00b2'")),
+        ('scenario "a" {\r\n\tassert \u00e9 == 1 cite "x" }', (2, 9, "unknown name '\u00e9'")),
+        ('scenario "a\\', (1, 12, "unsupported escape in string literal")),
+        ('scenario "abc', (1, 10, "unterminated string literal")),
+        ("x\xa0", (1, 2, "unexpected character '\\xa0'")),
+        ("# c", ""),
+    ],
+)
+def test_lexical_rules(source, outcome):
+    # whitespace is space, tab, CR and LF; digits and letters are Unicode-wide,
+    # but a name starts with a letter or '_'; a string error points at its cause
+    if isinstance(outcome, str):
+        assert outcome in parse(source).pretty()
+        return
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.line, info.value.column, info.value.message) == outcome
 
 
 def test_trailing_garbage_rejected():

@@ -67,3 +67,34 @@ def test_internal_import_graph_is_acyclic():
         for name in leaves:
             del remaining[name]
     assert remaining == {}
+
+
+def test_no_unused_private_names():
+    # each top-level statement of each module, with the names it defines and mentions
+    statements = []
+    for module, tree in MODULES.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defines = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defines = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defines = []
+            mentions = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    mentions.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    mentions.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    mentions.add(node.name)
+            statements.append((module, defines, mentions))
+    unused = [
+        f"{module}.{name}"
+        for i, (module, defines, _) in enumerate(statements)
+        for name in defines
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in mentions for j, (_, _, mentions) in enumerate(statements) if j != i)
+    ]
+    assert unused == []
