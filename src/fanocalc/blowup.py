@@ -180,64 +180,30 @@ def monomial_number(model: BlowupModel, h_power: int, e_power: int) -> int:
 
 
 def quartic_number(model: BlowupModel, d1: Divisor, d2: Divisor, d3: Divisor, d4: Divisor) -> int:
-    """D1 . D2 . D3 . D4, expanded multilinearly over the H/E monomials."""
-    total = 0
-    for c1, p1 in ((d1.h, 0), (d1.e, 1)):
-        for c2, p2 in ((d2.h, 0), (d2.e, 1)):
-            for c3, p3 in ((d3.h, 0), (d3.e, 1)):
-                for c4, p4 in ((d4.h, 0), (d4.e, 1)):
-                    coeff = c1 * c2 * c3 * c4
-                    if coeff:
-                        e_power = p1 + p2 + p3 + p4
-                        total += coeff * monomial_number(model, 4 - e_power, e_power)
-    return total
+    """D1 . D2 . D3 . D4: the coefficient of t^j in the product of the
+    (h + e t) pairs with H^(4-j) E^j."""
+    coeffs = [1, 0, 0, 0, 0]
+    for d in (d1, d2, d3, d4):
+        for j in range(4, 0, -1):
+            coeffs[j] = d.h * coeffs[j] + d.e * coeffs[j - 1]
+        coeffs[0] *= d.h
+    return sum(c * monomial_number(model, 4 - j, j) for j, c in enumerate(coeffs) if c)
 
 
-def c2_blowup(model: BlowupModel) -> dict:
-    """c_2 of the blowup as a combination of pairing symbols.
+def c2_table(model: BlowupModel) -> tuple:
+    """c_2 of the blowup paired with H^2, H . E and E^2.
 
-    Keys: "c2" for the pullback of the base c_2, "fiber" for the class of a
-    fiber of the exceptional divisor over a curve center, "center" for the
-    pullback of the surface center's class, "he" for the product of the
-    hyperplane pullback with the exceptional divisor.
+    Over a curve center, c_2 is the pulled-back c_2 plus (2g - 2 - r hc)
+    fibers of E; over a surface center, the pulled-back c_2 and center class
+    minus r H . E (r the Fano index), paired through the monomial table.
     """
-    r = model.base.index
-    if isinstance(model.center, CurveCenter):
-        g, hc = model.center.genus, model.center.hc
-        return {"c2": 1, "fiber": 2 * g - 2 - r * hc}
-    return {"c2": 1, "center": 1, "he": -r}
-
-
-def pair_degree2(model: BlowupModel, symbol: str, d1: Divisor, d2: Divisor) -> int:
-    """Pair a codimension-2 symbol (as in :func:`c2_blowup`) with D1 . D2."""
-    if symbol == "he":
-        return quartic_number(model, H, E, d1, d2)
-    if symbol == "c2":
-        table = (model.base.c2h2, 0, 0)
-        if isinstance(model.center, SurfaceCenter):
-            table = (model.base.c2h2, 0, -model.center.c2xc)
-    elif symbol == "fiber":
-        if not isinstance(model.center, CurveCenter):
-            raise ValueError("fiber classes of this kind belong to curve centers")
-        table = (0, 0, 1)
-    elif symbol == "center":
-        if not isinstance(model.center, SurfaceCenter):
-            raise ValueError("the center symbol requires a surface center")
-        table = (model.center.hhc, 0, -model.c2_normal())
-    else:
-        raise ValueError(f"unknown degree-2 symbol {symbol!r}")
-    phh, phe, pee = table
+    base, center, r = model.base, model.center, model.base.index
+    if isinstance(center, CurveCenter):
+        return (base.c2h2, 0, 2 * center.genus - 2 - r * center.hc)
     return (
-        d1.h * d2.h * phh
-        + (d1.h * d2.e + d1.e * d2.h) * phe
-        + d1.e * d2.e * pee
-    )
-
-
-def _c2_pairing(model: BlowupModel, d1: Divisor, d2: Divisor) -> int:
-    return sum(
-        coeff * pair_degree2(model, symbol, d1, d2)
-        for symbol, coeff in c2_blowup(model).items()
+        base.c2h2 + center.hhc,
+        r * center.hhc,
+        -2 * center.c2xc + center.euler - center.kc2 + r * r * center.hhc,
     )
 
 
@@ -250,11 +216,12 @@ def chi_riemann_roch(model: BlowupModel, d: Divisor) -> int:
     :class:`NonIntegralCharacteristicError`.
     """
     c1 = model.c1
+    hh, he, ee = c2_table(model)
     d4 = quartic_number(model, d, d, d, d)
     d3c1 = quartic_number(model, d, d, d, c1)
     d2c1c1 = quartic_number(model, d, d, c1, c1)
-    d2c2 = _c2_pairing(model, d, d)
-    dc1c2 = _c2_pairing(model, d, c1)
+    d2c2 = d.h * d.h * hh + 2 * d.h * d.e * he + d.e * d.e * ee
+    dc1c2 = d.h * c1.h * hh + (d.h * c1.e + d.e * c1.h) * he + d.e * c1.e * ee
     bracket = d4 + 2 * d3c1 + d2c1c1 + d2c2 + dc1c2
     if bracket % 24:
         raise NonIntegralCharacteristicError(

@@ -92,6 +92,9 @@ def _cmd_check(args, out, err) -> int:
         except OSError as exc:
             err.write(f"check: cannot read {path}: {exc.strerror or exc}\n")
             return _USAGE_EXIT
+        except UnicodeDecodeError as exc:
+            err.write(f"check: {path}: {exc}\n")
+            return _USAGE_EXIT
         try:
             collected.extend(dsl.parse(source).build())
         except dsl.ParseError as exc:

@@ -22,14 +22,24 @@ leading '-'):
                   euler(), genus(e,e), solve(e,e,e), degree(e),
                   chern(e,e,e,e), dim(e,e)
 
+Operators, loosest first: binary + and - (precedence 1), * (2), unary - (3)
+and ^ (4).  All group to the left except ^, which groups to the right, so
+-2^2 is -(2^2) and 2^3^2 is 2^(3^2).  An expression nests at most 64 levels
+(parentheses, call arguments, unary minus, the right side of ^) and its tree
+is at most 64 levels tall; deeper input is a ParseError.
+
 The left side of an assertion is the computed value, the right side the
 expected one.  ``ambient IDENT codim INT`` derives the profile from the
 Chern engine (ambients: p4, w22, gr24, gr25, gr26) and cross-checks the h4,
 index, chi and euler literals against the derived values.
+
+``build`` compiles each expression once into values and closures; every
+evaluation error still fails only its own assertion, when the report runs.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -40,6 +50,17 @@ from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
 from .schubert import Grassmannian, SchubertCycle, grass_dim, sigma
 
+# Operator -> (precedence, right-associative); "neg" is unary minus.  The
+# parser and the printer both read this table.
+_PRECEDENCE = {"+": (1, False), "-": (1, False), "*": (2, False), "neg": (3, False),
+               "^": (4, True)}
+
+# Bound on both the parser's nesting depth and the height of an expression
+# tree.  The printer takes one frame per level of height, the compiler and
+# the compiled closures two, and the parser about three per level of
+# nesting; unbounded, they fail near 1000, 500, 500 and 350 levels at the
+# interpreter's default recursion limit of 1000.  64 leaves room for the
+# caller and for the engine calls an assertion makes.
 _MAX_DEPTH = 64
 
 _AMBIENTS = {
@@ -259,11 +280,10 @@ class _Parser:
                 f" interpreter's limit of {sys.get_int_max_str_digits()}",
             )
 
-    def nest(self):
-        """Enter one nesting level; callers leave it with ``self.depth -= 1``."""
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.fail(self.peek(), "expression nesting too deep")
+    def bound(self, tok: _Token, levels: int):
+        """Fail at ``tok`` when a nesting depth or tree height passes _MAX_DEPTH."""
+        if levels > _MAX_DEPTH:
+            self.fail(tok, "expression nesting too deep")
 
     def expect(self, text: str, wanted: Optional[str] = None) -> _Token:
         """Consume the keyword or symbol ``text``; ``wanted`` overrides the message."""
@@ -371,11 +391,11 @@ class _Parser:
 
     def parse_assert(self) -> AssertStmt:
         kw = self.next()
-        left = self.parse_expr()
+        left, _ = self.parse_nested(self.peek())
         tok = self.next()
         if tok.kind != "SYM" or tok.value not in ("==", "!="):
             self.fail(tok, f"expected '==' or '!=', found {self._describe(tok)}")
-        right = self.parse_expr()
+        right, _ = self.parse_nested(self.peek())
         self.expect("cite")
         cite = self.expect_string().value
         label = None
@@ -391,62 +411,58 @@ class _Parser:
         "assert": parse_assert,
     }
 
-    # expressions
+    # expressions, by precedence climbing over _PRECEDENCE.  Each method
+    # returns (tree, height).  An assertion side, a parenthesis, a call
+    # argument, a unary minus and a right-associative operator's right side
+    # each go one nesting level down.
 
-    def parse_expr(self):
-        self.nest()
-        try:
-            node = self.parse_term()
-            while (tok := self.peek()).kind == "SYM" and tok.value in ("+", "-"):
-                self.next()
-                node = BinOp(tok.value, node, self.parse_term())
-            return node
-        finally:
-            self.depth -= 1
+    def parse_nested(self, tok: _Token, min_prec: int = 1):
+        """An expression one nesting level down; too deep is reported at ``tok``."""
+        self.depth += 1
+        self.bound(tok, self.depth)
+        result = self.parse_expr(min_prec)
+        self.depth -= 1
+        return result
 
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.at("*"):
+    def parse_expr(self, min_prec: int):
+        tok = self.peek()
+        if tok.value == "-" and tok.kind == "SYM":
             self.next()
-            node = BinOp("*", node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        if self.at("-"):
-            self.nest()
-            try:
-                self.next()
-                return Neg(self.parse_unary())
-            finally:
-                self.depth -= 1
-        return self.parse_power()
-
-    def parse_power(self):
-        node = self.parse_atom()
-        if self.at("^"):
-            self.nest()
-            try:
-                self.next()
-                return BinOp("^", node, self.parse_unary())
-            finally:
-                self.depth -= 1
-        return node
+            operand, height = self.parse_nested(tok, _PRECEDENCE["neg"][0])
+            node, height = Neg(operand), height + 1
+            self.bound(tok, height)
+        else:
+            node, height = self.parse_atom()
+        while (tok := self.peek()).kind == "SYM" and tok.value in _PRECEDENCE:
+            prec, right_assoc = _PRECEDENCE[tok.value]
+            if prec < min_prec:
+                break
+            self.next()
+            if right_assoc:  # recurses at its own precedence, so it nests
+                rhs, rhs_height = self.parse_nested(tok, prec)
+            else:
+                rhs, rhs_height = self.parse_expr(prec + 1)
+            node = BinOp(tok.value, node, rhs)
+            height = (height if height > rhs_height else rhs_height) + 1
+            self.bound(tok, height)
+        return node, height
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "INT":
-            return IntLit(self.int_value(tok))
+            return IntLit(self.int_value(tok)), 1
         if tok.kind == "IDENT":
             if self.at("("):
                 self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.parse_expr())
+                args = [] if self.at(")") else [self.parse_nested(self.peek())]
+                while args and self.at(","):
+                    self.next()
+                    args.append(self.parse_nested(self.peek()))
                 self.expect(")")
-                return Call(tok.value, tuple(args))
+                nodes, heights = zip(*args) if args else ((), (0,))
+                height = max(heights) + 1
+                self.bound(tok, height)
+                return Call(tok.value, nodes), height
             if tok.value == "sigma" and self.at("["):
                 self.next()
                 parts = [self.expect_int()]
@@ -454,14 +470,14 @@ class _Parser:
                     self.next()
                     parts.append(self.expect_int())
                 self.expect("]", "',' or ']'")
-                return SigmaAtom(tuple(parts))
+                return SigmaAtom(tuple(parts)), 1
             if tok.value in ("H", "E"):
-                return DivisorAtom(tok.value)
+                return DivisorAtom(tok.value), 1
             self.fail(tok, f"unknown name {tok.value!r}")
         if tok.kind == "SYM" and tok.value == "(":
-            node = self.parse_expr()
+            result = self.parse_nested(self.peek())
             self.expect(")")
-            return node
+            return result
         self.fail(tok, f"expected an expression, found {self._describe(tok)}")
 
 
@@ -472,9 +488,6 @@ def parse(source: str) -> Document:
 
 # ---------------------------------------------------------------------------
 # canonical printing
-
-_PREC = {"+": 1, "-": 1, "*": 2, "neg": 3, "^": 4}
-
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -490,20 +503,14 @@ def _print_expr(node, min_prec: int = 0) -> str:
     if isinstance(node, Call):
         return node.name + "(" + ", ".join(_print_expr(a) for a in node.args) + ")"
     if isinstance(node, Neg):
-        text = "-" + _print_expr(node.operand, _PREC["neg"])
-        return f"({text})" if _PREC["neg"] < min_prec else text
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            text = _print_expr(node.left, prec + 1) + "^" + _print_expr(node.right, prec)
-        else:
-            text = (
-                _print_expr(node.left, prec)
-                + f" {node.op} "
-                + _print_expr(node.right, prec + 1)
-            )
-        return f"({text})" if prec < min_prec else text
-    raise TypeError(f"cannot print {node!r}")
+        prec = _PRECEDENCE["neg"][0]
+        text = "-" + _print_expr(node.operand, prec)
+    else:
+        prec, right_assoc = _PRECEDENCE[node.op]
+        op = "^" if node.op == "^" else f" {node.op} "
+        left = _print_expr(node.left, prec + 1 if right_assoc else prec)
+        text = left + op + _print_expr(node.right, prec if right_assoc else prec + 1)
+    return f"({text})" if prec < min_prec else text
 
 
 def _print_statement(stmt) -> str:
@@ -563,16 +570,35 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each expression is compiled once, at build, into values and
+# closures that hold no syntax node
 
 _SETUP_KEYWORDS = {ProfileStmt: "profile", CenterStmt: "center", GrassStmt: "grassmannian"}
 
 
+def _once(method):
+    """Run a _Setup method once; later calls return its value or raise its error again."""
+
+    def resolved(self):
+        if method not in self.outcomes:
+            try:
+                self.outcomes[method] = method(self), None
+            except Exception as exc:  # noqa: BLE001 - each assertion reports it
+                self.outcomes[method] = None, exc
+        value, error = self.outcomes[method]
+        if error is not None:
+            raise error.with_traceback(None)  # a fresh traceback, not a growing one
+        return value
+
+    return resolved
+
+
 class _Setup:
-    """Deferred, validated scenario state shared by all assertion thunks."""
+    """Deferred, validated scenario state shared by all assertion closures."""
 
     def __init__(self):
         self.statements = {}  # keyword -> the scenario's one statement of that kind
+        self.outcomes = {}  # _once method -> (value, exception)
 
     def add(self, stmt):
         keyword = _SETUP_KEYWORDS.get(type(stmt))
@@ -620,28 +646,19 @@ class _Setup:
 
     def center(self):
         stmt = self.statement("center")
-        values = dict(stmt.fields)
-        if stmt.kind == "curve":
-            return CurveCenter(genus=values["genus"], hc=values["hc"])
-        return SurfaceCenter(
-            hhc=values["hhc"],
-            hkc=values["hkc"],
-            kc2=values["kc2"],
-            euler=values["euler"],
-            c2xc=values["c2xc"],
-        )
+        return (CurveCenter if stmt.kind == "curve" else SurfaceCenter)(**dict(stmt.fields))
 
+    @_once
     def model(self) -> BlowupModel:
         return BlowupModel(self.profile(), self.center())
 
+    @_once
     def grassmannian(self) -> Grassmannian:
         stmt = self.statement("grassmannian")
         return Grassmannian(stmt.k, stmt.n)
 
 
 def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -655,123 +672,147 @@ def _as_divisor(value, what: str) -> Divisor:
     return value
 
 
-def _eval_call(call: Call, setup: _Setup):
-    args = [_eval(a, setup) for a in call.args]
-    name = call.name
-
-    def arity(k: int):
-        if len(args) != k:
-            raise TypeError(f"{name}() takes {k} arguments, got {len(args)}")
-
-    if name == "quartic":
-        arity(4)
-        divs = [_as_divisor(a, "a quartic() argument") for a in args]
-        return blowup.quartic_number(setup.model(), *divs)
-    if name == "chi":
-        arity(1)
-        return blowup.chi_riemann_roch(setup.model(), _as_divisor(args[0], "the chi() argument"))
-    if name == "euler":
-        arity(0)
-        return blowup.euler_blowup(setup.model())
-    if name == "genus":
-        arity(2)
-        return blowup.adjunction_genus(
-            _as_int(args[0], "the first genus() argument"),
-            _as_int(args[1], "the second genus() argument"),
-        )
-    if name == "solve":
-        arity(3)
-        a, b, rhs = (_as_int(v, "a solve() argument") for v in args)
-        return blowup.solve_linear(a, b, rhs)
-    if name == "degree":
-        arity(1)
-        if not isinstance(args[0], SchubertCycle):
-            raise TypeError("degree() takes a Schubert cycle")
-        return args[0].integral()
-    if name == "chern":
-        arity(4)
-        k, n, codim, i = (_as_int(v, "a chern() argument") for v in args)
-        model = profiles.section_model(k, n, codim)
-        return model.chern.component(i)
-    if name == "dim":
-        arity(2)
-        return grass_dim(_as_int(args[0], "a dim() argument"), _as_int(args[1], "a dim() argument"))
-    raise ValueError(f"unknown function {name!r}")
+def _quartic(setup, *args):
+    divisors = [_as_divisor(a, "a quartic() argument") for a in args]
+    return blowup.quartic_number(setup.model(), *divisors)
 
 
-def _eval(node, setup: _Setup):
-    if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, DivisorAtom):
-        return blowup.H if node.name == "H" else blowup.E
-    if isinstance(node, SigmaAtom):
-        return sigma(setup.grassmannian(), *node.parts)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, setup)
-    if isinstance(node, Call):
-        return _eval_call(node, setup)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, setup)
-        right = _eval(node.right, setup)
-        return _apply(node.op, left, right)
-    raise TypeError(f"cannot evaluate {node!r}")
+def _degree(setup, cycle):
+    if not isinstance(cycle, SchubertCycle):
+        raise TypeError("degree() takes a Schubert cycle")
+    return cycle.integral()
 
 
-def _apply(op: str, left, right):
-    number = (int, Fraction)
-    if op == "^":
-        exponent = _as_int(right, "an exponent")
-        if exponent < 0:
-            raise ValueError("negative exponents are not supported")
-        if isinstance(left, number):
-            return left ** exponent
-        if isinstance(left, SchubertCycle):
-            return left ** exponent
+def _chern(setup, *args):
+    k, n, codim, i = (_as_int(v, "a chern() argument") for v in args)
+    return profiles.section_model(k, n, codim).chern.component(i)
+
+
+# Function name -> (arity, rule of the scenario setup and the argument
+# values).  The rules reach the engine through its module attributes, so a
+# caller that rebinds one (a tracer, a test) sees every call.
+_FUNCTIONS = {
+    "quartic": (4, _quartic),
+    "chi": (1, lambda setup, d: blowup.chi_riemann_roch(
+        setup.model(), _as_divisor(d, "the chi() argument"))),
+    "euler": (0, lambda setup: blowup.euler_blowup(setup.model())),
+    "genus": (2, lambda setup, lk, l2: blowup.adjunction_genus(
+        _as_int(lk, "the first genus() argument"), _as_int(l2, "the second genus() argument"))),
+    "solve": (3, lambda setup, *args: blowup.solve_linear(
+        *(_as_int(v, "a solve() argument") for v in args))),
+    "degree": (1, _degree),
+    "chern": (4, _chern),
+    "dim": (2, lambda setup, k, n: grass_dim(
+        _as_int(k, "a dim() argument"), _as_int(n, "a dim() argument"))),
+}
+
+# Every value an expression takes is an int, a Fraction, a Divisor or a
+# SchubertCycle; the operator rules rely on it.
+_NUMBER = (int, Fraction)
+
+
+def _mismatch(op: str, left, right) -> TypeError:
+    return TypeError(f"cannot apply {op!r} to {type(left).__name__} and {type(right).__name__}")
+
+
+def _additive(op: str, combine):
+    """The rule for + or -: two numbers, two divisors or two Schubert cycles."""
+
+    def rule(left, right):
+        if type(left) is type(right) or isinstance(left, _NUMBER) and isinstance(right, _NUMBER):
+            return combine(left, right)
+        raise _mismatch(op, left, right)
+
+    return rule
+
+
+def _times(left, right):
+    """An int scales any value; two Fractions or two Schubert cycles multiply."""
+    if isinstance(left, int) or isinstance(right, int) or (
+        type(left) is type(right) and not isinstance(left, Divisor)
+    ):
+        return left * right
+    raise _mismatch("*", left, right)
+
+
+def _power(left, right):
+    exponent = _as_int(right, "an exponent")
+    if exponent < 0:
+        raise ValueError("negative exponents are not supported")
+    if isinstance(left, Divisor):
         raise TypeError(f"cannot raise {type(left).__name__} to a power")
-    if isinstance(left, number) and isinstance(right, number):
-        return {"+": left + right, "-": left - right, "*": left * right}[op]
-    if isinstance(left, Divisor) and isinstance(right, Divisor) and op in ("+", "-"):
-        return left + right if op == "+" else left - right
-    if op == "*":
-        if isinstance(left, int) and isinstance(right, (Divisor, SchubertCycle)):
-            return right * left
-        if isinstance(left, (Divisor, SchubertCycle)) and isinstance(right, int):
-            return left * right
-        if isinstance(left, SchubertCycle) and isinstance(right, SchubertCycle):
-            return left * right
-    if isinstance(left, SchubertCycle) and isinstance(right, SchubertCycle) and op in ("+", "-"):
-        return left + right if op == "+" else left - right
-    raise TypeError(
-        f"cannot apply {op!r} to {type(left).__name__} and {type(right).__name__}"
-    )
+    return left ** exponent
+
+
+_OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.sub),
+              "*": _times, "^": _power}
+
+
+def _compile(node, setup: _Setup):
+    """``node`` as its value when it needs no scenario setup and evaluates, else as a closure.
+
+    A closure raises when it runs: arguments first, then unknown name, arity and types."""
+    return _COMPILERS[type(node)](node, setup)
+
+
+def _compile_sigma(node: SigmaAtom, setup: _Setup):
+    parts = node.parts
+    return lambda: sigma(setup.grassmannian(), *parts)
+
+
+def _compile_call(node: Call, setup: _Setup):
+    name, entry = node.name, _FUNCTIONS.get(node.name)
+    args = [_compile(arg, setup) for arg in node.args]
+
+    def call():
+        values = [arg() if callable(arg) else arg for arg in args]
+        if entry is None:
+            raise ValueError(f"unknown function {name!r}")
+        if len(values) != entry[0]:
+            raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(values)}")
+        return entry[1](setup, *values)
+
+    return call
+
+
+def _fold(rule, operands: list):
+    """``rule`` applied at build when every operand is a value and it succeeds, else a closure."""
+    if not any(map(callable, operands)):
+        try:
+            return rule(*operands)
+        except Exception:  # noqa: BLE001 - the closure raises it again when it runs
+            pass
+    thunks = [_thunk(operand) for operand in operands]
+    return lambda: rule(*[thunk() for thunk in thunks])
+
+
+_COMPILERS = {
+    IntLit: lambda node, setup: node.value,
+    DivisorAtom: lambda node, setup: blowup.H if node.name == "H" else blowup.E,
+    SigmaAtom: _compile_sigma,
+    Call: _compile_call,
+    Neg: lambda node, setup: _fold(operator.neg, [_compile(node.operand, setup)]),
+    BinOp: lambda node, setup: _fold(
+        _OPERATORS[node.op], [_compile(node.left, setup), _compile(node.right, setup)]),
+}
+
+
+def _thunk(compiled) -> Callable[[], object]:
+    """A closure for a compiled expression; no value the language computes is callable."""
+    return compiled if callable(compiled) else lambda: compiled
 
 
 def _build_scenario(node: ScenarioNode) -> Scenario:
     setup = _Setup()
     for stmt in node.statements:
         setup.add(stmt)
-    assertions = []
-    labels = set()
-    counter = 0
-    for stmt in node.statements:
-        if not isinstance(stmt, AssertStmt):
-            continue
-        counter += 1
+    assertions, labels = [], set()
+    asserts = [stmt for stmt in node.statements if isinstance(stmt, AssertStmt)]
+    for counter, stmt in enumerate(asserts, 1):
         label = stmt.label if stmt.label is not None else f"a{counter:02d}"
         if label in labels:
             raise ParseError(stmt.line, stmt.column, f"duplicate assertion label {label!r}")
         labels.add(label)
-
-        def make_thunk(expr_node):
-            return lambda: _eval(expr_node, setup)
-
-        assertions.append(
-            Assertion(
-                label=label,
-                cite=stmt.cite,
-                op=stmt.op,
-                expected=make_thunk(stmt.right),
-                actual=make_thunk(stmt.left),
-            )
-        )
+        expected, actual = (_thunk(_compile(side, setup)) for side in (stmt.right, stmt.left))
+        assertions.append(Assertion(label, stmt.cite, stmt.op, expected, actual))
     return Scenario(name=node.name, assertions=assertions)

@@ -18,11 +18,10 @@ from fanocalc.blowup import (
     NonIntegralCharacteristicError,
     SurfaceCenter,
     adjunction_genus,
-    c2_blowup,
+    c2_table,
     chi_riemann_roch,
     euler_blowup,
     monomial_number,
-    pair_degree2,
     quartic_number,
     solve_linear,
 )
@@ -135,34 +134,21 @@ def test_w22_koszul_oracle(models):
 # c_2 of the blowup and its pairings
 
 def test_c2_symbols_for_curve_center(models):
+    # (H^2, H.E, E^2) pairings of c_2: the pulled-back c_2 gives (10, 0, 0),
+    # and the (2g - 2 - r hc) fibers of E meet only E^2, once each
     model = models["p4-line"]
     g, hc, r = 0, 1, 5
-    assert c2_blowup(model) == {"c2": 1, "fiber": 2 * g - 2 - r * hc}
-    assert pair_degree2(model, "c2", H, H) == 10
-    assert pair_degree2(model, "c2", H, E) == 0
-    assert pair_degree2(model, "c2", E, E) == 0
-    assert pair_degree2(model, "fiber", E, E) == 1
-    assert pair_degree2(model, "fiber", H, E) == 0
+    fibers = 2 * g - 2 - r * hc
+    assert c2_table(model) == (10 + 0 * fibers, 0 + 0 * fibers, 0 + 1 * fibers)
 
 
 def test_c2_symbols_for_surface_center(models):
+    # pulled-back c_2, plus the center class, minus r = 3 times H.E
     model = models["w5-xi"]
-    assert c2_blowup(model) == {"c2": 1, "center": 1, "he": -3}
-    assert pair_degree2(model, "c2", H, H) == 22
-    assert pair_degree2(model, "c2", E, E) == -5
-    assert pair_degree2(model, "center", H, H) == 1
-    assert pair_degree2(model, "center", E, E) == -model.c2_normal()
-    assert pair_degree2(model, "he", H, E) == quartic_number(model, H, E, H, E)
-
-
-def test_c2_symbol_validation(models):
-    with pytest.raises(ValueError):
-        pair_degree2(models["p4-line"], "center", H, H)
-    with pytest.raises(ValueError):
-        pair_degree2(models["w5-xi"], "fiber", H, H)
-    for unknown in ("squiggle", "hh"):
-        with pytest.raises(ValueError):
-            pair_degree2(models["w5-xi"], unknown, H, H)
+    c2 = (22, 0, -5)
+    center = (1, 0, -model.c2_normal())
+    he = tuple(quartic_number(model, H, E, a, b) for a, b in ((H, H), (H, E), (E, E)))
+    assert c2_table(model) == tuple(x + y - 3 * z for x, y, z in zip(c2, center, he))
 
 
 def test_c2_normal_matches_the_chern_engine(models):

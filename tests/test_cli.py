@@ -180,6 +180,16 @@ def test_check_missing_file_exits_2(tmp_path):
     assert "cannot read" in err
 
 
+def test_check_undecodable_file_exits_2(tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"\xff\xfe bad")
+    code, out, err = invoke("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"check: {path}: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_check_merges_multiple_files(tmp_path):
     a = tmp_path / "a.scn"
     b = tmp_path / "b.scn"

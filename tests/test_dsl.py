@@ -1,6 +1,7 @@
 """Scenario-language parser: grammar, positions, totality, round-trips."""
 
 import sys
+import traceback
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,23 +189,81 @@ def test_divisor_and_sigma_expressions():
 
 
 def test_expression_runtime_errors_are_deferred():
-    # parses fine, fails at evaluation with a diagnostic
-    for expr, prelude in [
-        ("quartic(H, H, H, H)", ""),  # no model
-        ("degree(sigma[1])", ""),  # no grassmannian
-        ("mystery(1)", ""),  # unknown function
-        ("solve(1, 2)", ""),  # arity
-        ("1 ^ -1", ""),  # negative exponent
-        ("H * E", ""),  # no such product
-        ("degree(1)", "grassmannian 2 5"),  # wrong type
-        ("sigma[-1]", "grassmannian 2 5"),  # bad partition
-        ("sigma[1] + 1", "grassmannian 2 5"),  # mixed types
+    # parses fine, fails at evaluation with a diagnostic; a call checks its
+    # arguments first, then its name, then its arity, then the argument types
+    grass = "grassmannian 2 5"
+    for expr, prelude, error in [
+        ("quartic(H, H, H, H)", "", "ValueError: no profile statement in this scenario"),
+        ("degree(sigma[1])", "", "ValueError: no grassmannian statement in this scenario"),
+        ("mystery(1)", "", "ValueError: unknown function 'mystery'"),
+        ("mystery(sigma[1])", "", "ValueError: no grassmannian statement in this scenario"),
+        ("solve(1, 2)", "", "TypeError: solve() takes 3 arguments, got 2"),
+        ("solve(1, H)", "", "TypeError: solve() takes 3 arguments, got 2"),
+        ("quartic(1, H, H, H)", "", "TypeError: a quartic() argument must be a divisor expression"
+         " in H and E"),
+        ("chi(1)", "", "ValueError: no profile statement in this scenario"),
+        ("1 ^ -1", "", "ValueError: negative exponents are not supported"),
+        ("H ^ 2", "", "TypeError: cannot raise Divisor to a power"),
+        ("H * E", "", "TypeError: cannot apply '*' to Divisor and Divisor"),
+        ("degree(1)", grass, "TypeError: degree() takes a Schubert cycle"),
+        ("sigma[-1]", grass, "ValueError: negative part in partition (-1,)"),
+        ("sigma[1] + 1", grass, "TypeError: cannot apply '+' to SchubertCycle and int"),
     ]:
         source = f'scenario "err" {{ {prelude} assert {expr} == 0 cite "boom" }}'
         report = run(parse(source).build())
         assert report.failed == 1, expr
         row = report.to_dict()["scenarios"][0]["assertions"][0]
-        assert str(row["actual"]).startswith("error: "), expr
+        assert row["actual"] == f"error: {error}", expr
+
+
+def test_engine_is_called_through_its_module(monkeypatch):
+    # tracing rebinds module attributes, so each call must look them up
+    from fanocalc import blowup
+
+    calls = {}
+    for name in ("quartic_number", "chi_riemann_roch"):
+        def counting(*args, _name=name, _original=getattr(blowup, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(blowup, name, counting)
+    setup = "profile P h4 4 index 3 c2h2 20 chi 1 euler 12 center curve genus 0 hc 1"
+    rows = (("quartic(H, H, H, H) == 4", "quartic_number"), ("chi(H) == 7", "chi_riemann_roch"))
+    for row, traced in rows:
+        calls.clear()
+        assert run_source(f'scenario "t" {{ {setup} assert {row} cite "x" }}').failed == 0
+        assert calls.get(traced, 0) > 0, row
+
+
+def test_broken_setup_fails_every_row_alike(monkeypatch):
+    from fanocalc import profiles
+
+    derived = []
+    ci_profile = profiles.ci_profile
+    monkeypatch.setattr(profiles, "ci_profile", lambda *a: derived.append(a) or ci_profile(*a))
+    source = (
+        'scenario "b" { profile P4 h4 2 index 5 ambient p4 codim 0 chi 1 euler 5 '
+        "center curve genus 0 hc 1 "
+        'assert quartic(H, H, H, H) == 1 cite "x" assert chi(H) == 5 cite "y" '
+        'assert euler() == 7 cite "z" }'
+    )
+    (scenario,) = parse(source).build()
+    rows = run([scenario]).to_dict()["scenarios"][0]["assertions"]
+    (error,) = {row["actual"] for row in rows}
+    assert error.startswith("error: ValueError: profile literals (h4, index, chi, euler)")
+    assert len(derived) == 1  # the failing profile is derived once, not once per row
+
+    def traceback_length():
+        try:
+            scenario.assertions[0].actual()
+        except ValueError as exc:
+            return len(traceback.extract_tb(exc.__traceback__))
+
+    # the setup error is resolved once; raising it again does not grow its traceback
+    first = traceback_length()
+    for _ in range(10):
+        traceback_length()
+    assert traceback_length() == first
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -212,6 +271,23 @@ def test_deep_nesting_is_a_parse_error():
         with pytest.raises(ParseError) as info:
             parse(f'scenario "deep" {{ assert {text} == 1 cite "x" }}')
         assert "nesting too deep" in info.value.message
+
+
+def test_tree_height_is_bounded():
+    # a left-associative chain nests no parser call, but its tree is as tall
+    # as the chain is long, and printing and evaluating recurse once per level
+    def chain(terms):
+        return f'scenario "c" {{ assert {"+".join(["1"] * terms)} == {terms} cite "x" }}'
+
+    for terms in (5000, dsl._MAX_DEPTH + 1):
+        with pytest.raises(ParseError) as info:
+            parse(chain(terms))
+        # reported at the operator whose node passes the bound
+        assert (info.value.line, info.value.column) == (1, 22 + 2 * dsl._MAX_DEPTH)
+        assert info.value.message == "expression nesting too deep"
+    document = parse(chain(dsl._MAX_DEPTH))
+    assert parse(document.pretty()).pretty() == document.pretty()
+    assert run(document.build()).failed == 0
 
 
 def test_overlong_integer_literal_is_a_parse_error():
