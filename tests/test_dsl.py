@@ -154,6 +154,66 @@ def test_lexical_rules(source, outcome):
     assert (info.value.line, info.value.column, info.value.message) == outcome
 
 
+# Every ParseError message the lexer and parser raise, each pinned to its
+# position past line 1 of input with comments, tabs (one column each), CRLF
+# line ends and a bare CR.
+_PRELUDE = (
+    "# positions count from 1; a tab is one column\r\n"
+    'scenario "ok" {\t# CRLF line ends\r\n'
+    "\tgrassmannian 2 5\r\n"
+    "}\r\n"
+)
+_OPEN = 'scenario "a" {\r\n'
+_DIGITS = sys.get_int_max_str_digits() + 1
+
+
+@pytest.mark.parametrize(
+    "source, outcome",
+    [
+        ('scenario "a"\t# no brace\r\n\t[ }', (6, 2, "expected '{', found '['")),
+        (_OPEN + '\tassert (1 == 1 cite "x" }', (6, 12, "expected ')', found '=='")),
+        (_OPEN + "\tprofile\t7 h4 1", (6, 10, "expected a name, found '7'")),
+        ("scenario\r\n  {", (6, 3, "expected a string, found '{'")),
+        (_OPEN + "\tgrassmannian 2 -\tx }", (6, 19, "expected an integer, found 'x'")),
+        (_OPEN + '\tassert 1 == 1 cite "x"\r\n\t"y" }',
+         (7, 2, "expected a statement or '}', found a string")),
+        (_OPEN + "\t# only a comment\r\n",
+         (7, 1, "expected a statement or '}', found end of input")),
+        (_OPEN + "\tprofile P h4 1 index 1\r\n\t\tchi 1 euler 1 }",
+         (7, 3, "expected 'c2h2' or 'ambient', found 'chi'")),
+        (_OPEN + "\tcenter\tpoint }", (6, 9, "expected 'curve' or 'surface', found 'point'")),
+        (_OPEN + '\tassert 1\r\n\tcite "x" }', (7, 2, "expected '==' or '!=', found 'cite'")),
+        (_OPEN + '\tassert sigma[1 2] == 0 cite "x" }', (6, 17, "expected ',' or ']', found '2'")),
+        (_OPEN + '\tassert (1 + ) == 0 cite "x" }', (6, 14, "expected an expression, found ')'")),
+        (_OPEN + '\tassert 1 +\r\n\t\tfoo == 0 cite "x" }', (7, 3, "unknown name 'foo'")),
+        (_OPEN + '\tassert 1 == 1 cite "abc\r\n}', (6, 21, "unterminated string literal")),
+        (_OPEN + '\tassert 1 == 1 cite "a\\tb" }', (6, 23, "unsupported escape in string literal")),
+        (_OPEN + '\tassert ² == 1 cite "x" }', (6, 9, "unexpected character '²'")),
+        (_OPEN + '\tassert 1 ==\r1 cite "x" $ }', (6, 25, "unexpected character '$'")),
+        # nesting depth: parentheses, unary minus, the right side of ^, call arguments
+        (_OPEN + "\tassert " + "(" * 65 + "1" + ")" * 65 + ' == 1 cite "x" }',
+         (6, 73, "expression nesting too deep")),
+        (_OPEN + "\tassert " + "-" * 65 + '1 == 1 cite "x" }', (6, 72, "expression nesting too deep")),
+        (_OPEN + "\tassert 2" + "^2" * 65 + ' == 1 cite "x" }', (6, 136, "expression nesting too deep")),
+        (_OPEN + "\tassert " + "dim(" * 65 + "1" + ")" * 65 + ' == 1 cite "x" }',
+         (6, 265, "expression nesting too deep")),
+        # tree height: left-associative chains
+        (_OPEN + "\tassert " + "+".join(["1"] * 65) + ' == 1 cite "x" }',
+         (6, 136, "expression nesting too deep")),
+        (_OPEN + "\tassert " + "*".join(["1"] * 70) + ' == 1 cite "x" }',
+         (6, 136, "expression nesting too deep")),
+        (_OPEN + "\tgrassmannian 2\t" + "9" * _DIGITS + " }",
+         (6, 17, f"integer literal has {_DIGITS} digits, more than the interpreter's limit"
+                 f" of {_DIGITS - 1}")),
+        ('scenario "ok" {}', (5, 1, "duplicate scenario name 'ok'")),
+    ],
+)
+def test_parse_error_positions(source, outcome):
+    with pytest.raises(ParseError) as info:
+        parse(_PRELUDE + source)
+    assert (info.value.line, info.value.column, info.value.message) == outcome
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse('scenario "a" {} }')
