@@ -5,6 +5,12 @@ Lexical rules: whitespace is space, tab, CR and LF only; a comment runs from
 name is a letter or '_' followed by letters, digits or '_'; a string is
 double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
 
+The lexer is one pass of one regular expression, into parallel lists of
+token kinds, values and source offsets.  A (line, column) is worked out from
+an offset, by bisection over the offsets of the newlines, only for a
+statement or an error.  Both count from 1; only LF ends a line, and a
+column counts characters, so a tab or a lone CR is one column.
+
 Grammar (statements in any order and number; integer fields may carry a
 leading '-'):
 
@@ -35,6 +41,13 @@ index, chi and euler literals against the derived values.
 
 ``build`` compiles each expression once into values and closures; every
 evaluation error still fails only its own assertion, when the report runs.
+
+``^`` on a number raises ValueError, before computing, when the exponent
+times the bit length of the base (for a Fraction, the longer of numerator
+and denominator) passes 100,000; bases 0, 1 and -1 are exempt, and a
+Schubert cycle of codimension 0, which is c times the unit class, counts
+as c.  A Schubert cycle raised past the top degree is the zero cycle of that
+codimension, computed without multiplying.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -50,9 +64,10 @@ from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
 from .schubert import Grassmannian, SchubertCycle, grass_dim, sigma
 
-# Operator -> (precedence, right-associative); "neg" is unary minus.  The
-# parser and the printer both read this table.
-_PRECEDENCE = {"+": (1, False), "-": (1, False), "*": (2, False), "neg": (3, False),
+# Operator -> (precedence, right-associative).  The parser and the printer
+# both read this table; unary minus has a key that no token equals.
+_UNARY_MINUS = "unary -"
+_PRECEDENCE = {"+": (1, False), "-": (1, False), "*": (2, False), _UNARY_MINUS: (3, False),
                "^": (4, True)}
 
 # Bound on both the parser's nesting depth and the height of an expression
@@ -87,97 +102,103 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # lexer
 
-# One alternative per token kind.  \d is str.isdecimal and \w is
-# str.isalnum or '_', so IDENT also matches names that start with a
-# non-decimal digit such as '²'; the lexer rejects those.  STRING stops
-# before the closing quote, so the lexer can tell an unterminated string
-# from a bad escape.
+# One alternative per token kind, each followed by the whitespace and
+# comments after it, so one match is one token.  \d is str.isdecimal and \w
+# is str.isalnum or '_'.  A name starting with an ASCII letter or '_' is an
+# IDENT; any other run of \w that is not an INT is a WORD, which the lexer
+# accepts as a name only when its first character is a letter ('²' is not).
+# A string that does not close matches BAD at its opening quote.
+_STRING = r'"(?:[^"\\\n]|\\["\\])*'
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
 _TOKEN = re.compile(
-    r"(?P<SKIP>(?:[ \t\r\n]|#[^\n]*)+)"
-    r"|(?P<INT>\d+)"
-    r"|(?P<IDENT>\w+)"
-    r'|(?P<STRING>"(?:[^"\\\n]|\\["\\])*)'
+    r"(?:(?P<INT>\d+)"
+    r"|(?P<IDENT>[A-Za-z_]\w*)"
+    r"|(?P<WORD>\w+)"
+    rf'|(?P<STRING>{_STRING}")'
     r"|(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))" + _SKIP
 )
+_LEADING = re.compile(_SKIP)
+_OPEN_STRING = re.compile(_STRING)
+_NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(slots=True)  # not frozen: one is built per token, and frozen costs twice as much
-class _Token:
-    kind: str  # IDENT, INT, STRING, SYM, EOF
-    value: str
-    line: int
-    column: int
+def _position(newlines: list, offset: int) -> tuple:
+    """The 1-based (line, column) of ``offset``, given the offsets of the source's newlines."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
 
 
-def _lex(source: str) -> list:
-    tokens = []
-    line, line_start, pos = 1, 0, 0
-    match = _TOKEN.match
-    while (m := match(source, pos)) is not None:
-        kind, text, end = m.lastgroup, m.group(), m.end()
-        if kind == "SKIP":
-            newline = text.rfind("\n")
-            if newline >= 0:
-                line += text.count("\n")
-                line_start = pos + newline + 1
-        elif kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
-            break  # reported below as an unexpected character
-        else:
-            column = pos - line_start + 1
-            if kind == "STRING":
-                if not source.startswith('"', end):
-                    if source.startswith("\\", end):
-                        column = end - line_start + 1
-                        raise ParseError(line, column, "unsupported escape in string literal")
-                    raise ParseError(line, column, "unterminated string literal")
-                text = _ESCAPE.sub(r"\1", text[1:])
-                end += 1
-            tokens.append(_Token(kind, text, line, column))
-        pos = end
-    if pos < len(source):
-        raise ParseError(line, pos - line_start + 1, f"unexpected character {source[pos]!r}")
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+def _lex(source: str, newlines: list) -> tuple:
+    """Parallel lists (kinds, values, offsets), one entry per token and the last for EOF.
+
+    A STRING's value keeps its quotes and escapes, so no string value equals
+    a keyword or a symbol."""
+    kinds, values, offsets = [], [], []
+    for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
+        kind = m.lastgroup
+        kinds.append(kind)
+        values.append(m[kind])
+        offsets.append(m.start())
+    if "WORD" in kinds or "BAD" in kinds:
+        for i, kind in enumerate(kinds):
+            if kind == "WORD" and values[i][0].isalpha():
+                kinds[i] = "IDENT"
+            elif kind in ("WORD", "BAD"):
+                _lex_error(source, newlines, offsets[i])
+    return kinds, values, offsets
+
+
+def _lex_error(source: str, newlines: list, offset: int):
+    """Raise the ParseError for the character at ``offset`` that starts no token."""
+    if source[offset] == '"':
+        end = _OPEN_STRING.match(source, offset).end()
+        if source.startswith("\\", end):
+            raise ParseError(*_position(newlines, end), "unsupported escape in string literal")
+        raise ParseError(*_position(newlines, offset), "unterminated string literal")
+    raise ParseError(*_position(newlines, offset), f"unexpected character {source[offset]!r}")
 
 
 # ---------------------------------------------------------------------------
-# syntax tree
+# syntax tree (slotted, not frozen: a pass builds one node per few tokens,
+# and a frozen node costs twice as much to build; nothing mutates them)
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DivisorAtom:
     name: str  # "H" or "E"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SigmaAtom:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call:
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp:
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     operand: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProfileStmt:
     ident: str
     h4: int
@@ -191,7 +212,7 @@ class ProfileStmt:
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CenterStmt:
     kind: str  # "curve" or "surface"
     fields: tuple  # ordered (name, value) pairs
@@ -199,7 +220,7 @@ class CenterStmt:
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GrassStmt:
     k: int
     n: int
@@ -207,7 +228,7 @@ class GrassStmt:
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AssertStmt:
     left: object
     op: str
@@ -218,7 +239,7 @@ class AssertStmt:
     column: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioNode:
     name: str
     statements: list
@@ -245,93 +266,82 @@ _CENTER_FIELDS = {
     "surface": ("hhc", "hkc", "kc2", "euler", "c2xc"),
 }
 
+# The two divisor leaves, shared by every tree.
+_DIVISOR_ATOMS = {"H": DivisorAtom("H"), "E": DivisorAtom("E")}
+
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the lexer's lists; ``pos`` indexes them and never passes EOF."""
+
+    def __init__(self, source: str):
+        self.newlines = [m.start() for m in _NEWLINE.finditer(source)]
+        self.kinds, self.values, self.offsets = _lex(source, self.newlines)
         self.pos = 0
         self.depth = 0
+        self.literals = {}  # INT text -> its IntLit
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def position(self, i: int) -> tuple:
+        return _position(self.newlines, self.offsets[i])
 
-    def at(self, text: str) -> bool:
-        """Whether the next token is the keyword or symbol ``text``."""
-        tok = self.tokens[self.pos]
-        return tok.value == text and tok.kind != "STRING"
+    def fail(self, i: int, message: str):
+        raise ParseError(*self.position(i), message)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def describe(self, i: int) -> str:
+        kind = self.kinds[i]
+        if kind == "EOF":
+            return "end of input"
+        if kind == "STRING":
+            return "a string"
+        return repr(self.values[i])
 
-    def fail(self, tok: _Token, message: str):
-        raise ParseError(tok.line, tok.column, message)
-
-    def int_value(self, tok: _Token) -> int:
+    def int_value(self, i: int) -> int:
+        text = self.values[i]
         try:
-            return int(tok.value)
+            return int(text)
         except ValueError:
             # the only way int() fails on a run of decimal digits
             self.fail(
-                tok,
-                f"integer literal has {len(tok.value)} digits, more than the"
+                i,
+                f"integer literal has {len(text)} digits, more than the"
                 f" interpreter's limit of {sys.get_int_max_str_digits()}",
             )
 
-    def bound(self, tok: _Token, levels: int):
-        """Fail at ``tok`` when a nesting depth or tree height passes _MAX_DEPTH."""
-        if levels > _MAX_DEPTH:
-            self.fail(tok, "expression nesting too deep")
+    def expect(self, text: str, wanted: Optional[str] = None) -> int:
+        """Consume the keyword or symbol ``text`` and return its index; ``wanted`` overrides the message."""
+        i = self.pos
+        if self.values[i] != text:
+            self.fail(i, f"expected {wanted or repr(text)}, found {self.describe(i)}")
+        self.pos = i + 1
+        return i
 
-    def expect(self, text: str, wanted: Optional[str] = None) -> _Token:
-        """Consume the keyword or symbol ``text``; ``wanted`` overrides the message."""
-        tok = self.next()
-        if tok.value != text or tok.kind == "STRING":
-            self.fail(tok, f"expected {wanted or repr(text)}, found {self._describe(tok)}")
-        return tok
+    def expect_kind(self, kind: str, wanted: str) -> str:
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.fail(i, f"expected {wanted}, found {self.describe(i)}")
+        self.pos = i + 1
+        return self.values[i]
 
-    def expect_ident(self) -> _Token:
-        tok = self.next()
-        if tok.kind != "IDENT":
-            self.fail(tok, f"expected a name, found {self._describe(tok)}")
-        return tok
-
-    def expect_string(self) -> _Token:
-        tok = self.next()
-        if tok.kind != "STRING":
-            self.fail(tok, f"expected a string, found {self._describe(tok)}")
-        return tok
+    def expect_string(self) -> str:
+        return _ESCAPE.sub(r"\1", self.expect_kind("STRING", "a string")[1:-1])
 
     def expect_int(self) -> int:
         sign = 1
-        if self.at("-"):
-            self.next()
+        if self.values[self.pos] == "-":
+            self.pos += 1
             sign = -1
-        tok = self.next()
-        if tok.kind != "INT":
-            self.fail(tok, f"expected an integer, found {self._describe(tok)}")
-        return sign * self.int_value(tok)
+        self.expect_kind("INT", "an integer")
+        return sign * self.int_value(self.pos - 1)
 
     def expect_field(self, word: str) -> int:
         self.expect(word)
         return self.expect_int()
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "EOF":
-            return "end of input"
-        if tok.kind == "STRING":
-            return "a string"
-        return repr(tok.value)
 
     # document / scenario / statements
 
     def parse_document(self) -> Document:
         doc = Document()
         seen = set()
-        while self.peek().kind != "EOF":
+        while self.kinds[self.pos] != "EOF":
             node = self.parse_scenario()
             if node.name in seen:
                 raise ParseError(node.line, node.column, f"duplicate scenario name {node.name!r}")
@@ -341,68 +351,68 @@ class _Parser:
 
     def parse_scenario(self) -> ScenarioNode:
         kw = self.expect("scenario")
-        name = self.expect_string().value
+        name = self.expect_string()
         self.expect("{")
         statements = []
-        while not self.at("}"):
-            tok = self.peek()
-            parse_statement = self._STATEMENTS.get(tok.value) if tok.kind == "IDENT" else None
+        while (value := self.values[self.pos]) != "}":
+            parse_statement = self._STATEMENTS.get(value)
             if parse_statement is None:
-                self.fail(tok, f"expected a statement or '}}', found {self._describe(tok)}")
-            statements.append(parse_statement(self))
-        self.next()
-        return ScenarioNode(name, statements, kw.line, kw.column)
+                self.fail(self.pos, f"expected a statement or '}}', found {self.describe(self.pos)}")
+            statements.append(parse_statement(self, self.pos))
+        self.pos += 1
+        return ScenarioNode(name, statements, *self.position(kw))
 
-    # each statement parser starts at its keyword, which parse_scenario has matched
+    # each statement parser gets the index of its keyword, which parse_scenario has matched
 
-    def parse_profile(self) -> ProfileStmt:
-        kw = self.next()
-        ident = self.expect_ident().value
+    def parse_profile(self, kw: int) -> ProfileStmt:
+        self.pos = kw + 1
+        ident = self.expect_kind("IDENT", "a name")
         h4 = self.expect_field("h4")
         index = self.expect_field("index")
         c2h2 = ambient = codim = None
-        if self.at("c2h2"):
+        value = self.values[self.pos]
+        if value == "c2h2":
             c2h2 = self.expect_field("c2h2")
-        elif self.at("ambient"):
-            self.next()
-            ambient = self.expect_ident().value
+        elif value == "ambient":
+            self.pos += 1
+            ambient = self.expect_kind("IDENT", "a name")
             codim = self.expect_field("codim")
         else:
-            tok = self.peek()
-            self.fail(tok, f"expected 'c2h2' or 'ambient', found {self._describe(tok)}")
+            self.fail(self.pos, f"expected 'c2h2' or 'ambient', found {self.describe(self.pos)}")
         chi = self.expect_field("chi")
         euler = self.expect_field("euler")
-        return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler, kw.line, kw.column)
+        return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler, *self.position(kw))
 
-    def parse_center(self) -> CenterStmt:
-        kw = self.next()
-        tok = self.expect_ident()
-        names = _CENTER_FIELDS.get(tok.value)
+    def parse_center(self, kw: int) -> CenterStmt:
+        self.pos = kw + 1
+        kind = self.expect_kind("IDENT", "a name")
+        names = _CENTER_FIELDS.get(kind)
         if names is None:
-            self.fail(tok, f"expected 'curve' or 'surface', found {self._describe(tok)}")
+            self.fail(kw + 1, f"expected 'curve' or 'surface', found {kind!r}")
         fields = tuple((name, self.expect_field(name)) for name in names)
-        return CenterStmt(tok.value, fields, kw.line, kw.column)
+        return CenterStmt(kind, fields, *self.position(kw))
 
-    def parse_grass(self) -> GrassStmt:
-        kw = self.next()
+    def parse_grass(self, kw: int) -> GrassStmt:
+        self.pos = kw + 1
         k = self.expect_int()
         n = self.expect_int()
-        return GrassStmt(k, n, kw.line, kw.column)
+        return GrassStmt(k, n, *self.position(kw))
 
-    def parse_assert(self) -> AssertStmt:
-        kw = self.next()
-        left, _ = self.parse_nested(self.peek())
-        tok = self.next()
-        if tok.kind != "SYM" or tok.value not in ("==", "!="):
-            self.fail(tok, f"expected '==' or '!=', found {self._describe(tok)}")
-        right, _ = self.parse_nested(self.peek())
+    def parse_assert(self, kw: int) -> AssertStmt:
+        self.pos = kw + 1
+        left, _ = self.nested(self.pos)
+        op = self.values[self.pos]
+        if op != "==" and op != "!=":
+            self.fail(self.pos, f"expected '==' or '!=', found {self.describe(self.pos)}")
+        self.pos += 1
+        right, _ = self.nested(self.pos)
         self.expect("cite")
-        cite = self.expect_string().value
+        cite = self.expect_string()
         label = None
-        if self.at("label"):
-            self.next()
-            label = self.expect_string().value
-        return AssertStmt(left, tok.value, right, cite, label, kw.line, kw.column)
+        if self.values[self.pos] == "label":
+            self.pos += 1
+            label = self.expect_string()
+        return AssertStmt(left, op, right, cite, label, *self.position(kw))
 
     _STATEMENTS = {
         "profile": parse_profile,
@@ -413,77 +423,95 @@ class _Parser:
 
     # expressions, by precedence climbing over _PRECEDENCE.  Each method
     # returns (tree, height).  An assertion side, a parenthesis, a call
-    # argument, a unary minus and a right-associative operator's right side
-    # each go one nesting level down.
+    # argument, a unary minus and a right-associative operator's
+    # right side each go one nesting level down.
 
-    def parse_nested(self, tok: _Token, min_prec: int = 1):
-        """An expression one nesting level down; too deep is reported at ``tok``."""
+    def nested(self, i: int, min_prec: int = 1):
+        """An expression one nesting level down; too deep is reported at token ``i``."""
         self.depth += 1
-        self.bound(tok, self.depth)
-        result = self.parse_expr(min_prec)
+        if self.depth > _MAX_DEPTH:
+            self.fail(i, "expression nesting too deep")
+        result = self.expr(min_prec)
         self.depth -= 1
         return result
 
-    def parse_expr(self, min_prec: int):
-        tok = self.peek()
-        if tok.value == "-" and tok.kind == "SYM":
-            self.next()
-            operand, height = self.parse_nested(tok, _PRECEDENCE["neg"][0])
-            node, height = Neg(operand), height + 1
-            self.bound(tok, height)
-        else:
-            node, height = self.parse_atom()
-        while (tok := self.peek()).kind == "SYM" and tok.value in _PRECEDENCE:
-            prec, right_assoc = _PRECEDENCE[tok.value]
-            if prec < min_prec:
-                break
-            self.next()
-            if right_assoc:  # recurses at its own precedence, so it nests
-                rhs, rhs_height = self.parse_nested(tok, prec)
+    def expr(self, min_prec: int):
+        kinds, values = self.kinds, self.values
+        i = self.pos
+        kind, value = kinds[i], values[i]
+        self.pos = i + 1
+        if kind == "INT":
+            node, height = self.literals.get(value) or self.literal(i), 1
+        elif kind == "IDENT":
+            follow = values[i + 1]
+            if follow == "(":
+                node, height = self.call(i)
+            elif follow == "[" and value == "sigma":
+                node, height = self.sigma(i), 1
+            elif (node := _DIVISOR_ATOMS.get(value)) is not None:
+                height = 1
             else:
-                rhs, rhs_height = self.parse_expr(prec + 1)
-            node = BinOp(tok.value, node, rhs)
+                self.fail(i, f"unknown name {value!r}")
+        elif value == "-":
+            operand, height = self.nested(i, _PRECEDENCE[_UNARY_MINUS][0])
+            node, height = Neg(operand), height + 1
+            if height > _MAX_DEPTH:
+                self.fail(i, "expression nesting too deep")
+        elif value == "(":
+            node, height = self.nested(self.pos)
+            self.expect(")")
+        else:
+            self.fail(i, f"expected an expression, found {self.describe(i)}")
+        while (entry := _PRECEDENCE.get(values[i := self.pos])) is not None and entry[0] >= min_prec:
+            self.pos = i + 1
+            prec, right_assoc = entry
+            if right_assoc:  # recurses at its own precedence, so it nests
+                rhs, rhs_height = self.nested(i, prec)
+            else:
+                rhs, rhs_height = self.expr(prec + 1)
+            node = BinOp(values[i], node, rhs)
             height = (height if height > rhs_height else rhs_height) + 1
-            self.bound(tok, height)
+            if height > _MAX_DEPTH:
+                self.fail(i, "expression nesting too deep")
         return node, height
 
-    def parse_atom(self):
-        tok = self.next()
-        if tok.kind == "INT":
-            return IntLit(self.int_value(tok)), 1
-        if tok.kind == "IDENT":
-            if self.at("("):
-                self.next()
-                args = [] if self.at(")") else [self.parse_nested(self.peek())]
-                while args and self.at(","):
-                    self.next()
-                    args.append(self.parse_nested(self.peek()))
-                self.expect(")")
-                nodes, heights = zip(*args) if args else ((), (0,))
-                height = max(heights) + 1
-                self.bound(tok, height)
-                return Call(tok.value, nodes), height
-            if tok.value == "sigma" and self.at("["):
-                self.next()
-                parts = [self.expect_int()]
-                while self.at(","):
-                    self.next()
-                    parts.append(self.expect_int())
-                self.expect("]", "',' or ']'")
-                return SigmaAtom(tuple(parts)), 1
-            if tok.value in ("H", "E"):
-                return DivisorAtom(tok.value), 1
-            self.fail(tok, f"unknown name {tok.value!r}")
-        if tok.kind == "SYM" and tok.value == "(":
-            result = self.parse_nested(self.peek())
-            self.expect(")")
-            return result
-        self.fail(tok, f"expected an expression, found {self._describe(tok)}")
+    def literal(self, i: int) -> IntLit:
+        """The leaf for INT token ``i``, shared by every equal literal of the document."""
+        node = self.literals[self.values[i]] = IntLit(self.int_value(i))
+        return node
+
+    def call(self, i: int):
+        """The call whose name is token ``i``."""
+        values = self.values
+        self.pos = i + 2
+        args, height = [], 0
+        if values[i + 2] != ")":
+            while True:
+                arg, arg_height = self.nested(self.pos)
+                args.append(arg)
+                if arg_height > height:
+                    height = arg_height
+                if values[self.pos] != ",":
+                    break
+                self.pos += 1
+        self.expect(")")
+        if height >= _MAX_DEPTH:
+            self.fail(i, "expression nesting too deep")
+        return Call(values[i], tuple(args)), height + 1
+
+    def sigma(self, i: int) -> SigmaAtom:
+        self.pos = i + 2
+        parts = [self.expect_int()]
+        while self.values[self.pos] == ",":
+            self.pos += 1
+            parts.append(self.expect_int())
+        self.expect("]", "',' or ']'")
+        return SigmaAtom(tuple(parts))
 
 
 def parse(source: str) -> Document:
     """Parse a document; raise :class:`ParseError` with 1-based position."""
-    return _Parser(_lex(source)).parse_document()
+    return _Parser(source).parse_document()
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +531,7 @@ def _print_expr(node, min_prec: int = 0) -> str:
     if isinstance(node, Call):
         return node.name + "(" + ", ".join(_print_expr(a) for a in node.args) + ")"
     if isinstance(node, Neg):
-        prec = _PRECEDENCE["neg"][0]
+        prec = _PRECEDENCE[_UNARY_MINUS][0]
         text = "-" + _print_expr(node.operand, prec)
     else:
         prec, right_assoc = _PRECEDENCE[node.op]
@@ -735,12 +763,28 @@ def _times(left, right):
     raise _mismatch("*", left, right)
 
 
+# Bound on exponent * bit length of the base for a number raised to a power,
+# which bounds the bit length of the result.  A power of 100,000 bits takes
+# at most about 2 ms on a 2-vCPU host with Python 3.11, and ten times as
+# many bits take about forty times as long; the interpreter cannot print an
+# int past about 14,000 bits anyway.
+_MAX_POWER_BITS = 100_000
+
+
 def _power(left, right):
     exponent = _as_int(right, "an exponent")
     if exponent < 0:
         raise ValueError("negative exponents are not supported")
     if isinstance(left, Divisor):
         raise TypeError(f"cannot raise {type(left).__name__} to a power")
+    # a codimension-0 cycle is c times the unit class, and its power is c's
+    base = left.coefficient(()) if isinstance(left, SchubertCycle) and left.codim == 0 else left
+    if isinstance(base, _NUMBER) and base not in (0, 1, -1):
+        size = max(base.numerator.bit_length(), base.denominator.bit_length())
+        if exponent * size > _MAX_POWER_BITS:
+            raise ValueError(
+                f"a power of up to {exponent * size} bits is over the limit of {_MAX_POWER_BITS}"
+            )
     return left ** exponent
 
 

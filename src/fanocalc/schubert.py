@@ -228,6 +228,10 @@ class SchubertCycle:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("cycle powers need a non-negative integer exponent")
+        if self.codim == 0:  # a multiple c of the unit class: its power is c**exponent times it
+            return SchubertCycle._trusted(self.context, 0, {(): self._terms.get((), 0) ** exponent})
+        if self.codim * exponent > self.context.dim:
+            return zero(self.context, self.codim * exponent)  # past the top degree
         out = unit(self.context)
         for _ in range(exponent):
             out = out * self

@@ -276,6 +276,33 @@ def test_expression_runtime_errors_are_deferred():
         assert row["actual"] == f"error: {error}", expr
 
 
+def test_power_is_bounded_by_the_bits_of_its_result():
+    # exponent * bit length of the base past the limit fails that row, before
+    # computing; bases 0, 1 and -1 are exempt, and 2^50000 is at the limit
+    over = "ValueError: a power of up to {} bits is over the limit of 100000"
+    rows = [
+        ("2^(2^40)", 0, over.format(2 * 2**40)),
+        ("3^3^3^3", 0, over.format(2 * 3**27)),
+        ("solve(3, 0, 2)^(2^40)", 0, over.format(2 * 2**40)),
+        ("2^50001 - 2^50001", 0, over.format(100002)),
+        ("2^50000 - 2^50000", 0, None),
+        ("1^(2^40)", 1, None),
+        ("(-1)^(2^40 + 1)", -1, None),
+        ("0^(2^40)", 0, None),
+        # a codimension-0 cycle is c times the unit class, bounded as c is
+        ("(2 * sigma[1]^0)^(2^40)", 0, over.format(2 * 2**40)),
+        ("degree((sigma[1]^0)^(3^3^3) * sigma[1]^6)", 5, None),
+    ]
+    body = "".join(f'  assert {expr} == {value} cite "x"\n' for expr, value, _ in rows)
+    report = run_source(f'scenario "p" {{\n  grassmannian 2 5\n{body}}}\n')
+    results = report.to_dict()["scenarios"][0]["assertions"]
+    for (expr, _, error), result in zip(rows, results):
+        if error is None:
+            assert result["pass"], expr
+        else:
+            assert result["actual"] == f"error: {error}", expr
+
+
 def test_engine_is_called_through_its_module(monkeypatch):
     # tracing rebinds module attributes, so each call must look them up
     from fanocalc import blowup
@@ -443,6 +470,49 @@ def test_parse_never_crashes_on_dsl_alphabet(source):
         parse(source)
     except ParseError:
         pass
+
+
+# Documents of one fixed setup and drawn assertions; every value the
+# language computes is reachable: numbers, divisors, Schubert cycles,
+# fractions from solve(), and powers past the bound such as 3^3^3^3.
+_SETUPS = (
+    "profile P4 h4 1 index 5 c2h2 10 chi 1 euler 5 center curve genus 0 hc 1",
+    "profile W5 h4 5 index 3 c2h2 22 chi 1 euler 6"
+    " center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5",
+)
+_ARITY = {"quartic": 4, "chi": 1, "degree": 1, "genus": 2, "solve": 3, "dim": 2}
+
+
+def _extend(inner):
+    binary = st.tuples(inner, st.sampled_from("+-*^"), inner, st.booleans()).map(
+        lambda t: (f"({t[0]} {t[1]} {t[2]})" if t[3] else f"{t[0]} {t[1]} {t[2]}"))
+    call = st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda name: st.lists(inner, min_size=_ARITY[name], max_size=_ARITY[name]).map(
+            lambda args: f"{name}({', '.join(args)})"))
+    return st.one_of(binary, inner.map(lambda e: f"-{e}"), call)
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["0", "1", "2", "3", "H", "E", "sigma[1]"]), _extend, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=5000)
+@example(_SETUPS[0], [("3^3^3^3", "==", "0"), ("(sigma[1]^0)^(3^3^3)", "!=", "2^(2^40)")])
+@given(
+    st.sampled_from(_SETUPS),
+    st.lists(st.tuples(_EXPRESSIONS, st.sampled_from(["==", "!="]), _EXPRESSIONS),
+             min_size=1, max_size=4),
+)
+def test_check_is_total_on_generated_documents(setup, rows):
+    # parse -> build -> run -> report gives a report, or a ParseError, and nothing else
+    body = "".join(f'  assert {left} {op} {right} cite "x"\n' for left, op, right in rows)
+    try:
+        report = run(parse(f'scenario "t" {{\n  {setup}\n  grassmannian 2 5\n{body}}}\n').build())
+    except ParseError:
+        return
+    assert report.total == len(rows)
+    report.to_text()
+    report.to_json()
 
 
 def test_parse_error_exposes_position_fields():

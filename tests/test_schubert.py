@@ -271,3 +271,25 @@ def test_cycle_powers():
     assert s1 ** 1 == s1
     with pytest.raises(ValueError):
         s1 ** -1
+
+
+def test_power_past_the_top_degree_or_of_codim_0_does_not_loop(monkeypatch):
+    from fanocalc import schubert
+
+    calls = []
+    multiply = schubert.multiply
+    monkeypatch.setattr(schubert, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    power = sigma(GR25, 1) ** 10**5
+    assert len(calls) <= GR25.dim + 1
+    assert power.is_zero() and power.codim == 10**5
+    assert power != zero(GR25, GR25.dim + 1)  # zero cycles differ by codimension
+    # up to the top degree the power multiplies once per factor
+    calls.clear()
+    assert (sigma(GR25, 1) ** GR25.dim).integral() == 5
+    assert len(calls) == GR25.dim
+    # a codimension-0 cycle is a multiple of the unit class: one integer power
+    calls.clear()
+    assert unit(GR25) ** 10**9 == unit(GR25)
+    assert (2 * unit(GR25)) ** 10 == 1024 * unit(GR25)
+    assert zero(GR25) ** 0 == unit(GR25) and zero(GR25) ** 10**9 == zero(GR25)
+    assert calls == []
