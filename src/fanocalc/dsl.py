@@ -354,18 +354,19 @@ class _Parser:
         name = self.expect_string()
         self.expect("{")
         statements = []
-        while (value := self.values[self.pos]) != "}":
-            parse_statement = self._STATEMENTS.get(value)
+        while self.values[self.pos] != "}":
+            i = self.pos
+            parse_statement = self._STATEMENTS.get(self.values[i])
             if parse_statement is None:
-                self.fail(self.pos, f"expected a statement or '}}', found {self.describe(self.pos)}")
-            statements.append(parse_statement(self, self.pos))
+                self.fail(i, f"expected a statement or '}}', found {self.describe(i)}")
+            self.pos = i + 1
+            statements.append(parse_statement(self, i))
         self.pos += 1
         return ScenarioNode(name, statements, *self.position(kw))
 
-    # each statement parser gets the index of its keyword, which parse_scenario has matched
+    # each statement parser starts after its keyword, whose index it gets for its position
 
     def parse_profile(self, kw: int) -> ProfileStmt:
-        self.pos = kw + 1
         ident = self.expect_kind("IDENT", "a name")
         h4 = self.expect_field("h4")
         index = self.expect_field("index")
@@ -384,7 +385,6 @@ class _Parser:
         return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler, *self.position(kw))
 
     def parse_center(self, kw: int) -> CenterStmt:
-        self.pos = kw + 1
         kind = self.expect_kind("IDENT", "a name")
         names = _CENTER_FIELDS.get(kind)
         if names is None:
@@ -393,13 +393,11 @@ class _Parser:
         return CenterStmt(kind, fields, *self.position(kw))
 
     def parse_grass(self, kw: int) -> GrassStmt:
-        self.pos = kw + 1
         k = self.expect_int()
         n = self.expect_int()
         return GrassStmt(k, n, *self.position(kw))
 
     def parse_assert(self, kw: int) -> AssertStmt:
-        self.pos = kw + 1
         left, _ = self.nested(self.pos)
         op = self.values[self.pos]
         if op != "==" and op != "!=":
@@ -436,6 +434,7 @@ class _Parser:
         return result
 
     def expr(self, min_prec: int):
+        """The expression at ``pos`` whose binary operators bind at least ``min_prec``."""
         kinds, values = self.kinds, self.values
         i = self.pos
         kind, value = kinds[i], values[i]
@@ -500,6 +499,7 @@ class _Parser:
         return Call(values[i], tuple(args)), height + 1
 
     def sigma(self, i: int) -> SigmaAtom:
+        """The atom ``sigma[...]`` whose name is token ``i``."""
         self.pos = i + 2
         parts = [self.expect_int()]
         while self.values[self.pos] == ",":

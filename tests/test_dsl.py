@@ -197,11 +197,15 @@ _DIGITS = sys.get_int_max_str_digits() + 1
         (_OPEN + "\tassert 2" + "^2" * 65 + ' == 1 cite "x" }', (6, 136, "expression nesting too deep")),
         (_OPEN + "\tassert " + "dim(" * 65 + "1" + ")" * 65 + ' == 1 cite "x" }',
          (6, 265, "expression nesting too deep")),
-        # tree height: left-associative chains
+        # tree height: left-associative chains, and a call or a minus around a tall one
         (_OPEN + "\tassert " + "+".join(["1"] * 65) + ' == 1 cite "x" }',
          (6, 136, "expression nesting too deep")),
         (_OPEN + "\tassert " + "*".join(["1"] * 70) + ' == 1 cite "x" }',
          (6, 136, "expression nesting too deep")),
+        (_OPEN + "\tassert dim(" + "+".join(["1"] * 64) + ', 1) == 1 cite "x" }',
+         (6, 9, "expression nesting too deep")),
+        (_OPEN + "\tassert -(" + "+".join(["1"] * 64) + ') == 1 cite "x" }',
+         (6, 9, "expression nesting too deep")),
         (_OPEN + "\tgrassmannian 2\t" + "9" * _DIGITS + " }",
          (6, 17, f"integer literal has {_DIGITS} digits, more than the interpreter's limit"
                  f" of {_DIGITS - 1}")),
@@ -283,7 +287,7 @@ def test_power_is_bounded_by_the_bits_of_its_result():
     rows = [
         ("2^(2^40)", 0, over.format(2 * 2**40)),
         ("3^3^3^3", 0, over.format(2 * 3**27)),
-        ("solve(3, 0, 2)^(2^40)", 0, over.format(2 * 2**40)),
+        ("solve(7, 0, 1)^(2^40)", 0, over.format(3 * 2**40)),  # 1/7: the denominator's 3 bits
         ("2^50001 - 2^50001", 0, over.format(100002)),
         ("2^50000 - 2^50000", 0, None),
         ("1^(2^40)", 1, None),
