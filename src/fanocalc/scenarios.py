@@ -278,8 +278,9 @@ BUILTIN_NOTES = {
         " reading and the sign of E^4.",
         "The printed degree-2 correction term (6g - 6 - K . C) for a curve blowup"
         " is inconsistent with chi(O(E)) = 1 and with this oracle; the engine"
-        " uses (2g - 2 + K . C) times the fiber class, confirmed by an exact"
-        " projective-bundle model of this blowup.",
+        " uses (2g - 2 + K . C) times the fiber class, which the toric lattice-point"
+        " count of tests/test_blowup.py::test_toric_oracle_counts_sections_on_p4_blowups"
+        " confirms for every divisor of this blowup.",
     ],
     "w22-line-link": [
         "chi(H - E) = 5 here depends on the corrected curve-blowup degree-2 term;"

@@ -25,8 +25,9 @@ from fanocalc.blowup import (
     quartic_number,
     solve_linear,
 )
-from fanocalc.profiles import section_model
+from fanocalc.profiles import ci_profile, section_model
 from fanocalc.schubert import Grassmannian, sigma
+from toric_oracle import CODIMS, GRID, c1, c2_pairings, graded, h0, hilbert, intersect, monomials
 
 
 def koszul_chi(degrees, ambient_dim, k):
@@ -128,6 +129,41 @@ def test_w22_koszul_oracle(models):
     assert chi_riemann_roch(model, H) == 7
     assert chi_riemann_roch(model, H - E) == 5
     assert chi_riemann_roch(model, -E) == 0
+
+
+def toric_model(models, center):
+    """The blowup of P^4 along the line or the plane of the toric oracle."""
+    if center == "line":
+        return models["p4-line"]
+    plane = SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=3, c2xc=10)  # c_2(P^4) = 10 H^2
+    return BlowupModel(ci_profile("P4"), plane)
+
+
+@pytest.mark.parametrize("center", sorted(CODIMS))
+def test_toric_oracle_counts_sections_on_p4_blowups(models, center):
+    # 45 points determine a polynomial of degree 4 in (a, b), so this pins
+    # chi(O(aH - bE)) for every divisor, the curve c_2 term included
+    model, c = toric_model(models, center), CODIMS[center]
+    assert model.c1 == Divisor(*c1(c))
+    mismatches = [(a, b) for a, b in GRID if chi_riemann_roch(model, a * H - b * E) != h0(c, a, b)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("center", sorted(CODIMS))
+def test_toric_oracle_graded_parts_give_the_monomial_and_c2_tables(models, center):
+    model, c = toric_model(models, center), CODIMS[center]
+    table, (hh, he, ee), (r, e1) = monomials(c), c2_pairings(c), c1(c)
+    assert tuple(monomial_number(model, 4 - j, j) for j in range(5)) == table
+    assert c2_table(model) == (hh, he, ee)
+    # the degree-3 part is D^3 c_1 / 12 and the degree-1 part D c_1 c_2 / 24
+    poly = hilbert(c)
+    basis = [(1, 0)] * 3 + [(0, 1)] * 3
+    assert graded(poly, 3) == {
+        j: Fraction(math.comb(3, j) * (-1) ** j * intersect(table, *basis[j:j + 3], (r, e1)), 12)
+        for j in range(4)
+    }
+    assert graded(poly, 1) == {0: Fraction(r * hh + e1 * he, 24), 1: -Fraction(r * he + e1 * ee, 24)}
+    assert graded(poly, 0) == {0: 1}
 
 
 # ---------------------------------------------------------------------------

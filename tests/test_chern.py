@@ -155,6 +155,24 @@ def test_v14_section_invariants():
     assert section_degree(model, model.chern.component(model.dim)) == 12
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [GR25, GR26, GR36, Grassmannian(2, 7), Grassmannian(3, 7)],
+    ids=repr,
+)
+def test_section_times_normal_class_is_the_ambient_class(ctx):
+    # Whitney on the section: c(X) * (1 + sigma_1)^codim = c(G) restricted to
+    # X, so the ambient class returns in every degree up to dim X.  This pins
+    # c_3 and c_4 of the sections, which Hilbert polynomials do not see.
+    ambient = tangent_bundle(ctx).total
+    s1 = sigma(ctx, 1)
+    for codim in range(ctx.dim):
+        normal = TotalChernClass(ctx, [math.comb(codim, t) * s1 ** t for t in range(codim + 1)])
+        back = section_chern(ambient, codim).chern * normal
+        top = ctx.dim - codim
+        assert [back.component(m) for m in range(top + 1)] == [ambient.component(m) for m in range(top + 1)], codim
+
+
 def test_codim_zero_section_is_the_ambient_space():
     model = section_chern(tangent_bundle(GR24).total, 0)
     assert model.dim == 4

@@ -2,7 +2,9 @@
 
 import pytest
 
+import hilbert_oracle
 from fanocalc.blowup import BlowupModel, CurveCenter, SurfaceCenter
+from fanocalc.dsl import _AMBIENTS, _CI_AMBIENTS
 from fanocalc.profiles import (
     ci_profile,
     line_center,
@@ -12,6 +14,7 @@ from fanocalc.profiles import (
     section_profile,
     standard_models,
 )
+from fanocalc.schubert import grass_dim
 
 
 def as_tuple(profile):
@@ -41,6 +44,51 @@ def test_gr24_agrees_with_the_quadric_fourfold():
     quadric = ci_profile("Q4", (2,))
     gr24 = section_profile("Gr24", 2, 4, 0)
     assert as_tuple(quadric) == as_tuple(gr24) == (2, 4, 14, 56, 1, 6)
+
+
+# The Hilbert-polynomial oracle reaches h4, index, c2h2 and chi without the
+# Chern engine; the Euler number has no route there and stays pinned by
+# c_top = C(n, k) and the scenario literals.
+
+def oracle_fields(profile):
+    return (profile.h4, profile.index, profile.c2h2, profile.chi)
+
+
+@pytest.mark.parametrize("ambient", sorted(_AMBIENTS))
+def test_every_ambient_agrees_with_its_hilbert_polynomial(ambient):
+    if ambient in _CI_AMBIENTS:
+        degrees = _AMBIENTS[ambient]
+        derived, oracle = ci_profile(ambient, degrees), hilbert_oracle.ci_profile(degrees)
+    else:
+        k, n = _AMBIENTS[ambient]
+        codim = grass_dim(k, n) - 4
+        derived, oracle = section_profile(ambient, k, n, codim), hilbert_oracle.section_profile(k, n, codim)
+    assert oracle_fields(derived) == oracle
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (2, 6), (3, 6), (2, 7)])
+def test_fourfold_sections_agree_with_their_hilbert_polynomials(k, n):
+    # every fourfold linear section of a Grassmannian up to Gr(3, 7) with index >= 1
+    codim = grass_dim(k, n) - 4
+    assert oracle_fields(section_profile("X", k, n, codim)) == hilbert_oracle.section_profile(k, n, codim)
+
+
+@pytest.mark.parametrize(
+    "degrees", [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)], ids=str
+)
+def test_complete_intersections_agree_with_their_hilbert_polynomials(degrees):
+    assert oracle_fields(ci_profile("X", degrees)) == hilbert_oracle.ci_profile(degrees)
+
+
+def test_hilbert_oracle_self_check():
+    # Gr(2, 4) is the quadric in P^5, and Gr(2, 5) has 10 Pluecker coordinates
+    assert [hilbert_oracle.grassmannian_h0(2, 4, d) for d in range(4)] == [1, 6, 20, 50]
+    assert hilbert_oracle.grassmannian_h0(2, 5, 1) == 10
+    assert hilbert_oracle.section_profile(2, 4, 0) == hilbert_oracle.ci_profile((2,)) == (2, 4, 14, 1)
+    assert hilbert_oracle.section_profile(2, 5, 2) == (5, 3, 22, 1)
+    assert hilbert_oracle.section_profile(2, 6, 4) == (14, 2, 38, 1)
+    with pytest.raises(ValueError):
+        hilbert_oracle.fourfold_profile(lambda t: t ** 5, 0)
 
 
 def test_ci_profile_validation():
