@@ -27,15 +27,15 @@ class FourfoldProfile:
     """Numerical profile of a smooth Fano fourfold of Picard rank one.
 
     h4 is the degree of the hyperplane class, index the Fano index
-    (so K = -index * H), c2h2 the pairing of c_2 against H^2, and c1c2h the
-    pairing of c_1 c_2 against H.  The latter is redundant and is checked.
+    (so K = -index * H), c2h2 the pairing of c_2 against H^2, chi = chi(O)
+    and euler the topological Euler number.  The pairing of c_1 c_2 against
+    H is index * c2h2, so it is not an input.
     """
 
     name: str
     h4: int
     index: int
     c2h2: int
-    c1c2h: int
     chi: int
     euler: int
 
@@ -44,10 +44,6 @@ class FourfoldProfile:
             raise ValueError("h4 must be positive")
         if self.index < 1:
             raise ValueError("the Fano index must be positive")
-        if self.c1c2h != self.index * self.c2h2:
-            raise ValueError(
-                f"c1c2h = {self.c1c2h} contradicts index * c2h2 = {self.index * self.c2h2}"
-            )
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,8 @@ class SurfaceCenter:
     """A smooth surface S inside the fourfold.
 
     hhc = H^2 . S, hkc = H . K_S, kc2 = K_S^2, euler = topological Euler
-    number of S, c2xc = c_2 of the ambient fourfold paired with S.  Set
-    ``rational`` to enforce Noether's identity K^2 + Eu = 12 on the input.
+    number of S, c2xc = c_2 of the ambient fourfold paired with S.  Nothing
+    checks Noether's K^2 + Eu = 12: the tests hold it for the rational centers.
     """
 
     hhc: int
@@ -78,15 +74,10 @@ class SurfaceCenter:
     kc2: int
     euler: int
     c2xc: int
-    rational: bool = False
 
     def __post_init__(self):
         if self.hhc < 1:
             raise ValueError("the surface must have positive degree")
-        if self.rational and self.kc2 + self.euler != 12:
-            raise ValueError(
-                f"K^2 + Eu = {self.kc2 + self.euler} violates Noether for a rational surface"
-            )
 
 
 Center = Union[CurveCenter, SurfaceCenter]
@@ -210,19 +201,17 @@ def c2_table(model: BlowupModel) -> tuple:
 def chi_riemann_roch(model: BlowupModel, d: Divisor) -> int:
     """chi(O(D)) on the blowup by Riemann-Roch.
 
-    The degree-4 Todd integral is replaced by chi(O) of the base, which the
-    blowup preserves.  A bracket that fails the 24-divisibility test means
-    the model data cannot come from a smooth fourfold, and raises
-    :class:`NonIntegralCharacteristicError`.
+    The bracket D^4 + 2 D^3 c_1 + D^2 c_1^2 + D^2 c_2 + D c_1 c_2 factors as
+    M^2 + M . c_2 with M = D (D + c_1): one quartic and one pairing against
+    the c_2 table.  The degree-4 Todd integral is replaced by chi(O) of the
+    base, which the blowup preserves.  A bracket that fails the
+    24-divisibility test means the model data cannot come from a smooth
+    fourfold, and raises :class:`NonIntegralCharacteristicError`.
     """
-    c1 = model.c1
+    m = d + model.c1
     hh, he, ee = c2_table(model)
-    d4 = quartic_number(model, d, d, d, d)
-    d3c1 = quartic_number(model, d, d, d, c1)
-    d2c1c1 = quartic_number(model, d, d, c1, c1)
-    d2c2 = d.h * d.h * hh + 2 * d.h * d.e * he + d.e * d.e * ee
-    dc1c2 = d.h * c1.h * hh + (d.h * c1.e + d.e * c1.h) * he + d.e * c1.e * ee
-    bracket = d4 + 2 * d3c1 + d2c1c1 + d2c2 + dc1c2
+    mc2 = d.h * m.h * hh + (d.h * m.e + d.e * m.h) * he + d.e * m.e * ee
+    bracket = quartic_number(model, d, m, d, m) + mc2
     if bracket % 24:
         raise NonIntegralCharacteristicError(
             f"Riemann-Roch bracket {bracket} for {d} is not divisible by 24"

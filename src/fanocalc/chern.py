@@ -206,21 +206,19 @@ class SectionModel:
 
 
 def section_chern(ambient: TotalChernClass, codim: int) -> SectionModel:
-    """Adjunction along ``codim`` hyperplanes: divide by (1 + sigma_1)^codim."""
+    """Adjunction along ``codim`` hyperplanes: divide by 1 + sigma_1, codim times.
+
+    One division turns c into c' with c'_m = c_m - sigma_1 c'_(m-1); only
+    the degrees up to the dimension of the section are kept.
+    """
     ctx = ambient.context
     if codim < 0 or codim >= ctx.dim:
         raise ValueError("section codimension must satisfy 0 <= codim < dim")
     s1 = sigma(ctx, 1)
-    comps = []
-    for m in range(ctx.dim - codim + 1):
-        acc = zero(ctx, m)
-        for j in range(m + 1):
-            # coefficient of sigma_1^(m-j) in (1 + sigma_1)^(-codim)
-            t = m - j
-            coeff = 1 if t == 0 else (-1) ** t * math.comb(codim + t - 1, t)
-            if coeff:
-                acc = acc + coeff * (ambient.component(j) * s1 ** (m - j))
-        comps.append(acc)
+    comps = [ambient.component(m) for m in range(ctx.dim - codim + 1)]
+    for _ in range(codim):
+        for m in range(1, len(comps)):
+            comps[m] = comps[m] - s1 * comps[m - 1]
     return SectionModel(ctx, codim, TotalChernClass(ctx, comps))
 
 

@@ -56,7 +56,7 @@ import operator
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -261,10 +261,8 @@ class Document:
 # ---------------------------------------------------------------------------
 # parser
 
-_CENTER_FIELDS = {
-    "curve": ("genus", "hc"),
-    "surface": ("hhc", "hkc", "kc2", "euler", "c2xc"),
-}
+# Center kind -> its class; the grammar reads the field names off the class.
+_CENTERS = {"curve": CurveCenter, "surface": SurfaceCenter}
 
 # The two divisor leaves, shared by every tree.
 _DIVISOR_ATOMS = {"H": DivisorAtom("H"), "E": DivisorAtom("E")}
@@ -386,11 +384,11 @@ class _Parser:
 
     def parse_center(self, kw: int) -> CenterStmt:
         kind = self.expect_kind("IDENT", "a name")
-        names = _CENTER_FIELDS.get(kind)
-        if names is None:
+        center = _CENTERS.get(kind)
+        if center is None:
             self.fail(kw + 1, f"expected 'curve' or 'surface', found {kind!r}")
-        fields = tuple((name, self.expect_field(name)) for name in names)
-        return CenterStmt(kind, fields, *self.position(kw))
+        values = tuple((f.name, self.expect_field(f.name)) for f in fields(center))
+        return CenterStmt(kind, values, *self.position(kw))
 
     def parse_grass(self, kw: int) -> GrassStmt:
         k = self.expect_int()
@@ -650,7 +648,6 @@ class _Setup:
                 h4=stmt.h4,
                 index=stmt.index,
                 c2h2=stmt.c2h2,
-                c1c2h=stmt.index * stmt.c2h2,
                 chi=stmt.chi,
                 euler=stmt.euler,
             )
@@ -674,7 +671,7 @@ class _Setup:
 
     def center(self):
         stmt = self.statement("center")
-        return (CurveCenter if stmt.kind == "curve" else SurfaceCenter)(**dict(stmt.fields))
+        return _CENTERS[stmt.kind](**dict(stmt.fields))
 
     @_once
     def model(self) -> BlowupModel:

@@ -55,7 +55,6 @@ def ci_profile(name: str, degrees: tuple[int, ...] = ()) -> FourfoldProfile:
         h4=h4,
         index=index,
         c2h2=c2 * h4,
-        c1c2h=index * c2 * h4,
         chi=chi,
         euler=c4 * h4,
     )
@@ -83,7 +82,6 @@ def section_profile(name: str, k: int, n: int, codim: int) -> FourfoldProfile:
         h4=h4,
         index=model.index,
         c2h2=section_degree(model, c2 * s1 ** 2),
-        c1c2h=section_degree(model, c1 * c2 * s1),
         chi=chi,
         euler=section_degree(model, c4),
     )
@@ -116,7 +114,6 @@ def schubert_plane_center(k: int, n: int, codim: int, parts: tuple[int, ...]) ->
         kc2=9,
         euler=3,
         c2xc=(model.chern.component(2) * cycle).integral(),
-        rational=True,
     )
 
 
@@ -135,7 +132,6 @@ def quintic_del_pezzo_center(profile: FourfoldProfile) -> SurfaceCenter:
         kc2=5,
         euler=7,
         c2xc=(profile.c2h2 // profile.h4) * hhc,
-        rational=True,
     )
 
 

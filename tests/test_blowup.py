@@ -59,7 +59,7 @@ def test_divisor_algebra():
 # monomial tables
 
 def test_curve_monomials():
-    profile = FourfoldProfile("X", 7, 2, 10, 20, 1, 8)
+    profile = FourfoldProfile("X", 7, 2, 10, 1, 8)
     model = BlowupModel(profile, CurveCenter(genus=3, hc=4))
     assert monomial_number(model, 4, 0) == 7
     assert monomial_number(model, 3, 1) == 0
@@ -69,7 +69,7 @@ def test_curve_monomials():
 
 
 def test_surface_monomials():
-    profile = FourfoldProfile("X", 7, 2, 10, 20, 1, 8)
+    profile = FourfoldProfile("X", 7, 2, 10, 1, 8)
     center = SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=20)
     model = BlowupModel(profile, center)
     assert monomial_number(model, 4, 0) == 7
@@ -242,7 +242,7 @@ def test_serre_duality_and_integrality(models, name):
 
 def test_non_integral_bracket_is_rejected():
     # a fake profile whose curve data breaks the 24-divisibility of the bracket
-    profile = FourfoldProfile("bogus", 1, 1, 1, 1, 1, 4)
+    profile = FourfoldProfile("bogus", 1, 1, 1, 1, 4)
     model = BlowupModel(profile, CurveCenter(genus=0, hc=1))
     with pytest.raises(NonIntegralCharacteristicError):
         chi_riemann_roch(model, H)
@@ -261,7 +261,7 @@ def test_euler_blowup(models):
 
 
 def test_euler_blowup_with_positive_genus():
-    profile = FourfoldProfile("X", 7, 2, 10, 20, 1, 8)
+    profile = FourfoldProfile("X", 7, 2, 10, 1, 8)
     model = BlowupModel(profile, CurveCenter(genus=3, hc=4))
     assert euler_blowup(model) == 8 + 2 * (2 - 6)
 
@@ -289,11 +289,9 @@ def test_adjunction_genus():
 
 def test_profile_redundancy_check():
     with pytest.raises(ValueError):
-        FourfoldProfile("X", 5, 3, 22, 65, 1, 6)
+        FourfoldProfile("X", 0, 3, 22, 1, 6)
     with pytest.raises(ValueError):
-        FourfoldProfile("X", 0, 3, 22, 66, 1, 6)
-    with pytest.raises(ValueError):
-        FourfoldProfile("X", 5, 0, 22, 0, 1, 6)
+        FourfoldProfile("X", 5, 0, 22, 1, 6)
 
 
 def test_center_validation():
@@ -303,5 +301,3 @@ def test_center_validation():
         CurveCenter(genus=0, hc=0)
     with pytest.raises(ValueError):
         SurfaceCenter(hhc=0, hkc=0, kc2=0, euler=0, c2xc=0)
-    with pytest.raises(ValueError):
-        SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=4, c2xc=2, rational=True)
