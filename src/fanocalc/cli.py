@@ -41,7 +41,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="parse and run scenario files")
     check_p.add_argument("files", nargs="+", metavar="FILE")
     check_p.add_argument("--format", choices=("text", "json"), default="text")
-    check_p.add_argument("--verbose", action="store_true", help="include scenario notes")
 
     emit_p = sub.add_parser("emit", help="pretty-print a built-in scenario")
     emit_p.add_argument("name", metavar="NAME")
@@ -100,7 +99,7 @@ def _cmd_check(args, out, err) -> int:
         except dsl.ParseError as exc:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT
-    return _report_exit(scenarios.run(collected), args.format, args.verbose, out)
+    return _report_exit(scenarios.run(collected), args.format, False, out)
 
 
 def _cmd_emit(args, out, err) -> int:

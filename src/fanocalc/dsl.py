@@ -740,11 +740,16 @@ def _mismatch(op: str, left, right) -> TypeError:
     return TypeError(f"cannot apply {op!r} to {type(left).__name__} and {type(right).__name__}")
 
 
+def comparable(left, right) -> bool:
+    """Whether two values add, subtract and compare: one type, or two numbers."""
+    return type(left) is type(right) or isinstance(left, _NUMBER) and isinstance(right, _NUMBER)
+
+
 def _additive(op: str, combine):
     """The rule for + or -: two numbers, two divisors or two Schubert cycles."""
 
     def rule(left, right):
-        if type(left) is type(right) or isinstance(left, _NUMBER) and isinstance(right, _NUMBER):
+        if comparable(left, right):
             return combine(left, right)
         raise _mismatch(op, left, right)
 

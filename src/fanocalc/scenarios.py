@@ -55,14 +55,18 @@ def _render(value):
     return str(value)
 
 
+def _failure(exc: Exception) -> tuple:
+    error = f"error: {type(exc).__name__}: {exc}"
+    return error, error, False
+
+
 def _evaluate(thunk: Callable[[], object]):
     """(value, rendering, ok): a side that fails to evaluate or to render is an error."""
     try:
         value = thunk()
         return value, _render(value), True
     except Exception as exc:  # noqa: BLE001 - reported, never swallowed
-        error = f"error: {type(exc).__name__}: {exc}"
-        return error, error, False
+        return _failure(exc)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,9 @@ def run(scenarios: Sequence[Scenario]) -> Report:
         for a in scenario.assertions:
             expected, shown_expected, ok_e = _evaluate(a.expected)
             actual, shown_actual, ok_a = _evaluate(a.actual)
+            if ok_e and ok_a and not dsl.comparable(actual, expected):
+                actual, shown_actual, ok_a = _failure(TypeError(
+                    f"cannot compare {type(actual).__name__} with {type(expected).__name__}"))
             if ok_e and ok_a:
                 passed = (actual == expected) if a.op == "==" else (actual != expected)
             else:

@@ -109,6 +109,52 @@ def test_check_json_reports_cycle_equality_as_a_bool(tmp_path):
     assert result["pass"] is True
 
 
+MIXED = (
+    'scenario "mixed" {\n'
+    "  grassmannian 2 5\n"
+    '  assert 0 * sigma[1] != 0 cite "c" label "ne"\n'
+    '  assert 0 * sigma[1] == 0 cite "c" label "eq"\n'
+    '  assert sigma[1]^0 == 1 cite "c" label "unit"\n'
+    '  assert 0 * H == 0 cite "c" label "divisor"\n'
+    "}\n"
+)
+
+
+def test_check_fails_a_number_compared_with_a_cycle_or_divisor(tmp_path):
+    # a cycle or a divisor never equals a number, nor differs from one: the
+    # row fails with the two types, actual first, whatever the operator
+    path = tmp_path / "mixed.scn"
+    path.write_text(MIXED, encoding="utf-8")
+    code, out, _ = invoke("check", str(path))
+    assert code == 1
+    cycle = "error: TypeError: cannot compare SchubertCycle with int"
+    divisor = "error: TypeError: cannot compare Divisor with int"
+    assert out.splitlines() == [
+        f"FAIL mixed/ne expected=0 actual={cycle} cite: c",
+        f"FAIL mixed/eq expected=0 actual={cycle} cite: c",
+        f"FAIL mixed/unit expected=1 actual={cycle} cite: c",
+        f"FAIL mixed/divisor expected=0 actual={divisor} cite: c",
+        "4 assertions, 4 failed",
+    ]
+    code, out, _ = invoke("check", str(path), "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["scenarios"][0]["assertions"]
+    assert [(r["label"], r["expected"], r["actual"], r["pass"]) for r in rows] == [
+        ("ne", 0, cycle, False),
+        ("eq", 0, cycle, False),
+        ("unit", 1, cycle, False),
+        ("divisor", 0, divisor, False),
+    ]
+
+
+def test_check_has_no_verbose_option(tmp_path):
+    # scenario files carry no notes, so check has nothing for --verbose to add
+    path = tmp_path / "ok.scn"
+    path.write_text(BUILTIN_SOURCES["w5-xi-link"], encoding="utf-8")
+    code, _, _ = invoke("check", str(path), "--verbose")
+    assert code == 2
+
+
 def test_check_top_chern_degree_of_gr510(tmp_path):
     # c_top of Gr(5,10) integrates to its Euler number C(10,5)
     path = tmp_path / "gr510.scn"
