@@ -128,7 +128,9 @@ class Report:
 
 
 def run(scenarios: Sequence[Scenario]) -> Report:
-    """Evaluate every assertion; failures and setup errors never abort the run."""
+    """Evaluate every assertion; failures and setup errors never abort the run.
+
+    Two sides that are neither of one type nor both numbers fail their row."""
     outcomes = []
     for scenario in sorted(scenarios, key=lambda s: s.name):
         results = []
