@@ -197,12 +197,8 @@ class SectionModel:
 
     @property
     def index(self) -> int:
-        """r with c_1 = r * sigma_1."""
-        c1 = self.chern.component(1)
-        terms = c1.terms
-        if set(terms) != {(1,)}:
-            raise ValueError(f"first Chern class {c1} is not a multiple of sigma_1")
-        return terms[(1,)]
+        """r with c_1 = r * sigma_1; sigma_1 spans the classes of codimension 1."""
+        return self.chern.component(1).coefficient((1,))
 
 
 def section_chern(ambient: TotalChernClass, codim: int) -> SectionModel:

@@ -39,8 +39,11 @@ expected one.  ``ambient IDENT codim INT`` derives the profile from the
 Chern engine (ambients: p4, w22, gr24, gr25, gr26) and cross-checks the h4,
 index, chi and euler literals against the derived values.
 
-``build`` compiles each expression once into values and closures; every
-evaluation error still fails only its own assertion, when the report runs.
+Equal setup-free subexpressions of a document (integers, H, E and the
+operators over them, but no call and no sigma[...]) are one node of its
+tree.  ``build`` compiles each expression once into values and closures,
+and folds each such node once for the whole document; every evaluation
+error still fails only its own assertion, when the report runs.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -107,15 +110,19 @@ class ParseError(ValueError):
 # is str.isalnum or '_'.  A name starting with an ASCII letter or '_' is an
 # IDENT; any other run of \w that is not an INT is a WORD, which the lexer
 # accepts as a name only when its first character is a letter ('²' is not).
-# A string that does not close matches BAD at its opening quote.
-_STRING = r'"(?:[^"\\\n]|\\["\\])*'
-_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+# A string that does not close matches BAD at its opening quote.  SYM comes
+# first, as the most frequent kind; no other alternative before BAD can
+# start with a SYM character, so the order changes no match.  Every run is
+# possessive (Python 3.11): no shorter run could let the rest of the
+# pattern match, so the engine keeps no backtracking state.
+_STRING = r'"(?:[^"\\\n]|\\["\\])*+'
+_SKIP = r"(?:[ \t\r\n]++|#[^\n]*+)*+"
 _TOKEN = re.compile(
-    r"(?:(?P<INT>\d+)"
-    r"|(?P<IDENT>[A-Za-z_]\w*)"
-    r"|(?P<WORD>\w+)"
+    r"(?:(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
+    r"|(?P<INT>\d++)"
+    r"|(?P<IDENT>[A-Za-z_]\w*+)"
+    r"|(?P<WORD>\w++)"
     rf'|(?P<STRING>{_STRING}")'
-    r"|(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
     r"|(?P<EOF>\Z)"
     r"|(?P<BAD>.))" + _SKIP
 )
@@ -163,7 +170,8 @@ def _lex_error(source: str, newlines: list, offset: int):
 
 # ---------------------------------------------------------------------------
 # syntax tree (slotted, not frozen: a pass builds one node per few tokens,
-# and a frozen node costs twice as much to build; nothing mutates them)
+# and a frozen node costs twice as much to build; nothing mutates them, so
+# a document holds each setup-free subtree once, however often it occurs)
 
 @dataclass(slots=True)
 class IntLit:
@@ -255,7 +263,8 @@ class Document:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
 
     def build(self) -> list:
-        return [_build_scenario(node) for node in self.scenarios]
+        folded = {}  # see _compile; it lives only as long as this call
+        return [_build_scenario(node, folded) for node in self.scenarios]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +285,11 @@ class _Parser:
         self.kinds, self.values, self.offsets = _lex(source, self.newlines)
         self.pos = 0
         self.depth = 0
-        self.literals = {}  # INT text -> its IntLit
+        # INT text -> its IntLit, and (operator, id(operand), ...) -> its Neg
+        # or BinOp, so equal literals, and operators over the same nodes, are
+        # one node of the document.  No call and no sigma[...] is shared, so
+        # only setup-free subtrees repeat; the table keeps each id in use.
+        self.shared = {}
 
     def position(self, i: int) -> tuple:
         return _position(self.newlines, self.offsets[i])
@@ -438,7 +451,8 @@ class _Parser:
         kind, value = kinds[i], values[i]
         self.pos = i + 1
         if kind == "INT":
-            node, height = self.literals.get(value) or self.literal(i), 1
+            node = self.shared.get(value) or self.share(value, IntLit(self.int_value(i)))
+            height = 1
         elif kind == "IDENT":
             follow = values[i + 1]
             if follow == "(":
@@ -451,7 +465,9 @@ class _Parser:
                 self.fail(i, f"unknown name {value!r}")
         elif value == "-":
             operand, height = self.nested(i, _PRECEDENCE[_UNARY_MINUS][0])
-            node, height = Neg(operand), height + 1
+            key = (_UNARY_MINUS, id(operand))
+            node = self.shared.get(key) or self.share(key, Neg(operand))
+            height += 1
             if height > _MAX_DEPTH:
                 self.fail(i, "expression nesting too deep")
         elif value == "(":
@@ -466,15 +482,16 @@ class _Parser:
                 rhs, rhs_height = self.nested(i, prec)
             else:
                 rhs, rhs_height = self.expr(prec + 1)
-            node = BinOp(values[i], node, rhs)
+            key = (values[i], id(node), id(rhs))
+            node = self.shared.get(key) or self.share(key, BinOp(values[i], node, rhs))
             height = (height if height > rhs_height else rhs_height) + 1
             if height > _MAX_DEPTH:
                 self.fail(i, "expression nesting too deep")
         return node, height
 
-    def literal(self, i: int) -> IntLit:
-        """The leaf for INT token ``i``, shared by every equal literal of the document."""
-        node = self.literals[self.values[i]] = IntLit(self.int_value(i))
+    def share(self, key, node):
+        """Record ``node`` as the document's one node for ``key``."""
+        self.shared[key] = node
         return node
 
     def call(self, i: int):
@@ -794,21 +811,26 @@ _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.su
               "*": _times, "^": _power}
 
 
-def _compile(node, setup: _Setup):
+def _compile(node, setup: _Setup, folded: dict):
     """``node`` as its value when it needs no scenario setup and evaluates, else as a closure.
 
-    A closure raises when it runs: arguments first, then unknown name, arity and types."""
-    return _COMPILERS[type(node)](node, setup)
+    ``folded`` maps the id of each operator node already folded in this
+    build to its result, so a node the parser shared is folded once.  A
+    closure raises when it runs: arguments first, then unknown name, arity
+    and types."""
+    if id(node) in folded:
+        return folded[id(node)]
+    return _COMPILERS[type(node)](node, setup, folded)
 
 
-def _compile_sigma(node: SigmaAtom, setup: _Setup):
+def _compile_sigma(node: SigmaAtom, setup: _Setup, folded: dict):
     parts = node.parts
     return lambda: sigma(setup.grassmannian(), *parts)
 
 
-def _compile_call(node: Call, setup: _Setup):
+def _compile_call(node: Call, setup: _Setup, folded: dict):
     name, entry = node.name, _FUNCTIONS.get(node.name)
-    args = [_compile(arg, setup) for arg in node.args]
+    args = [_compile(arg, setup, folded) for arg in node.args]
 
     def call():
         values = [arg() if callable(arg) else arg for arg in args]
@@ -821,25 +843,39 @@ def _compile_call(node: Call, setup: _Setup):
     return call
 
 
-def _fold(rule, operands: list):
-    """``rule`` applied at build when every operand is a value and it succeeds, else a closure."""
-    if not any(map(callable, operands)):
-        try:
-            return rule(*operands)
-        except Exception:  # noqa: BLE001 - the closure raises it again when it runs
-            pass
-    thunks = [_thunk(operand) for operand in operands]
-    return lambda: rule(*[thunk() for thunk in thunks])
+def _compile_neg(node: Neg, setup: _Setup, folded: dict):
+    operand = _compile(node.operand, setup, folded)
+    if callable(operand):
+        return lambda: -operand()
+    value = folded[id(node)] = -operand  # an int or a Divisor, and both negate
+    return value
+
+
+def _compile_binop(node: BinOp, setup: _Setup, folded: dict):
+    """The operator's result when both operands are values and it succeeds, else a closure."""
+    rule = _OPERATORS[node.op]
+    left, right = _compile(node.left, setup, folded), _compile(node.right, setup, folded)
+    if callable(left):
+        if callable(right):
+            return lambda: rule(left(), right())
+        return lambda: rule(left(), right)
+    if callable(right):
+        return lambda: rule(left, right())
+    try:
+        value = rule(left, right)
+    except Exception:  # noqa: BLE001 - the closure raises it again when it runs
+        value = lambda: rule(left, right)
+    folded[id(node)] = value
+    return value
 
 
 _COMPILERS = {
-    IntLit: lambda node, setup: node.value,
-    DivisorAtom: lambda node, setup: blowup.H if node.name == "H" else blowup.E,
+    IntLit: lambda node, setup, folded: node.value,
+    DivisorAtom: lambda node, setup, folded: blowup.H if node.name == "H" else blowup.E,
     SigmaAtom: _compile_sigma,
     Call: _compile_call,
-    Neg: lambda node, setup: _fold(operator.neg, [_compile(node.operand, setup)]),
-    BinOp: lambda node, setup: _fold(
-        _OPERATORS[node.op], [_compile(node.left, setup), _compile(node.right, setup)]),
+    Neg: _compile_neg,
+    BinOp: _compile_binop,
 }
 
 
@@ -848,7 +884,7 @@ def _thunk(compiled) -> Callable[[], object]:
     return compiled if callable(compiled) else lambda: compiled
 
 
-def _build_scenario(node: ScenarioNode) -> Scenario:
+def _build_scenario(node: ScenarioNode, folded: dict) -> Scenario:
     setup = _Setup()
     for stmt in node.statements:
         setup.add(stmt)
@@ -859,6 +895,7 @@ def _build_scenario(node: ScenarioNode) -> Scenario:
         if label in labels:
             raise ParseError(stmt.line, stmt.column, f"duplicate assertion label {label!r}")
         labels.add(label)
-        expected, actual = (_thunk(_compile(side, setup)) for side in (stmt.right, stmt.left))
+        expected = _thunk(_compile(stmt.right, setup, folded))
+        actual = _thunk(_compile(stmt.left, setup, folded))
         assertions.append(Assertion(label, stmt.cite, stmt.op, expected, actual))
     return Scenario(name=node.name, assertions=assertions)

@@ -19,6 +19,7 @@ from fanocalc.chern import (
     unit_total,
     universal_bundles,
 )
+from fanocalc.profiles import section_profile
 from fanocalc.schubert import Grassmannian, sigma, unit
 
 GR24 = Grassmannian(2, 4)
@@ -189,7 +190,12 @@ def test_section_codim_bounds():
         section_chern(ambient, 6)
 
 
-def test_index_requires_multiple_of_sigma1():
-    model = SectionModel(GR25, 0, unit_total(GR25, 1))
-    with pytest.raises(ValueError):
-        model.index
+def test_index_of_a_zero_first_chern_class_is_zero():
+    assert SectionModel(GR25, 0, unit_total(GR25, 1)).index == 0
+
+
+def test_sections_of_index_zero_or_below_are_not_fano():
+    # c_1 of the codim-8 section of Gr(2,8) is 0 * sigma_1, of Gr(3,7) -1 * sigma_1
+    for k, n in ((2, 8), (3, 7)):
+        with pytest.raises(ValueError, match="^the Fano index must be positive$"):
+            section_profile("X", k, n, 8)

@@ -1,7 +1,9 @@
 """Scenario-language parser: grammar, positions, totality, round-trips."""
 
+import re
 import sys
 import traceback
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -218,6 +220,52 @@ def test_parse_error_positions(source, outcome):
     assert (info.value.line, info.value.column, info.value.message) == outcome
 
 
+# The token pattern before SYM moved first and its runs became possessive,
+# kept as the reference for how the lexer splits a source.
+_BACKTRACKING_STRING = r'"(?:[^"\\\n]|\\["\\])*'
+_BACKTRACKING_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_BACKTRACKING = {
+    "_TOKEN": re.compile(
+        r"(?:(?P<INT>\d+)"
+        r"|(?P<IDENT>[A-Za-z_]\w*)"
+        r"|(?P<WORD>\w+)"
+        rf'|(?P<STRING>{_BACKTRACKING_STRING}")'
+        r"|(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
+        r"|(?P<EOF>\Z)"
+        r"|(?P<BAD>.))" + _BACKTRACKING_SKIP
+    ),
+    "_LEADING": re.compile(_BACKTRACKING_SKIP),
+    "_OPEN_STRING": re.compile(_BACKTRACKING_STRING),
+}
+
+# The language's characters, characters it rejects or reads Unicode-wide,
+# and pieces that make strings close, stay open or escape badly.
+_LEX_PIECES = list('scenarioHEsigma_x019"{}[]()^*+-,=!#\\ \n²٣é\xa0\x0b\r\t') + [
+    '"x"', '"a\\"b"', '"a\\\\"', '"a\\tb"', '"open', "==", "!=", "# note\n",
+]
+
+
+def _lexed(source):
+    newlines = [m.start() for m in re.finditer("\n", source)]
+    try:
+        return dsl._lex(source, newlines)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.message
+
+
+@settings(max_examples=500, deadline=None)
+@example('assert "a\\q" == 1')
+@example('cite "open\n1')
+@example('"\\')
+@example("٣² é\xa0")
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_lexer_splits_as_the_backtracking_pattern(source):
+    # same kinds, values and offsets, or the same ParseError
+    with mock.patch.multiple(dsl, **_BACKTRACKING):
+        expected = _lexed(source)
+    assert _lexed(source) == expected
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse('scenario "a" {} }')
@@ -392,6 +440,63 @@ def test_overlong_integer_literal_is_a_parse_error():
             parse(source)
         assert (info.value.line, info.value.column) == position
         assert f"{len(digits)} digits" in info.value.message
+
+
+# ---------------------------------------------------------------------------
+# shared constant subtrees
+
+def test_equal_setup_free_subexpressions_are_one_node():
+    rows = (
+        'assert 2*H - E == -(2 * H - E) cite "x" '
+        'assert degree(sigma[1]^2) + 1 == dim(2, 5) - 2*H cite "y"'
+    )
+    source = f'scenario "a" {{ grassmannian 2 5 {rows} }} scenario "b" {{ {rows} }}'
+    document = parse(source)
+    (a1, a2), (b1, b2) = (s.statements[-2:] for s in document.scenarios)
+    assert a1.left is b1.left is a1.right.operand is b1.right.operand
+    assert a1.right is b1.right
+    assert a1.left.left is a2.right.right is b2.right.right  # 2*H
+    # nothing that holds sigma[...] or a call is shared, but its leaves are
+    for a, b in ((a2.left, b2.left), (a2.left.left, b2.left.left),
+                 (a2.left.left.args[0].left, b2.left.left.args[0].left), (a2.right, b2.right),
+                 (a2.right.left, b2.right.left)):
+        assert a is not b and a == b
+    assert a2.left.right is b2.left.right  # 1
+    assert document.pretty() == (
+        'scenario "a" {\n'
+        "  grassmannian 2 5\n"
+        '  assert 2 * H - E == -(2 * H - E) cite "x"\n'
+        '  assert degree(sigma[1]^2) + 1 == dim(2, 5) - 2 * H cite "y"\n'
+        "}\n\n"
+        'scenario "b" {\n'
+        '  assert 2 * H - E == -(2 * H - E) cite "x"\n'
+        '  assert degree(sigma[1]^2) + 1 == dim(2, 5) - 2 * H cite "y"\n'
+        "}\n"
+    )
+
+
+def test_a_shared_node_is_folded_once_per_build(monkeypatch):
+    from fanocalc import blowup
+
+    times, calls = dsl._OPERATORS["*"], []
+    monkeypatch.setitem(dsl._OPERATORS, "*", lambda a, b: calls.append((a, b)) or times(a, b))
+    rows = "".join(f'  assert 2*H - E == H + (H - E) cite "x" label "r{j}"\n' for j in range(25))
+    document = parse(f'scenario "a" {{\n{rows}}}\nscenario "b" {{\n{rows}}}\n')
+    for _ in range(2):
+        calls.clear()
+        report = run(document.build())
+        assert (report.total, report.failed) == (50, 0)
+        assert calls == [(2, blowup.H)]
+
+
+def test_a_shared_fold_that_raises_fails_each_of_its_rows():
+    rows = 'assert 2^(2^40) == 0 cite "x" assert 1 + 2^(2^40) != 0 cite "y"'
+    report = run_source(f'scenario "a" {{ {rows} }} scenario "b" {{ {rows} }}')
+    assert report.failed == 4
+    error = "error: ValueError: a power of up to 2199023255552 bits is over the limit of 100000"
+    assert [row["actual"] for s in report.to_dict()["scenarios"] for row in s["assertions"]] == [
+        error
+    ] * 4
 
 
 # ---------------------------------------------------------------------------
