@@ -71,19 +71,22 @@ def _cmd_run(args, out, err) -> int:
         return _USAGE_EXIT
     builtins = {s.name: s for s in scenarios.builtin_scenarios()}
     if args.all:
-        chosen = list(builtins.values())
+        chosen = builtins
     else:
-        chosen = []
+        chosen = {}
         for name in args.names:
             if name not in builtins:
                 err.write(f"run: unknown scenario {name!r}\n")
                 return _USAGE_EXIT
-            chosen.append(builtins[name])
-    return _report_exit(scenarios.run(chosen), args.format, args.verbose, out)
+            if name in chosen:
+                err.write(f"run: scenario {name!r} given twice\n")
+                return _USAGE_EXIT
+            chosen[name] = builtins[name]
+    return _report_exit(scenarios.run(list(chosen.values())), args.format, args.verbose, out)
 
 
 def _cmd_check(args, out, err) -> int:
-    collected = []
+    collected, names = [], set()  # a scenario name is unique across the files, as within one
     for path in args.files:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -95,7 +98,10 @@ def _cmd_check(args, out, err) -> int:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT
         try:
-            collected.extend(dsl.parse(source).build())
+            document = dsl.parse(source)
+            for node in document.scenarios:
+                dsl.claim_name(names, node)
+            collected.extend(document.build())
         except dsl.ParseError as exc:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT

@@ -5,11 +5,13 @@ Lexical rules: whitespace is space, tab, CR and LF only; a comment runs from
 name is a letter or '_' followed by letters, digits or '_'; a string is
 double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
 
-The lexer is one pass of one regular expression, into parallel lists of
-token kinds, values and source offsets.  A (line, column) is worked out from
-an offset, by bisection over the offsets of the newlines, only for a
-statement or an error.  Both count from 1; only LF ends a line, and a
-column counts characters, so a tab or a lone CR is one column.
+The parser reads the tokens as it needs them, each one match of one
+regular expression at a source offset.  A lexical error anywhere in the
+source wins over every other error: when a parse fails, the whole source is
+lexed once more for one.  A (line, column) is worked out from an offset, by
+bisection over the offsets of the newlines, only for a statement or an
+error.  Both count from 1; only LF ends a line, and a column counts
+characters, so a tab or a lone CR is one column.
 
 Grammar (statements in any order and number; integer fields may carry a
 leading '-'):
@@ -41,9 +43,13 @@ index, chi and euler literals against the derived values.
 
 Equal setup-free subexpressions of a document (integers, H, E and the
 operators over them, but no call and no sigma[...]) are one node of its
-tree.  ``build`` compiles each expression once into values and closures,
-and folds each such node once for the whole document; every evaluation
-error still fails only its own assertion, when the report runs.
+tree.  A call argument or parenthesised expression whose text, up to the
+next ',' or ')', holds none of '(', '[', '"' and '#' is such a subtree, and
+the parser reads each distinct such text once per document; a later copy
+takes the first one's node.  ``build`` compiles each expression once into
+values and closures, and folds each such node once for the whole document;
+every evaluation error still fails only its own assertion, when the report
+runs.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -108,14 +114,14 @@ class ParseError(ValueError):
 # One alternative per token kind, each followed by the whitespace and
 # comments after it, so one match is one token.  \d is str.isdecimal and \w
 # is str.isalnum or '_'.  A name starting with an ASCII letter or '_' is an
-# IDENT; any other run of \w that is not an INT is a WORD, which the lexer
-# accepts as a name only when its first character is a letter ('²' is not).
+# IDENT; any other run of \w that is not an INT is a WORD, which the parser
+# reads as a name only when its first character is a letter ('²' is not).
 # A string that does not close matches BAD at its opening quote.  SYM comes
 # first, as the most frequent kind; no other alternative before BAD can
 # start with a SYM character, so the order changes no match.  Every run is
 # possessive (Python 3.11): no shorter run could let the rest of the
 # pattern match, so the engine keeps no backtracking state.
-_STRING = r'"(?:[^"\\\n]|\\["\\])*+'
+_STRING = r'"[^"\\\n]*+(?:\\["\\][^"\\\n]*+)*+'
 _SKIP = r"(?:[ \t\r\n]++|#[^\n]*+)*+"
 _TOKEN = re.compile(
     r"(?:(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
@@ -131,6 +137,10 @@ _OPEN_STRING = re.compile(_STRING)
 _NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r"\\(.)")
 
+# The text from an offset to the next ',' or ')' holds none of '(', '[',
+# '"' and '#' when this pattern's match there ends at that ',' or ')'.
+_PLAIN = re.compile(r'[^,()\["#]*+')
+
 
 def _position(newlines: list, offset: int) -> tuple:
     """The 1-based (line, column) of ``offset``, given the offsets of the source's newlines."""
@@ -138,24 +148,12 @@ def _position(newlines: list, offset: int) -> tuple:
     return line + 1, offset - (newlines[line - 1] if line else -1)
 
 
-def _lex(source: str, newlines: list) -> tuple:
-    """Parallel lists (kinds, values, offsets), one entry per token and the last for EOF.
-
-    A STRING's value keeps its quotes and escapes, so no string value equals
-    a keyword or a symbol."""
-    kinds, values, offsets = [], [], []
+def _validate(source: str, newlines: list) -> None:
+    """Raise the ParseError for the first character of ``source`` that starts no token, if any."""
     for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
         kind = m.lastgroup
-        kinds.append(kind)
-        values.append(m[kind])
-        offsets.append(m.start())
-    if "WORD" in kinds or "BAD" in kinds:
-        for i, kind in enumerate(kinds):
-            if kind == "WORD" and values[i][0].isalpha():
-                kinds[i] = "IDENT"
-            elif kind in ("WORD", "BAD"):
-                _lex_error(source, newlines, offsets[i])
-    return kinds, values, offsets
+        if kind == "BAD" or kind == "WORD" and not m[kind][0].isalpha():
+            _lex_error(source, newlines, m.start())
 
 
 def _lex_error(source: str, newlines: list, offset: int):
@@ -278,70 +276,86 @@ _DIVISOR_ATOMS = {"H": DivisorAtom("H"), "E": DivisorAtom("E")}
 
 
 class _Parser:
-    """Recursive descent over the lexer's lists; ``pos`` indexes them and never passes EOF."""
+    """Recursive descent over tokens read one at a time, as it needs them.
+
+    The current token is ``kind``, ``value`` and ``start``, its offset; the
+    next one starts at ``end``.  A STRING's value keeps its quotes and
+    escapes, so no string value equals a keyword or a symbol.  A BAD token,
+    or a WORD that is no name, meets no rule of the grammar, so the parser
+    fails at it at the latest."""
 
     def __init__(self, source: str):
+        self.source = source
         self.newlines = [m.start() for m in _NEWLINE.finditer(source)]
-        self.kinds, self.values, self.offsets = _lex(source, self.newlines)
-        self.pos = 0
+        self.end = _LEADING.match(source).end()
+        self.advance()
         self.depth = 0
         # INT text -> its IntLit, and (operator, id(operand), ...) -> its Neg
         # or BinOp, so equal literals, and operators over the same nodes, are
         # one node of the document.  No call and no sigma[...] is shared, so
         # only setup-free subtrees repeat; the table keeps each id in use.
         self.shared = {}
+        # Source text -> (tree, height) of each plain operand read; see operand.
+        self.operands = {}
 
-    def position(self, i: int) -> tuple:
-        return _position(self.newlines, self.offsets[i])
+    def advance(self):
+        m = _TOKEN.match(self.source, self.end)
+        kind = m.lastgroup
+        self.value = value = m[kind]
+        self.kind = "IDENT" if kind == "WORD" and value[0].isalpha() else kind
+        self.start = m.start()
+        self.end = m.end()
 
-    def fail(self, i: int, message: str):
-        raise ParseError(*self.position(i), message)
+    def position(self, offset: int) -> tuple:
+        return _position(self.newlines, offset)
 
-    def describe(self, i: int) -> str:
-        kind = self.kinds[i]
+    def fail(self, offset: int, message: str):
+        raise ParseError(*self.position(offset), message)
+
+    def describe(self) -> str:
+        kind = self.kind
         if kind == "EOF":
             return "end of input"
         if kind == "STRING":
             return "a string"
-        return repr(self.values[i])
+        return repr(self.value)
 
-    def int_value(self, i: int) -> int:
-        text = self.values[i]
+    def int_value(self, text: str, offset: int) -> int:
         try:
             return int(text)
         except ValueError:
             # the only way int() fails on a run of decimal digits
             self.fail(
-                i,
+                offset,
                 f"integer literal has {len(text)} digits, more than the"
                 f" interpreter's limit of {sys.get_int_max_str_digits()}",
             )
 
     def expect(self, text: str, wanted: Optional[str] = None) -> int:
-        """Consume the keyword or symbol ``text`` and return its index; ``wanted`` overrides the message."""
-        i = self.pos
-        if self.values[i] != text:
-            self.fail(i, f"expected {wanted or repr(text)}, found {self.describe(i)}")
-        self.pos = i + 1
-        return i
+        """Consume the keyword or symbol ``text`` and return its offset; ``wanted`` overrides the message."""
+        start = self.start
+        if self.value != text:
+            self.fail(start, f"expected {wanted or repr(text)}, found {self.describe()}")
+        self.advance()
+        return start
 
     def expect_kind(self, kind: str, wanted: str) -> str:
-        i = self.pos
-        if self.kinds[i] != kind:
-            self.fail(i, f"expected {wanted}, found {self.describe(i)}")
-        self.pos = i + 1
-        return self.values[i]
+        value = self.value
+        if self.kind != kind:
+            self.fail(self.start, f"expected {wanted}, found {self.describe()}")
+        self.advance()
+        return value
 
     def expect_string(self) -> str:
         return _ESCAPE.sub(r"\1", self.expect_kind("STRING", "a string")[1:-1])
 
     def expect_int(self) -> int:
         sign = 1
-        if self.values[self.pos] == "-":
-            self.pos += 1
+        if self.value == "-":
+            self.advance()
             sign = -1
-        self.expect_kind("INT", "an integer")
-        return sign * self.int_value(self.pos - 1)
+        start = self.start
+        return sign * self.int_value(self.expect_kind("INT", "an integer"), start)
 
     def expect_field(self, word: str) -> int:
         self.expect(word)
@@ -351,12 +365,10 @@ class _Parser:
 
     def parse_document(self) -> Document:
         doc = Document()
-        seen = set()
-        while self.kinds[self.pos] != "EOF":
+        names = set()
+        while self.kind != "EOF":
             node = self.parse_scenario()
-            if node.name in seen:
-                raise ParseError(node.line, node.column, f"duplicate scenario name {node.name!r}")
-            seen.add(node.name)
+            claim_name(names, node)
             doc.scenarios.append(node)
         return doc
 
@@ -365,41 +377,42 @@ class _Parser:
         name = self.expect_string()
         self.expect("{")
         statements = []
-        while self.values[self.pos] != "}":
-            i = self.pos
-            parse_statement = self._STATEMENTS.get(self.values[i])
+        while self.value != "}":
+            start = self.start
+            parse_statement = self._STATEMENTS.get(self.value)
             if parse_statement is None:
-                self.fail(i, f"expected a statement or '}}', found {self.describe(i)}")
-            self.pos = i + 1
-            statements.append(parse_statement(self, i))
-        self.pos += 1
+                self.fail(start, f"expected a statement or '}}', found {self.describe()}")
+            self.advance()
+            statements.append(parse_statement(self, start))
+        self.advance()
         return ScenarioNode(name, statements, *self.position(kw))
 
-    # each statement parser starts after its keyword, whose index it gets for its position
+    # each statement parser starts after its keyword, whose offset it gets for its position
 
     def parse_profile(self, kw: int) -> ProfileStmt:
         ident = self.expect_kind("IDENT", "a name")
         h4 = self.expect_field("h4")
         index = self.expect_field("index")
         c2h2 = ambient = codim = None
-        value = self.values[self.pos]
+        value = self.value
         if value == "c2h2":
             c2h2 = self.expect_field("c2h2")
         elif value == "ambient":
-            self.pos += 1
+            self.advance()
             ambient = self.expect_kind("IDENT", "a name")
             codim = self.expect_field("codim")
         else:
-            self.fail(self.pos, f"expected 'c2h2' or 'ambient', found {self.describe(self.pos)}")
+            self.fail(self.start, f"expected 'c2h2' or 'ambient', found {self.describe()}")
         chi = self.expect_field("chi")
         euler = self.expect_field("euler")
         return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler, *self.position(kw))
 
     def parse_center(self, kw: int) -> CenterStmt:
+        start = self.start
         kind = self.expect_kind("IDENT", "a name")
         center = _CENTERS.get(kind)
         if center is None:
-            self.fail(kw + 1, f"expected 'curve' or 'surface', found {kind!r}")
+            self.fail(start, f"expected 'curve' or 'surface', found {kind!r}")
         values = tuple((f.name, self.expect_field(f.name)) for f in fields(center))
         return CenterStmt(kind, values, *self.position(kw))
 
@@ -409,17 +422,17 @@ class _Parser:
         return GrassStmt(k, n, *self.position(kw))
 
     def parse_assert(self, kw: int) -> AssertStmt:
-        left, _ = self.nested(self.pos)
-        op = self.values[self.pos]
+        left, _ = self.nested(self.start)
+        op = self.value
         if op != "==" and op != "!=":
-            self.fail(self.pos, f"expected '==' or '!=', found {self.describe(self.pos)}")
-        self.pos += 1
-        right, _ = self.nested(self.pos)
+            self.fail(self.start, f"expected '==' or '!=', found {self.describe()}")
+        self.advance()
+        right, _ = self.nested(self.start)
         self.expect("cite")
         cite = self.expect_string()
         label = None
-        if self.values[self.pos] == "label":
-            self.pos += 1
+        if self.value == "label":
+            self.advance()
             label = self.expect_string()
         return AssertStmt(left, op, right, cite, label, *self.position(kw))
 
@@ -435,58 +448,59 @@ class _Parser:
     # argument, a unary minus and a right-associative operator's
     # right side each go one nesting level down.
 
-    def nested(self, i: int, min_prec: int = 1):
-        """An expression one nesting level down; too deep is reported at token ``i``."""
+    def nested(self, offset: int, min_prec: int = 1):
+        """An expression one nesting level down; too deep is reported at ``offset``."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            self.fail(i, "expression nesting too deep")
+            self.fail(offset, "expression nesting too deep")
         result = self.expr(min_prec)
         self.depth -= 1
         return result
 
     def expr(self, min_prec: int):
-        """The expression at ``pos`` whose binary operators bind at least ``min_prec``."""
-        kinds, values = self.kinds, self.values
-        i = self.pos
-        kind, value = kinds[i], values[i]
-        self.pos = i + 1
+        """The expression at the current token whose binary operators bind at least ``min_prec``."""
+        kind, value, start = self.kind, self.value, self.start
         if kind == "INT":
-            node = self.shared.get(value) or self.share(value, IntLit(self.int_value(i)))
+            self.advance()
+            node = self.shared.get(value) or self.share(value, IntLit(self.int_value(value, start)))
             height = 1
         elif kind == "IDENT":
-            follow = values[i + 1]
+            self.advance()
+            follow = self.value
             if follow == "(":
-                node, height = self.call(i)
+                node, height = self.call(value, start)
             elif follow == "[" and value == "sigma":
-                node, height = self.sigma(i), 1
+                node, height = self.sigma(), 1
             elif (node := _DIVISOR_ATOMS.get(value)) is not None:
                 height = 1
             else:
-                self.fail(i, f"unknown name {value!r}")
+                self.fail(start, f"unknown name {value!r}")
         elif value == "-":
-            operand, height = self.nested(i, _PRECEDENCE[_UNARY_MINUS][0])
+            self.advance()
+            operand, height = self.nested(start, _PRECEDENCE[_UNARY_MINUS][0])
             key = (_UNARY_MINUS, id(operand))
             node = self.shared.get(key) or self.share(key, Neg(operand))
             height += 1
             if height > _MAX_DEPTH:
-                self.fail(i, "expression nesting too deep")
+                self.fail(start, "expression nesting too deep")
         elif value == "(":
-            node, height = self.nested(self.pos)
+            node, height = self.operand()
             self.expect(")")
         else:
-            self.fail(i, f"expected an expression, found {self.describe(i)}")
-        while (entry := _PRECEDENCE.get(values[i := self.pos])) is not None and entry[0] >= min_prec:
-            self.pos = i + 1
+            self.fail(start, f"expected an expression, found {self.describe()}")
+        while (entry := _PRECEDENCE.get(op := self.value)) is not None and entry[0] >= min_prec:
+            start = self.start
+            self.advance()
             prec, right_assoc = entry
             if right_assoc:  # recurses at its own precedence, so it nests
-                rhs, rhs_height = self.nested(i, prec)
+                rhs, rhs_height = self.nested(start, prec)
             else:
                 rhs, rhs_height = self.expr(prec + 1)
-            key = (values[i], id(node), id(rhs))
-            node = self.shared.get(key) or self.share(key, BinOp(values[i], node, rhs))
+            key = (op, id(node), id(rhs))
+            node = self.shared.get(key) or self.share(key, BinOp(op, node, rhs))
             height = (height if height > rhs_height else rhs_height) + 1
             if height > _MAX_DEPTH:
-                self.fail(i, "expression nesting too deep")
+                self.fail(start, "expression nesting too deep")
         return node, height
 
     def share(self, key, node):
@@ -494,39 +508,82 @@ class _Parser:
         self.shared[key] = node
         return node
 
-    def call(self, i: int):
-        """The call whose name is token ``i``."""
-        values = self.values
-        self.pos = i + 2
+    def operand(self):
+        """The call argument or parenthesised expression after the current '(' or ','.
+
+        When its text, from its first token to the next ',' or ')', holds
+        none of '(', '[', '"' and '#', it has no call, sigma[...], string or
+        comment, so its tree is setup-free and shared, and the document
+        reads that text once: a later copy jumps to the ',' or ')' and takes
+        the first one's tree, the very node a re-parse would return.  It
+        does so only where the nesting depth leaves as many levels as the
+        text has characters, which bounds the levels any parse of it takes;
+        elsewhere the copy is parsed, so a depth error fires where it would.
+        """
+        source, start = self.source, self.end
+        stop = _PLAIN.match(source, start).end()
+        text = source[start:stop] if source.startswith((",", ")"), stop) else None
+        if text is not None:
+            read = self.operands.get(text)
+            if read is not None and self.depth + len(text) <= _MAX_DEPTH:
+                self.end = stop
+                self.advance()
+                return read
+        self.advance()
+        read = self.nested(start)
+        if text is not None:  # a read that stops short of the ',' or ')' fails its caller
+            self.operands[text] = read
+        return read
+
+    def call(self, name: str, start: int):
+        """The call of ``name``, whose token is at ``start``; the current token is its '('."""
         args, height = [], 0
-        if values[i + 2] != ")":
+        if self.source.startswith(")", self.end):
+            self.advance()
+        else:
             while True:
-                arg, arg_height = self.nested(self.pos)
+                arg, arg_height = self.operand()
                 args.append(arg)
                 if arg_height > height:
                     height = arg_height
-                if values[self.pos] != ",":
+                if self.value != ",":
                     break
-                self.pos += 1
         self.expect(")")
         if height >= _MAX_DEPTH:
-            self.fail(i, "expression nesting too deep")
-        return Call(values[i], tuple(args)), height + 1
+            self.fail(start, "expression nesting too deep")
+        return Call(name, tuple(args)), height + 1
 
-    def sigma(self, i: int) -> SigmaAtom:
-        """The atom ``sigma[...]`` whose name is token ``i``."""
-        self.pos = i + 2
+    def sigma(self) -> SigmaAtom:
+        """The atom ``sigma[...]``; the current token is its '['."""
+        self.advance()
         parts = [self.expect_int()]
-        while self.values[self.pos] == ",":
-            self.pos += 1
+        while self.value == ",":
+            self.advance()
             parts.append(self.expect_int())
         self.expect("]", "',' or ']'")
         return SigmaAtom(tuple(parts))
 
 
+def claim_name(names: set, node: ScenarioNode) -> None:
+    """Add the scenario's name to ``names``; a name already there is a ParseError at the scenario."""
+    if node.name in names:
+        raise ParseError(node.line, node.column, f"duplicate scenario name {node.name!r}")
+    names.add(node.name)
+
+
 def parse(source: str) -> Document:
-    """Parse a document; raise :class:`ParseError` with 1-based position."""
-    return _Parser(source).parse_document()
+    """Parse a document; raise :class:`ParseError` with 1-based position.
+
+    A lexical error anywhere in the source wins over every other error.  A
+    document that parses has had each of its tokens read, or skipped as a
+    copy of a text read before, so the source is checked for one only when
+    the parse fails."""
+    parser = _Parser(source)
+    try:
+        return parser.parse_document()
+    except ParseError:
+        _validate(source, parser.newlines)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ def test_run_unknown_scenario_exits_2():
     assert "unknown scenario" in err
 
 
+def test_run_rejects_a_name_given_twice():
+    code, out, err = invoke("run", "v14-link", "w5-xi-link", "v14-link")
+    assert (code, out, err) == (2, "", "run: scenario 'v14-link' given twice\n")
+
+
 def test_run_without_names_or_all_exits_2():
     code, _, err = invoke("run")
     assert code == 2
@@ -245,6 +250,21 @@ def test_check_merges_multiple_files(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert [s["name"] for s in payload["scenarios"]] == ["gr25-chern", "moduli-counts"]
+
+
+def test_check_rejects_a_scenario_name_repeated_across_files(tmp_path):
+    # the same message and position as a repeat within one file
+    a, b = tmp_path / "a.scn", tmp_path / "b.scn"
+    a.write_text('scenario "x" {\n  assert 1 == 1 cite "x"\n}\n', encoding="utf-8")
+    b.write_text('# b\nscenario "y" {}\n  scenario "x" {\n  assert 2 == 2 cite "x"\n}\n',
+                 encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = invoke("check", str(a), str(b), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"check: {b}: line 3, column 3: duplicate scenario name 'x'\n"
+    code, out, err = invoke("check", str(b), str(b))
+    assert (code, out) == (2, "")
+    assert err == f"check: {b}: line 2, column 1: duplicate scenario name 'y'\n"
 
 
 def test_emit_then_check_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Scenario-language parser: grammar, positions, totality, round-trips."""
 
+import itertools
 import re
 import sys
 import traceback
@@ -139,10 +140,14 @@ def test_bad_strings():
         ('scenario "a" { grassmannian \u0662 \u0665 }', "grassmannian 2 5"),
         ('scenario "a" { assert \u00b2 == 1 cite "x" }', (1, 23, "unexpected character '\u00b2'")),
         ('scenario "a" {\r\n\tassert \u00e9 == 1 cite "x" }', (2, 9, "unknown name '\u00e9'")),
+        ('scenario "a" { profile \u00b2 h4 1 index 1 c2h2 1 chi 1 euler 1 }',
+         (1, 24, "unexpected character '\u00b2'")),
         ('scenario "a\\', (1, 12, "unsupported escape in string literal")),
         ('scenario "abc', (1, 10, "unterminated string literal")),
         ("x\xa0", (1, 2, "unexpected character '\\xa0'")),
         ("# c", ""),
+        # a lexical error wins over an earlier syntax error
+        ('scenario "y" { assert 1 == == 1 cite "x" $ }', (1, 42, "unexpected character '$'")),
     ],
 )
 def test_lexical_rules(source, outcome):
@@ -224,19 +229,17 @@ def test_parse_error_positions(source, outcome):
 # kept as the reference for how the lexer splits a source.
 _BACKTRACKING_STRING = r'"(?:[^"\\\n]|\\["\\])*'
 _BACKTRACKING_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
-_BACKTRACKING = {
-    "_TOKEN": re.compile(
-        r"(?:(?P<INT>\d+)"
-        r"|(?P<IDENT>[A-Za-z_]\w*)"
-        r"|(?P<WORD>\w+)"
-        rf'|(?P<STRING>{_BACKTRACKING_STRING}")'
-        r"|(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
-        r"|(?P<EOF>\Z)"
-        r"|(?P<BAD>.))" + _BACKTRACKING_SKIP
-    ),
-    "_LEADING": re.compile(_BACKTRACKING_SKIP),
-    "_OPEN_STRING": re.compile(_BACKTRACKING_STRING),
-}
+_BACKTRACKING_TOKEN = re.compile(
+    r"(?:(?P<INT>\d+)"
+    r"|(?P<IDENT>[A-Za-z_]\w*)"
+    r"|(?P<WORD>\w+)"
+    rf'|(?P<STRING>{_BACKTRACKING_STRING}")'
+    r"|(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))" + _BACKTRACKING_SKIP
+)
+_BACKTRACKING_LEADING = re.compile(_BACKTRACKING_SKIP)
+_BACKTRACKING_OPEN_STRING = re.compile(_BACKTRACKING_STRING)
 
 # The language's characters, characters it rejects or reads Unicode-wide,
 # and pieces that make strings close, stay open or escape badly.
@@ -245,12 +248,41 @@ _LEX_PIECES = list('scenarioHEsigma_x019"{}[]()^*+-,=!#\\ \n²٣é\xa0\x0b\r\t')
 ]
 
 
-def _lexed(source):
+def _error(exc):
+    return exc.line, exc.column, exc.message
+
+
+def _reference_tokens(source):
+    """(kind, text, offset) of each token through EOF by the reference pattern, or the lexical error.
+
+    A WORD is a name when its first character is a letter; any other WORD,
+    and a BAD, is the first lexical error."""
     newlines = [m.start() for m in re.finditer("\n", source)]
+    tokens = []
+    for m in _BACKTRACKING_TOKEN.finditer(source, _BACKTRACKING_LEADING.match(source).end()):
+        kind, text = m.lastgroup, m[m.lastgroup]
+        if kind == "BAD" or kind == "WORD" and not text[0].isalpha():
+            with mock.patch.object(dsl, "_OPEN_STRING", _BACKTRACKING_OPEN_STRING):
+                try:
+                    dsl._lex_error(source, newlines, m.start())
+                except ParseError as exc:
+                    return _error(exc)
+        tokens.append(("IDENT" if kind == "WORD" else kind, text, m.start()))
+    return tokens
+
+
+def _streamed_tokens(source):
+    """(kind, text, offset) of each token through EOF as the parser reads them, or the lexical error."""
+    parser = dsl._Parser(source)
     try:
-        return dsl._lex(source, newlines)
+        dsl._validate(source, parser.newlines)
     except ParseError as exc:
-        return exc.line, exc.column, exc.message
+        return _error(exc)
+    tokens = [(parser.kind, parser.value, parser.start)]
+    while parser.kind != "EOF":
+        parser.advance()
+        tokens.append((parser.kind, parser.value, parser.start))
+    return tokens
 
 
 @settings(max_examples=500, deadline=None)
@@ -260,10 +292,8 @@ def _lexed(source):
 @example("٣² é\xa0")
 @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
 def test_lexer_splits_as_the_backtracking_pattern(source):
-    # same kinds, values and offsets, or the same ParseError
-    with mock.patch.multiple(dsl, **_BACKTRACKING):
-        expected = _lexed(source)
-    assert _lexed(source) == expected
+    # same kinds, texts and offsets, or the same ParseError
+    assert _streamed_tokens(source) == _reference_tokens(source)
 
 
 def test_trailing_garbage_rejected():
@@ -622,6 +652,105 @@ def test_check_is_total_on_generated_documents(setup, rows):
     assert report.total == len(rows)
     report.to_text()
     report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# repeated argument texts, read once per document
+
+def test_a_repeated_plain_text_is_one_node():
+    row = 'assert quartic(2*H - E, H, (2*H - E), 2*H-E) == chi((2*H - E) ) cite "x"'
+    document = parse(f'scenario "a" {{ {row} }} scenario "b" {{ {row} }}')
+    (a,), (b,) = (s.statements for s in document.scenarios)
+    assert a.left is not b.left and a.left == b.left  # calls are never shared
+    for left, right in ((a.left, a.right), (b.left, b.right)):
+        assert left.args[0] is left.args[2] is left.args[3] is right.args[0] is a.left.args[0]
+        assert left.args[1] is dsl._DIVISOR_ATOMS["H"]
+
+
+def test_a_repeated_plain_text_is_read_once(monkeypatch):
+    token, read = dsl._TOKEN, []
+
+    class Counting:
+        def match(self, source, offset):
+            m = token.match(source, offset)
+            read.append(m[m.lastgroup])
+            return m
+
+    monkeypatch.setattr(dsl, "_TOKEN", Counting())
+    rows = '  assert quartic(H - E, H - E, H - E, H - E) == 1 cite "x"\n' * 50
+    document = parse(f'scenario "w" {{\n{rows}}}\n')
+    assert [read.count(text) for text in ("H", "-", "E", ",", ")")] == [1, 1, 1, 150, 50]
+    assert len(document.scenarios[0].statements) == 50
+
+
+def test_a_repeated_text_without_room_to_nest_is_parsed_again():
+    # "-1" is read shallow first; its copy 63 calls deep has no level left for
+    # the minus, and fails at it, as it would if it were the first copy
+    def nest(calls):
+        return "dim(" * calls + "-1" + ", 1)" * calls
+
+    for first in ("", 'assert dim(-1, 1) == 0 cite "x"\n  '):
+        fits = parse(f'scenario "d" {{\n  {first}assert {nest(62)} == 0 cite "x"\n}}')
+        assert run(fits.build()).total == (2 if first else 1)
+        with pytest.raises(ParseError) as info:
+            parse(f'scenario "d" {{\n  {first}assert {nest(63)} == 0 cite "x"\n}}')
+        line = 3 if first else 2
+        assert _error(info.value) == (line, 262, "expression nesting too deep")
+
+
+# Documents whose call arguments and parenthesised groups end in a slot for
+# the whitespace before their ',' or ')', filled alike in every copy, so
+# the texts repeat, or differently in each, so none does.  Tab and CR are
+# one column each, like a space, so both fillings put every token at the
+# same line and column.
+_SLOT = "\0"
+
+
+def _slotted(inner):
+    binary = st.tuples(inner, st.sampled_from("+-*^"), inner).map(" ".join)
+    group = inner.map(lambda e: f"({e}{_SLOT})")
+    call = st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda name: st.lists(inner, min_size=_ARITY[name], max_size=_ARITY[name]).map(
+            lambda args: f"{name}({', '.join(a + _SLOT for a in args)})"))
+    return st.one_of(binary, inner.map(lambda e: f"-{e}"), group, call)
+
+
+_SLOTTED = st.recursive(
+    st.sampled_from(["0", "1", "2", "H", "E", "2*H - E", "sigma[1]", "foo", "²"]), _slotted,
+    max_leaves=8)
+
+
+def _fill(source, fillers):
+    pieces = source.split(_SLOT)
+    return "".join(piece + next(fillers) for piece in pieces[:-1]) + pieces[-1]
+
+
+def _outcome(source):
+    try:
+        document = parse(source)
+    except ParseError as exc:
+        return _error(exc)
+    return document.pretty(), run(document.build()).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_SETUPS),
+    st.lists(_SLOTTED, min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["==", "!="]), st.integers(0, 2)),
+             min_size=1, max_size=6),
+)
+def test_reading_a_text_once_changes_no_outcome(setup, pool, rows):
+    # the tree, the printout, the report or the ParseError is the same
+    def side(i):
+        return f"({pool[i % len(pool)]}{_SLOT})"
+
+    body = [f'  assert {side(i)} {op} {side(j)} cite "x"\n' for i, op, j in rows]
+    scenarios = (f'scenario "{name}" {{\n  {setup}\n  grassmannian 2 5\n{"".join(body[k::2])}}}\n'
+                 for k, name in enumerate("ab"))
+    source = "".join(scenarios)
+    distinct = ("".join(ws) for ws in itertools.product(" \t\r", repeat=6))
+    assert _outcome(_fill(source, itertools.repeat(" " * 6))) == _outcome(_fill(source, distinct))
 
 
 def test_parse_error_exposes_position_fields():
