@@ -32,7 +32,6 @@ class FourfoldProfile:
     H is index * c2h2, so it is not an input.
     """
 
-    name: str
     h4: int
     index: int
     c2h2: int
@@ -66,7 +65,8 @@ class SurfaceCenter:
 
     hhc = H^2 . S, hkc = H . K_S, kc2 = K_S^2, euler = topological Euler
     number of S, c2xc = c_2 of the ambient fourfold paired with S.  Nothing
-    checks Noether's K^2 + Eu = 12: the tests hold it for the rational centers.
+    here checks Noether's K^2 + Eu = 12; for the built-in rational centers,
+    tests/test_profiles.py::test_builtin_surface_centers does.
     """
 
     hhc: int
@@ -139,13 +139,6 @@ class BlowupModel:
     @property
     def c1(self) -> Divisor:
         return -self.canonical
-
-    def c2_normal(self) -> int:
-        """c_2 of the normal bundle of a surface center, integrated."""
-        if not isinstance(self.center, SurfaceCenter):
-            raise ValueError("only a surface center has a rank-2 normal bundle")
-        s, r = self.center, self.base.index
-        return s.c2xc - s.euler + r * s.hkc + s.kc2
 
 
 def monomial_number(model: BlowupModel, h_power: int, e_power: int) -> int:

@@ -84,10 +84,6 @@ class TotalChernClass:
         return "1 + " + " + ".join(f"({c})" for c in self.components[1:])
 
 
-def unit_total(ctx: Grassmannian, limit: int = 0) -> TotalChernClass:
-    return TotalChernClass(ctx, [unit(ctx)] + [zero(ctx, i) for i in range(1, limit + 1)])
-
-
 @dataclass(frozen=True)
 class BundleModel:
     """A vector bundle presented by its rank and total Chern class."""

@@ -22,11 +22,13 @@ leading '-'):
     profile    := "profile" IDENT "h4" INT "index" INT
                   ("c2h2" INT | "ambient" IDENT "codim" INT) "chi" INT "euler" INT
     center     := "center" ("curve" "genus" INT "hc" INT
-                  | "surface" "hhc" INT "hkc" INT "kc2" INT "euler" INT "c2xc" INT)
+                  | "surface" "hhc" INT "hkc" INT "kc2" INT "euler" INT "c2xc" INT
+                    [sigma])
+    sigma      := "sigma" "[" INT {"," INT} "]"
     grass      := "grassmannian" INT INT
     assert     := "assert" expr ("==" | "!=") expr "cite" STRING ["label" STRING]
     expr       := arithmetic over INT, "H", "E", + - * ^, parentheses,
-                  sigma[INT{,INT}], and calls quartic(e,e,e,e), chi(e),
+                  sigma, and calls quartic(e,e,e,e), chi(e),
                   euler(), genus(e,e), solve(e,e,e), degree(e),
                   chern(e,e,e,e), dim(e,e)
 
@@ -39,7 +41,12 @@ is at most 64 levels tall; deeper input is a ParseError.
 The left side of an assertion is the computed value, the right side the
 expected one.  ``ambient IDENT codim INT`` derives the profile from the
 Chern engine (ambients: p4, w22, gr24, gr25, gr26) and cross-checks the h4,
-index, chi and euler literals against the derived values.
+index, chi and euler literals against the derived values.  Under such a
+profile a surface center's hhc and c2xc are cross-checked too: in a
+Grassmannian ambient the center ends with its Schubert class there, and
+hhc = sigma[1]^2 . class, c2xc = c_2 . class; in p4 or w22, c_2 is
+(c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
+``c2h2`` profile takes the center as stated, with no class.
 
 Equal setup-free subexpressions of a document (integers, H, E and the
 operators over them, but no call and no sigma[...]) are one node of its
@@ -222,6 +229,7 @@ class ProfileStmt:
 class CenterStmt:
     kind: str  # "curve" or "surface"
     fields: tuple  # ordered (name, value) pairs
+    cycle: Optional[SigmaAtom]  # a surface's Schubert class in the profile's ambient
     line: int
     column: int
 
@@ -414,7 +422,11 @@ class _Parser:
         if center is None:
             self.fail(start, f"expected 'curve' or 'surface', found {kind!r}")
         values = tuple((f.name, self.expect_field(f.name)) for f in fields(center))
-        return CenterStmt(kind, values, *self.position(kw))
+        cycle = None
+        if kind == "surface" and self.value == "sigma":
+            self.advance()
+            cycle = self.sigma()
+        return CenterStmt(kind, values, cycle, *self.position(kw))
 
     def parse_grass(self, kw: int) -> GrassStmt:
         k = self.expect_int()
@@ -554,8 +566,8 @@ class _Parser:
         return Call(name, tuple(args)), height + 1
 
     def sigma(self) -> SigmaAtom:
-        """The atom ``sigma[...]``; the current token is its '['."""
-        self.advance()
+        """The atom ``sigma[...]``, from the token after ``sigma``."""
+        self.expect("[")
         parts = [self.expect_int()]
         while self.value == ",":
             self.advance()
@@ -625,6 +637,8 @@ def _print_statement(stmt) -> str:
         )
     if isinstance(stmt, CenterStmt):
         body = " ".join(f"{name} {value}" for name, value in stmt.fields)
+        if stmt.cycle is not None:
+            body += " " + _print_expr(stmt.cycle)
         return f"center {stmt.kind} {body}"
     if isinstance(stmt, GrassStmt):
         return f"grassmannian {stmt.k} {stmt.n}"
@@ -718,7 +732,6 @@ class _Setup:
         stmt = self.statement("profile")
         if stmt.ambient is None:
             return blowup.FourfoldProfile(
-                name=stmt.ident,
                 h4=stmt.h4,
                 index=stmt.index,
                 c2h2=stmt.c2h2,
@@ -730,10 +743,10 @@ class _Setup:
         if stmt.ambient in _CI_AMBIENTS:
             if stmt.codim != 0:
                 raise ValueError(f"ambient {stmt.ambient!r} requires codim 0")
-            derived = profiles.ci_profile(stmt.ident, _AMBIENTS[stmt.ambient])
+            derived = profiles.ci_profile(_AMBIENTS[stmt.ambient])
         else:
             k, n = _AMBIENTS[stmt.ambient]
-            derived = profiles.section_profile(stmt.ident, k, n, stmt.codim)
+            derived = profiles.section_profile(k, n, stmt.codim)
         stated = (stmt.h4, stmt.index, stmt.chi, stmt.euler)
         found = (derived.h4, derived.index, derived.chi, derived.euler)
         if stated != found:
@@ -743,13 +756,35 @@ class _Setup:
             )
         return derived
 
-    def center(self):
+    def center(self, profile: blowup.FourfoldProfile):
+        """The stated center; under an ``ambient`` profile, a surface's hhc and c2xc are checked."""
         stmt = self.statement("center")
-        return _CENTERS[stmt.kind](**dict(stmt.fields))
+        center = _CENTERS[stmt.kind](**dict(stmt.fields))
+        if stmt.kind == "curve":
+            return center
+        setting = self.statement("profile")
+        ambient = setting.ambient
+        if ambient is None or ambient in _CI_AMBIENTS:
+            if stmt.cycle is not None:
+                raise ValueError("a surface class needs a profile with a Grassmannian ambient")
+            if ambient is None:
+                return center
+            found = (center.hhc, profile.c2h2 // profile.h4 * center.hhc)
+        else:
+            if stmt.cycle is None:
+                raise ValueError(f"a surface center in ambient {ambient!r} needs its Schubert class")
+            found = profiles.surface_pairings(*_AMBIENTS[ambient], setting.codim, stmt.cycle.parts)
+        stated = (center.hhc, center.c2xc)
+        if stated != found:
+            raise ValueError(
+                f"center literals (hhc, c2xc) = {stated} disagree with the derived values {found}"
+            )
+        return center
 
     @_once
     def model(self) -> BlowupModel:
-        return BlowupModel(self.profile(), self.center())
+        profile = self.profile()
+        return BlowupModel(profile, self.center(profile))
 
     @_once
     def grassmannian(self) -> Grassmannian:

@@ -1,10 +1,11 @@
-"""Standard fourfold profiles and blowup centers, derived rather than typed in.
+"""Fourfold profiles and surface-center pairings, derived rather than typed in.
 
 Complete-intersection profiles come from the adjunction series
 (1+h)^(N+1) / prod(1+d_i h); Grassmannian-section profiles come from the
-Chern engine.  The only hand-entered numbers are intrinsic facts about the
-centers themselves (a plane is P^2, the quintic del Pezzo surface has
-K^2 = 5 and Euler number 7).
+Chern engine.  A surface of known Schubert class in a Grassmannian gets its
+ambient pairings H^2 . S and c_2 . S from the same engine; the scenario
+language checks a surface center's stated pairings against them.  A
+center's intrinsic numbers (hkc, kc2, euler) stay literals of the scenario.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .blowup import BlowupModel, CurveCenter, FourfoldProfile, SurfaceCenter
+from .blowup import FourfoldProfile
 from .chern import SectionModel, section_chern, section_degree, tangent_bundle
 from .schubert import Grassmannian, sigma
 
@@ -28,7 +29,7 @@ def _chi_from_pairings(c14: int, c12c2: int, c2c2: int, c1c3: int, c4: int) -> i
 
 
 @lru_cache(maxsize=None)
-def ci_profile(name: str, degrees: tuple[int, ...] = ()) -> FourfoldProfile:
+def ci_profile(degrees: tuple[int, ...] = ()) -> FourfoldProfile:
     """Profile of a smooth complete intersection fourfold of the given multidegree."""
     if any(d < 2 for d in degrees):
         raise ValueError("hypersurface degrees must be at least 2")
@@ -51,7 +52,6 @@ def ci_profile(name: str, degrees: tuple[int, ...] = ()) -> FourfoldProfile:
         index ** 4 * h4, index ** 2 * c2 * h4, c2 ** 2 * h4, index * c3 * h4, c4 * h4
     )
     return FourfoldProfile(
-        name=name,
         h4=h4,
         index=index,
         c2h2=c2 * h4,
@@ -61,7 +61,7 @@ def ci_profile(name: str, degrees: tuple[int, ...] = ()) -> FourfoldProfile:
 
 
 @lru_cache(maxsize=None)
-def section_profile(name: str, k: int, n: int, codim: int) -> FourfoldProfile:
+def section_profile(k: int, n: int, codim: int) -> FourfoldProfile:
     """Profile of a smooth fourfold linear section of Gr(k, n)."""
     ctx = Grassmannian(k, n)
     if ctx.dim - codim != 4:
@@ -78,7 +78,6 @@ def section_profile(name: str, k: int, n: int, codim: int) -> FourfoldProfile:
         section_degree(model, c4),
     )
     return FourfoldProfile(
-        name=name,
         h4=h4,
         index=model.index,
         c2h2=section_degree(model, c2 * s1 ** 2),
@@ -93,60 +92,15 @@ def section_model(k: int, n: int, codim: int) -> SectionModel:
     return section_chern(tangent_bundle(ctx).total, codim)
 
 
-def line_center() -> CurveCenter:
-    return CurveCenter(genus=0, hc=1)
+def surface_pairings(k: int, n: int, codim: int, parts: tuple[int, ...]) -> tuple[int, int]:
+    """(H^2 . S, c_2 . S) for a surface S of class sigma[parts] in Gr(k, n).
 
-
-def schubert_plane_center(k: int, n: int, codim: int, parts: tuple[int, ...]) -> SurfaceCenter:
-    """A plane in a Grassmannian section, cut out by a Schubert condition.
-
-    The intrinsic invariants are those of P^2 with its line polarization;
-    the two ambient pairings are computed from the Schubert class.
+    H is sigma_1 and c_2 that of the fourfold cut out by ``codim`` hyperplanes;
+    the class lives in the Grassmannian, so both are Schubert integrals there.
     """
     ctx = Grassmannian(k, n)
-    model = section_model(k, n, codim)
     cycle = sigma(ctx, *parts)
     if cycle.codim != ctx.dim - 2:
         raise ValueError(f"{parts} is not a surface class in Gr({k},{n})")
-    return SurfaceCenter(
-        hhc=(sigma(ctx, 1) ** 2 * cycle).integral(),
-        hkc=-3,
-        kc2=9,
-        euler=3,
-        c2xc=(model.chern.component(2) * cycle).integral(),
-    )
-
-
-def quintic_del_pezzo_center(profile: FourfoldProfile) -> SurfaceCenter:
-    """The anticanonically embedded quintic del Pezzo surface inside a fourfold.
-
-    c_2 of a complete intersection is a pure power of the hyperplane class,
-    so its pairing against the surface is (c2h2 / h4) times the degree.
-    """
-    if profile.c2h2 % profile.h4:
-        raise ValueError("c2 of this profile is not proportional to H^2")
-    hhc = 5
-    return SurfaceCenter(
-        hhc=hhc,
-        hkc=-5,
-        kc2=5,
-        euler=7,
-        c2xc=(profile.c2h2 // profile.h4) * hhc,
-    )
-
-
-@lru_cache(maxsize=None)
-def standard_models() -> dict:
-    """The six blowup models behind the built-in scenarios, keyed by name."""
-    p4 = ci_profile("P4")
-    w22 = ci_profile("W22", (2, 2))
-    w5 = section_profile("W5", 2, 5, 2)
-    v14 = section_profile("V14", 2, 6, 4)
-    return {
-        "p4-line": BlowupModel(p4, line_center()),
-        "w22-line": BlowupModel(w22, line_center()),
-        "w22-quintic": BlowupModel(w22, quintic_del_pezzo_center(w22)),
-        "w5-xi": BlowupModel(w5, schubert_plane_center(2, 5, 2, (2, 2))),
-        "w5-pi": BlowupModel(w5, schubert_plane_center(2, 5, 2, (3, 1))),
-        "v14-plane": BlowupModel(v14, schubert_plane_center(2, 6, 4, (4, 2))),
-    }
+    c2 = section_model(k, n, codim).chern.component(2)
+    return cycle.pieri(1).pieri(1).integral(), (c2 * cycle).integral()

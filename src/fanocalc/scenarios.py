@@ -205,7 +205,7 @@ scenario "w22-line-link" {
     "w5-xi-link": '''
 scenario "w5-xi-link" {
   profile W5 h4 5 index 3 ambient gr25 codim 2 chi 1 euler 6
-  center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5
+  center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5 sigma[2, 2]
   assert quartic(H - E, H - E, H - E, H - E) == 1 cite "(H* - E)^4 = 1" label "L4"
   assert quartic(H - E, H - E, H - E, E) == 1 cite "(H* - E)^3 . E = 1" label "L3E"
   assert quartic(H - E, H - E, H - E, H - 2*E) == 2 - 2 cite "(H* - E)^3 . R = 2 - k >= 0, hence k = 2" label "R-check"
@@ -214,7 +214,7 @@ scenario "w5-xi-link" {
     "w5-pi-link": '''
 scenario "w5-pi-link" {
   profile W5 h4 5 index 3 ambient gr25 codim 2 chi 1 euler 6
-  center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 4
+  center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 4 sigma[3, 1]
   assert quartic(H - E, H - E, H - E, H - E) == 0 cite "L^4 = (rho*H - E)^4 = 0" label "L4"
   assert quartic(H - E, H - E, H - E, E) == 2 cite "(rho*H - E)^3 . E = 2" label "L3E"
   assert chi(H - E) == 5 cite "dim |rho*H - E| = 4 on the blowup along Pi" label "chi"
@@ -240,7 +240,7 @@ scenario "gr26-v14-plane" {
     "v14-link": '''
 scenario "v14-link" {
   profile V14 h4 14 index 2 ambient gr26 codim 4 chi 1 euler 12
-  center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 2
+  center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 2 sigma[4, 2]
   assert quartic(H - E, H - E, H - E, H - E) == 5 cite "L^4 = (rho*H - E)^4 = 5" label "L4"
   assert chi(H - E) == 8 cite "dim |rho*H - E| = 7" label "chi"
   assert quartic(H - E, H - E, H - E, H - 2*E) == 0 cite "D ~ L* - E ~ H* - 2E is contracted (the printed -3E form is a typo, see notes)" label "contracted"

@@ -1,9 +1,9 @@
 import pytest
 
-from fanocalc.profiles import standard_models
+from builtin_models import builtin_models
 
 
 @pytest.fixture(scope="session")
 def models():
-    """The six standard blowup models keyed by short name."""
-    return standard_models()
+    """The six blowup models of the built-in link scenarios, keyed by short name."""
+    return builtin_models()

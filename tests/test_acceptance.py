@@ -16,20 +16,21 @@ from fanocalc.blowup import (
     euler_blowup,
     quartic_number,
 )
-from fanocalc.chern import section_degree, tangent_bundle, universal_bundles, unit_total
+from fanocalc.chern import TotalChernClass, section_degree, tangent_bundle, universal_bundles
 from fanocalc.cli import main
 from fanocalc.dsl import ParseError, parse
-from fanocalc.profiles import section_model, standard_models
+from fanocalc.profiles import section_model
 from fanocalc.scenarios import BUILTIN_SOURCES, builtin_scenarios, run
-from fanocalc.schubert import Grassmannian, dual_partition, sigma
+from fanocalc.schubert import Grassmannian, dual_partition, sigma, unit
 
+from builtin_models import builtin_models, normal_c2
 from lr_oracle import oracle_product
 
 import io
 
 GR25 = Grassmannian(2, 5)
 GR26 = Grassmannian(2, 6)
-MODELS = standard_models()
+MODELS = builtin_models()
 
 
 def test_criterion_1_schubert_chern_layer():
@@ -50,13 +51,14 @@ def test_criterion_1_schubert_chern_layer():
 
 
 def test_criterion_2_plane_geometry():
-    # normal bundles (c_1 on a line, c_2): c_1(N) = c_1(section) - c_1(P^2)
+    # normal bundles (c_1 on a line, c_2): c_1(N) = c_1(section) - c_1(P^2), and
+    # c_2(N) = E^4 + c_1(N)^2 on the blowup of the link scenario
     w5, v14 = section_model(2, 5, 2), section_model(2, 6, 4)
-    xi_xi = MODELS["w5-xi"].c2_normal()
-    pi_pi = MODELS["w5-pi"].c2_normal()
+    xi_xi = normal_c2(MODELS["w5-xi"])
+    pi_pi = normal_c2(MODELS["w5-pi"])
     assert (w5.index - 3, xi_xi) == (0, 2)
     assert (w5.index - 3, pi_pi) == (0, 1)
-    assert (v14.index - 3, MODELS["v14-plane"].c2_normal()) == (-1, 2)
+    assert (v14.index - 3, normal_c2(MODELS["v14-plane"])) == (-1, 2)
     # sigma_1^2 . [W5] = 2 sigma_{2,2} + 3 sigma_{3,1}, so h^2 = 2 Xi + 3 Pi on W5
     assert (sigma(GR25, 1) ** 4).terms == {(3, 1): 3, (2, 2): 2}
     # h^2 . Xi = 2 Xi^2 + 3 Pi.Xi and h^2 . Pi = 2 Xi.Pi + 3 Pi^2 both force Pi.Xi = -1
@@ -162,7 +164,7 @@ def test_criterion_8_property_suites():
     for k, n in ((2, 4), (2, 5), (2, 6), (3, 6)):
         ctx = Grassmannian(k, n)
         sub, quot = universal_bundles(ctx)
-        assert sub.total.dual() * quot.total == unit_total(ctx)
+        assert sub.total.dual() * quot.total == TotalChernClass(ctx, [unit(ctx)])
         assert tangent_bundle(ctx).total.component(ctx.dim).integral() == math.comb(n, k)
     # Serre duality chi(D) = chi(K - D) over every model, |a|, |b| <= 3
     for model in MODELS.values():

@@ -27,6 +27,7 @@ from fanocalc.blowup import (
 )
 from fanocalc.profiles import ci_profile, section_model
 from fanocalc.schubert import Grassmannian, sigma
+from builtin_models import normal_c2
 from toric_oracle import CODIMS, GRID, c1, c2_pairings, graded, h0, hilbert, intersect, monomials
 
 
@@ -59,7 +60,7 @@ def test_divisor_algebra():
 # monomial tables
 
 def test_curve_monomials():
-    profile = FourfoldProfile("X", 7, 2, 10, 1, 8)
+    profile = FourfoldProfile(7, 2, 10, 1, 8)
     model = BlowupModel(profile, CurveCenter(genus=3, hc=4))
     assert monomial_number(model, 4, 0) == 7
     assert monomial_number(model, 3, 1) == 0
@@ -69,7 +70,7 @@ def test_curve_monomials():
 
 
 def test_surface_monomials():
-    profile = FourfoldProfile("X", 7, 2, 10, 1, 8)
+    profile = FourfoldProfile(7, 2, 10, 1, 8)
     center = SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=20)
     model = BlowupModel(profile, center)
     assert monomial_number(model, 4, 0) == 7
@@ -136,7 +137,7 @@ def toric_model(models, center):
     if center == "line":
         return models["p4-line"]
     plane = SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=3, c2xc=10)  # c_2(P^4) = 10 H^2
-    return BlowupModel(ci_profile("P4"), plane)
+    return BlowupModel(ci_profile(), plane)
 
 
 @pytest.mark.parametrize("center", sorted(CODIMS))
@@ -169,6 +170,7 @@ def test_toric_oracle_graded_parts_give_the_monomial_and_c2_tables(models, cente
 # ---------------------------------------------------------------------------
 # c_2 of the blowup and its pairings
 
+
 def test_c2_symbols_for_curve_center(models):
     # (H^2, H.E, E^2) pairings of c_2: the pulled-back c_2 gives (10, 0, 0),
     # and the (2g - 2 - r hc) fibers of E meet only E^2, once each
@@ -182,13 +184,13 @@ def test_c2_symbols_for_surface_center(models):
     # pulled-back c_2, plus the center class, minus r = 3 times H.E
     model = models["w5-xi"]
     c2 = (22, 0, -5)
-    center = (1, 0, -model.c2_normal())
+    center = (1, 0, -normal_c2(model))
     he = tuple(quartic_number(model, H, E, a, b) for a, b in ((H, H), (H, E), (E, E)))
     assert c2_table(model) == tuple(x + y - 3 * z for x, y, z in zip(c2, center, he))
 
 
 def test_c2_normal_matches_the_chern_engine(models):
-    # the closed formula from the monomial table must agree with the Whitney
+    # c_2(N) from E^4 on the blowup must agree with the Whitney
     # identity c(N) c(P^2) = c(section)|_plane, paired in the ambient Grassmannian:
     # c_1(N) = (index - 3) l and c_2(N) = c_2(section) . plane - 3 c_1(N) . l - 3
     planes = {"w5-xi": (2, 5, 2, (2, 2)), "w5-pi": (2, 5, 2, (3, 1)), "v14-plane": (2, 6, 4, (4, 2))}
@@ -197,12 +199,7 @@ def test_c2_normal_matches_the_chern_engine(models):
         a = section.index - 3
         plane = sigma(Grassmannian(k, n), *parts)
         c2_on_plane = (section.chern.component(2) * plane).integral()
-        assert models[name].c2_normal() == c2_on_plane - 3 * a - 3, name
-
-
-def test_c2_normal_requires_a_surface(models):
-    with pytest.raises(ValueError):
-        models["p4-line"].c2_normal()
+        assert normal_c2(models[name]) == c2_on_plane - 3 * a - 3, name
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def test_serre_duality_and_integrality(models, name):
 
 def test_non_integral_bracket_is_rejected():
     # a fake profile whose curve data breaks the 24-divisibility of the bracket
-    profile = FourfoldProfile("bogus", 1, 1, 1, 1, 4)
+    profile = FourfoldProfile(1, 1, 1, 1, 4)
     model = BlowupModel(profile, CurveCenter(genus=0, hc=1))
     with pytest.raises(NonIntegralCharacteristicError):
         chi_riemann_roch(model, H)
@@ -261,7 +258,7 @@ def test_euler_blowup(models):
 
 
 def test_euler_blowup_with_positive_genus():
-    profile = FourfoldProfile("X", 7, 2, 10, 1, 8)
+    profile = FourfoldProfile(7, 2, 10, 1, 8)
     model = BlowupModel(profile, CurveCenter(genus=3, hc=4))
     assert euler_blowup(model) == 8 + 2 * (2 - 6)
 
@@ -289,9 +286,9 @@ def test_adjunction_genus():
 
 def test_profile_redundancy_check():
     with pytest.raises(ValueError):
-        FourfoldProfile("X", 0, 3, 22, 1, 6)
+        FourfoldProfile(0, 3, 22, 1, 6)
     with pytest.raises(ValueError):
-        FourfoldProfile("X", 5, 0, 22, 1, 6)
+        FourfoldProfile(5, 0, 22, 1, 6)
 
 
 def test_center_validation():

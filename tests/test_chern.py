@@ -16,11 +16,10 @@ from fanocalc.chern import (
     section_degree,
     tangent_bundle,
     tensor_chern,
-    unit_total,
     universal_bundles,
 )
 from fanocalc.profiles import section_profile
-from fanocalc.schubert import Grassmannian, sigma, unit
+from fanocalc.schubert import Grassmannian, sigma, unit, zero
 
 GR24 = Grassmannian(2, 4)
 GR25 = Grassmannian(2, 5)
@@ -41,7 +40,7 @@ def split_bundle(ctx, roots):
 def direct_tensor_total(ctx, xs, ys):
     """prod over all root pairs of (1 + (x + y) sigma_1), multiplied out."""
     s1 = sigma(ctx, 1)
-    total = unit_total(ctx)
+    total = TotalChernClass(ctx, [unit(ctx)])
     for x in xs:
         for y in ys:
             total = total * TotalChernClass(ctx, [unit(ctx), (x + y) * s1])
@@ -88,7 +87,7 @@ def test_tensor_degree_one_is_mixed_first_chern():
 def test_whitney_identity(ctx):
     sub, quot = universal_bundles(ctx)
     # sub is the dual of the tautological subbundle S, so c(S) = dual total
-    assert sub.total.dual() * quot.total == unit_total(ctx)
+    assert sub.total.dual() * quot.total == TotalChernClass(ctx, [unit(ctx)])
 
 
 @pytest.mark.parametrize(
@@ -191,11 +190,11 @@ def test_section_codim_bounds():
 
 
 def test_index_of_a_zero_first_chern_class_is_zero():
-    assert SectionModel(GR25, 0, unit_total(GR25, 1)).index == 0
+    assert SectionModel(GR25, 0, TotalChernClass(GR25, [unit(GR25), zero(GR25, 1)])).index == 0
 
 
 def test_sections_of_index_zero_or_below_are_not_fano():
     # c_1 of the codim-8 section of Gr(2,8) is 0 * sigma_1, of Gr(3,7) -1 * sigma_1
     for k, n in ((2, 8), (3, 7)):
         with pytest.raises(ValueError, match="^the Fano index must be positive$"):
-            section_profile("X", k, n, 8)
+            section_profile(k, n, 8)

@@ -171,6 +171,7 @@ _PRELUDE = (
     "}\r\n"
 )
 _OPEN = 'scenario "a" {\r\n'
+_SURFACE = "\tcenter surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5 "
 _DIGITS = sys.get_int_max_str_digits() + 1
 
 
@@ -217,6 +218,10 @@ _DIGITS = sys.get_int_max_str_digits() + 1
          (6, 17, f"integer literal has {_DIGITS} digits, more than the interpreter's limit"
                  f" of {_DIGITS - 1}")),
         ('scenario "ok" {}', (5, 1, "duplicate scenario name 'ok'")),
+        # a surface center's Schubert class
+        (_OPEN + _SURFACE + "sigma[2, }", (6, 60, "expected an integer, found '}'")),
+        (_OPEN + _SURFACE + "sigma[] }", (6, 57, "expected an integer, found ']'")),
+        (_OPEN + _SURFACE + "sigma 2 }", (6, 57, "expected '[', found '2'")),
     ],
 )
 def test_parse_error_positions(source, outcome):
@@ -618,6 +623,8 @@ _SETUPS = (
     "profile P4 h4 1 index 5 c2h2 10 chi 1 euler 5 center curve genus 0 hc 1",
     "profile W5 h4 5 index 3 c2h2 22 chi 1 euler 6"
     " center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5",
+    "profile W5 h4 5 index 3 ambient gr25 codim 2 chi 1 euler 6"
+    " center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5 sigma[2, 2]",
 )
 _ARITY = {"quartic": 4, "chi": 1, "degree": 1, "genus": 2, "solve": 3, "dim": 2}
 

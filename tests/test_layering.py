@@ -1,7 +1,10 @@
-"""Package layering, read from the sources: imports sit at module top, no cycles."""
+"""Package layering, read from the sources: imports at module top, no cycles, no test-only API."""
 
 import ast
+import re
 from pathlib import Path
+
+import fanocalc
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fanocalc"
 MODULES = {
@@ -98,3 +101,35 @@ def test_no_unused_private_names():
         and not any(name in mentions for j, (_, _, mentions) in enumerate(statements) if j != i)
     ]
     assert unused == []
+
+
+def test_no_public_name_only_tests_reach():
+    # A unit is a top-level statement, one method of a top-level class, or the
+    # rest of that class.  A public def, class or method must be named in the
+    # text of another unit, its code or its docs, or be exported in __all__.
+    units = []
+    for module, tree in MODULES.items():
+        lines = (PACKAGE / f"{module}.py").read_text(encoding="utf-8").splitlines()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                units.append((f"{module}.{stmt.name}", stmt.name, [stmt], lines))
+            elif isinstance(stmt, ast.ClassDef):
+                methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                units.extend((f"{module}.{stmt.name}.{m.name}", m.name, [m], lines) for m in methods)
+                rest = stmt.decorator_list + stmt.bases + [s for s in stmt.body if s not in methods]
+                units.append((f"{module}.{stmt.name}", stmt.name, rest, lines))
+            else:
+                units.append((None, None, [stmt], lines))
+    words = [
+        {w for node in nodes for line in lines[node.lineno - 1:node.end_lineno]
+         for w in re.findall(r"\w+", line)}
+        for _, _, nodes, lines in units
+    ]
+    exported = set(fanocalc.__all__)
+    unreached = [
+        qualified
+        for i, (qualified, name, _, _) in enumerate(units)
+        if name is not None and not name.startswith("_") and name not in exported
+        and not any(name in found for j, found in enumerate(words) if j != i)
+    ]
+    assert unreached == []

@@ -1,19 +1,11 @@
-"""Derived numerical profiles and the standard blowup models."""
+"""Derived numerical profiles and the built-in blowup models."""
 
 import pytest
 
 import hilbert_oracle
-from fanocalc.blowup import BlowupModel, CurveCenter, SurfaceCenter
+from fanocalc.blowup import CurveCenter, SurfaceCenter
 from fanocalc.dsl import _AMBIENTS, _CI_AMBIENTS
-from fanocalc.profiles import (
-    ci_profile,
-    line_center,
-    quintic_del_pezzo_center,
-    schubert_plane_center,
-    section_model,
-    section_profile,
-    standard_models,
-)
+from fanocalc.profiles import ci_profile, section_model, section_profile
 from fanocalc.schubert import grass_dim
 
 
@@ -22,27 +14,27 @@ def as_tuple(profile):
 
 
 def test_projective_space_profile():
-    assert as_tuple(ci_profile("P4")) == (1, 5, 10, 1, 5)
+    assert as_tuple(ci_profile()) == (1, 5, 10, 1, 5)
 
 
 def test_intersection_of_two_quadrics_profile():
-    assert as_tuple(ci_profile("W22", (2, 2))) == (4, 3, 20, 1, 12)
+    assert as_tuple(ci_profile((2, 2))) == (4, 3, 20, 1, 12)
 
 
 def test_cubic_fourfold_profile():
-    cubic = ci_profile("X3", (3,))
+    cubic = ci_profile((3,))
     assert (cubic.h4, cubic.index, cubic.chi, cubic.euler) == (3, 3, 1, 27)
 
 
 def test_grassmannian_section_profiles():
-    assert as_tuple(section_profile("W5", 2, 5, 2)) == (5, 3, 22, 1, 6)
-    assert as_tuple(section_profile("V14", 2, 6, 4)) == (14, 2, 38, 1, 12)
+    assert as_tuple(section_profile(2, 5, 2)) == (5, 3, 22, 1, 6)
+    assert as_tuple(section_profile(2, 6, 4)) == (14, 2, 38, 1, 12)
 
 
 def test_gr24_agrees_with_the_quadric_fourfold():
     # the Pluecker embedding realizes Gr(2,4) as the quadric in P^5
-    quadric = ci_profile("Q4", (2,))
-    gr24 = section_profile("Gr24", 2, 4, 0)
+    quadric = ci_profile((2,))
+    gr24 = section_profile(2, 4, 0)
     assert as_tuple(quadric) == as_tuple(gr24) == (2, 4, 14, 1, 6)
 
 
@@ -58,11 +50,11 @@ def oracle_fields(profile):
 def test_every_ambient_agrees_with_its_hilbert_polynomial(ambient):
     if ambient in _CI_AMBIENTS:
         degrees = _AMBIENTS[ambient]
-        derived, oracle = ci_profile(ambient, degrees), hilbert_oracle.ci_profile(degrees)
+        derived, oracle = ci_profile(degrees), hilbert_oracle.ci_profile(degrees)
     else:
         k, n = _AMBIENTS[ambient]
         codim = grass_dim(k, n) - 4
-        derived, oracle = section_profile(ambient, k, n, codim), hilbert_oracle.section_profile(k, n, codim)
+        derived, oracle = section_profile(k, n, codim), hilbert_oracle.section_profile(k, n, codim)
     assert oracle_fields(derived) == oracle
 
 
@@ -70,14 +62,14 @@ def test_every_ambient_agrees_with_its_hilbert_polynomial(ambient):
 def test_fourfold_sections_agree_with_their_hilbert_polynomials(k, n):
     # every fourfold linear section of a Grassmannian up to Gr(3, 7) with index >= 1
     codim = grass_dim(k, n) - 4
-    assert oracle_fields(section_profile("X", k, n, codim)) == hilbert_oracle.section_profile(k, n, codim)
+    assert oracle_fields(section_profile(k, n, codim)) == hilbert_oracle.section_profile(k, n, codim)
 
 
 @pytest.mark.parametrize(
     "degrees", [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)], ids=str
 )
 def test_complete_intersections_agree_with_their_hilbert_polynomials(degrees):
-    assert oracle_fields(ci_profile("X", degrees)) == hilbert_oracle.ci_profile(degrees)
+    assert oracle_fields(ci_profile(degrees)) == hilbert_oracle.ci_profile(degrees)
 
 
 def test_hilbert_oracle_self_check():
@@ -93,59 +85,44 @@ def test_hilbert_oracle_self_check():
 
 def test_ci_profile_validation():
     with pytest.raises(ValueError):
-        ci_profile("bad", (1,))
+        ci_profile((1,))
     with pytest.raises(ValueError):
-        ci_profile("non-fano", (4, 4))
+        ci_profile((4, 4))
 
 
 def test_section_profile_requires_fourfold_codim():
     with pytest.raises(ValueError):
-        section_profile("bad", 2, 5, 1)
+        section_profile(2, 5, 1)
     with pytest.raises(ValueError):
-        section_profile("bad", 2, 6, 2)
+        section_profile(2, 6, 2)
 
 
-def test_line_center():
-    assert line_center() == CurveCenter(genus=0, hc=1)
-
-
-def test_schubert_plane_centers():
-    xi = schubert_plane_center(2, 5, 2, (2, 2))
-    assert xi == SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=3, c2xc=5)
-    pi = schubert_plane_center(2, 5, 2, (3, 1))
-    assert pi == SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=3, c2xc=4)
-    plane = schubert_plane_center(2, 6, 4, (4, 2))
-    assert plane == SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=3, c2xc=2)
-    for center in (xi, pi, plane):
-        assert center.kc2 + center.euler == 12  # Noether for a rational surface
-    with pytest.raises(ValueError):
-        schubert_plane_center(2, 5, 2, (1,))
-
-
-def test_quintic_del_pezzo_center():
-    center = quintic_del_pezzo_center(ci_profile("W22", (2, 2)))
-    assert center == SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=25)
-    assert center.kc2 + center.euler == 12  # Noether for a rational surface
-    with pytest.raises(ValueError):
-        quintic_del_pezzo_center(section_profile("W5", 2, 5, 2))
-
-
-def test_standard_models():
-    models = standard_models()
-    assert sorted(models) == [
-        "p4-line",
-        "v14-plane",
-        "w22-line",
-        "w22-quintic",
-        "w5-pi",
-        "w5-xi",
-    ]
-    for model in models.values():
-        assert isinstance(model, BlowupModel)
-    assert models["p4-line"].base.name == "P4"
-    assert models["w5-xi"].center.c2xc == 5
-    assert models["w5-pi"].center.c2xc == 4
+def test_builtin_models(models):
+    # the built-in links' profile and center statements, as their scenarios resolve them
+    p4, w22 = ci_profile(), ci_profile((2, 2))
+    w5, v14 = section_profile(2, 5, 2), section_profile(2, 6, 4)
+    bases = {"p4-line": p4, "w22-line": w22, "w22-quintic": w22, "w5-xi": w5, "w5-pi": w5,
+             "v14-plane": v14}
+    assert {name: model.base for name, model in models.items()} == bases
     assert models["v14-plane"].base.h4 == 14
+
+
+def test_line_center(models):
+    assert models["p4-line"].center == models["w22-line"].center == CurveCenter(genus=0, hc=1)
+
+
+def test_builtin_surface_centers(models):
+    # hhc and c2xc are cross-checked against the engine when a scenario resolves its model
+    plane = dict(hhc=1, hkc=-3, kc2=9, euler=3)
+    centers = {name: models[name].center for name in ("w5-xi", "w5-pi", "v14-plane", "w22-quintic")}
+    assert centers == {
+        "w5-xi": SurfaceCenter(**plane, c2xc=5),
+        "w5-pi": SurfaceCenter(**plane, c2xc=4),
+        "v14-plane": SurfaceCenter(**plane, c2xc=2),
+        "w22-quintic": SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=25),
+    }
+    for center in centers.values():
+        assert center.kc2 + center.euler == 12  # Noether for a rational surface
 
 
 def test_section_model_shape():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fanocalc import dsl
+from fanocalc import dsl, profiles
 from fanocalc.scenarios import (
     BUILTIN_NOTES,
     BUILTIN_SOURCES,
@@ -105,18 +105,57 @@ def test_setup_errors_become_failed_assertions():
     assert row["actual"].startswith("error: ")
 
 
-def test_profile_literal_cross_check_failure():
+_W5 = "profile W5 h4 5 index 3 ambient gr25 codim 2 chi 1 euler 6"
+_PLANE = "center surface hhc 1 hkc -3 kc2 9 euler 3"
+_MISMATCH = "ValueError: center literals (hhc, c2xc) = {} disagree with the derived values {}"
+_NEEDS_GRASSMANNIAN = "ValueError: a surface class needs a profile with a Grassmannian ambient"
+
+
+@pytest.mark.parametrize(
+    "setup, error, derived",
+    [
+        ("profile W5 h4 6 index 3 ambient gr25 codim 2 chi 1 euler 6 center curve genus 0 hc 1",
+         "ValueError: profile literals (h4, index, chi, euler) = (6, 3, 1, 6)"
+         " disagree with the derived values (5, 3, 1, 6)",
+         ["section_profile"]),
+        (f"{_W5} {_PLANE} c2xc 7 sigma[2, 2]", _MISMATCH.format((1, 7), (1, 5)),
+         ["section_profile", "surface_pairings"]),
+        (f"{_W5} center surface hhc 2 hkc -3 kc2 9 euler 3 c2xc 5 sigma[2, 2]",
+         _MISMATCH.format((2, 5), (1, 5)), ["section_profile", "surface_pairings"]),
+        ("profile W22 h4 4 index 3 ambient w22 codim 0 chi 1 euler 12"
+         " center surface hhc 5 hkc -5 kc2 5 euler 7 c2xc 24",
+         _MISMATCH.format((5, 24), (5, 25)), ["ci_profile"]),
+        (f"{_W5} {_PLANE} c2xc 5 sigma[1]", "ValueError: (1,) is not a surface class in Gr(2,5)",
+         ["section_profile", "surface_pairings"]),
+        (f"profile V14 h4 14 index 2 ambient gr26 codim 4 chi 1 euler 12 {_PLANE} c2xc 2",
+         "ValueError: a surface center in ambient 'gr26' needs its Schubert class",
+         ["section_profile"]),
+        (f"profile W5 h4 5 index 3 c2h2 22 chi 1 euler 6 {_PLANE} c2xc 5 sigma[2, 2]",
+         _NEEDS_GRASSMANNIAN, []),
+        (f"profile P4 h4 1 index 5 ambient p4 codim 0 chi 1 euler 5 {_PLANE} c2xc 10 sigma[2]",
+         _NEEDS_GRASSMANNIAN, ["ci_profile"]),
+    ],
+    ids=["h4", "c2xc", "hhc", "quintic-c2xc", "not-a-surface", "no-class", "class-c2h2",
+         "class-p4"],
+)
+def test_profile_literal_cross_check_failure(monkeypatch, setup, error, derived):
+    # a stated number that disagrees with the engine fails every row alike, derived once
+    calls = []
+    for name in ("ci_profile", "section_profile", "surface_pairings"):
+        original = getattr(profiles, name)
+        monkeypatch.setattr(profiles, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
     source = (
-        'scenario "liar" {\n'
-        "  profile W5 h4 6 index 3 ambient gr25 codim 2 chi 1 euler 6\n"
-        "  center curve genus 0 hc 1\n"
-        '  assert quartic(H, H, H, H) == 6 cite "wrong h4 literal"\n'
+        f'scenario "liar" {{\n  {setup}\n'
+        '  assert quartic(H, H, H, H) == 5 cite "h4"\n'
+        '  assert chi(H) == 0 cite "chi"\n'
+        '  assert euler() == 6 cite "euler"\n'
         "}\n"
     )
     report = run(dsl.parse(source).build())
-    assert report.failed == 1
-    row = report.to_dict()["scenarios"][0]["assertions"][0]
-    assert "disagree" in row["actual"]
+    rows = report.to_dict()["scenarios"][0]["assertions"]
+    assert report.failed == len(rows) == 3
+    assert {row["actual"] for row in rows} == {f"error: {error}"}
+    assert calls == derived
 
 
 def test_not_equal_comparison():
