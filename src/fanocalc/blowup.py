@@ -66,7 +66,8 @@ class SurfaceCenter:
     hhc = H^2 . S, hkc = H . K_S, kc2 = K_S^2, euler = topological Euler
     number of S, c2xc = c_2 of the ambient fourfold paired with S.  Nothing
     here checks Noether's K^2 + Eu = 12; for the built-in rational centers,
-    tests/test_profiles.py::test_builtin_surface_centers does.
+    tests/test_profiles.py::test_schubert_plane_centers and
+    test_quintic_del_pezzo_center do.
     """
 
     hhc: int

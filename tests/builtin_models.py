@@ -15,16 +15,18 @@ SOURCES = {
 }
 
 
+def scenario_model(source: str):
+    """The model of a one-scenario document, as the scenario resolves it."""
+    (node,) = dsl.parse(source).scenarios
+    setup = dsl._Setup()
+    for stmt in node.statements:
+        setup.add(stmt)
+    return setup.model()
+
+
 def builtin_models() -> dict:
     """Each model as the scenario resolves it, center cross-checks included."""
-    models = {}
-    for key, name in SOURCES.items():
-        (node,) = dsl.parse(BUILTIN_SOURCES[name]).scenarios
-        setup = dsl._Setup()
-        for stmt in node.statements:
-            setup.add(stmt)
-        models[key] = setup.model()
-    return models
+    return {key: scenario_model(BUILTIN_SOURCES[name]) for key, name in SOURCES.items()}
 
 
 def normal_c2(model) -> int:

@@ -3,6 +3,7 @@
 import pytest
 
 import hilbert_oracle
+from builtin_models import scenario_model
 from fanocalc.blowup import CurveCenter, SurfaceCenter
 from fanocalc.dsl import _AMBIENTS, _CI_AMBIENTS
 from fanocalc.profiles import ci_profile, section_model, section_profile
@@ -111,18 +112,37 @@ def test_line_center(models):
     assert models["p4-line"].center == models["w22-line"].center == CurveCenter(genus=0, hc=1)
 
 
-def test_builtin_surface_centers(models):
+_PLANE = dict(hhc=1, hkc=-3, kc2=9, euler=3)
+
+
+def test_schubert_plane_centers(models):
     # hhc and c2xc are cross-checked against the engine when a scenario resolves its model
-    plane = dict(hhc=1, hkc=-3, kc2=9, euler=3)
-    centers = {name: models[name].center for name in ("w5-xi", "w5-pi", "v14-plane", "w22-quintic")}
-    assert centers == {
-        "w5-xi": SurfaceCenter(**plane, c2xc=5),
-        "w5-pi": SurfaceCenter(**plane, c2xc=4),
-        "v14-plane": SurfaceCenter(**plane, c2xc=2),
-        "w22-quintic": SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=25),
-    }
-    for center in centers.values():
+    xi, pi, plane = (models[name].center for name in ("w5-xi", "w5-pi", "v14-plane"))
+    assert xi == SurfaceCenter(**_PLANE, c2xc=5)
+    assert pi == SurfaceCenter(**_PLANE, c2xc=4)
+    assert plane == SurfaceCenter(**_PLANE, c2xc=2)
+    for center in (xi, pi, plane):
         assert center.kc2 + center.euler == 12  # Noether for a rational surface
+    with pytest.raises(ValueError, match="not a surface class"):
+        scenario_model(_W5_PLANE.format("sigma[1]"))
+
+
+def test_quintic_del_pezzo_center(models):
+    center = models["w22-quintic"].center
+    assert center == SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=25)
+    assert center.kc2 + center.euler == 12  # Noether for a rational surface
+    with pytest.raises(ValueError, match="disagree with the derived values"):
+        scenario_model(_W22_QUINTIC.format(24))
+
+
+_W5_PLANE = (
+    'scenario "plane" {{ profile W5 h4 5 index 3 ambient gr25 codim 2 chi 1 euler 6'
+    " center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5 {} }}"
+)
+_W22_QUINTIC = (
+    'scenario "quintic" {{ profile W22 h4 4 index 3 ambient w22 codim 0 chi 1 euler 12'
+    " center surface hhc 5 hkc -5 kc2 5 euler 7 c2xc {} }}"
+)
 
 
 def test_section_model_shape():
