@@ -53,11 +53,6 @@ class TotalChernClass:
             return self.components[i]
         return zero(self.context, max(i, 0))
 
-    def dual(self) -> "TotalChernClass":
-        """Total class of the dual bundle: c_i |-> (-1)^i c_i."""
-        comps = [c if i % 2 == 0 else -c for i, c in enumerate(self.components)]
-        return TotalChernClass(self.context, comps)
-
     def __mul__(self, other):
         if not isinstance(other, TotalChernClass):
             return NotImplemented
@@ -102,9 +97,9 @@ class BundleModel:
 def universal_bundles(ctx: Grassmannian) -> tuple[BundleModel, BundleModel]:
     """The dual tautological subbundle and the quotient bundle.
 
-    The subbundle dual has c_i = sigma_{1^i} (i <= k), the quotient has
-    c_r = sigma_r (r <= n-k); their duals satisfy the Whitney relation
-    c(sub.dual) * c(quot) = 1.
+    The dual S* of the tautological subbundle S has c_i = sigma_{1^i}
+    (i <= k), the quotient Q has c_r = sigma_r (r <= n-k).  S itself has
+    c_i(S) = (-1)^i c_i(S*), and the Whitney relation reads c(S) * c(Q) = 1.
     """
     sub = TotalChernClass(ctx, [sigma(ctx, *([1] * i)) for i in range(ctx.k + 1)])
     quot = TotalChernClass(ctx, [sigma(ctx, r) for r in range(ctx.width + 1)])

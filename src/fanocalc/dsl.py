@@ -48,11 +48,13 @@ hhc = sigma[1]^2 . class, c2xc = c_2 . class; in p4 or w22, c_2 is
 (c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
 ``c2h2`` profile takes the center as stated, with no class.
 
-Equal setup-free subexpressions of a document (integers, H, E and the
-operators over them, but no call and no sigma[...]) are one node of its
-tree.  A call argument or parenthesised expression whose text, up to the
-next ',' or ')', holds none of '(', '[', '"' and '#' is such a subtree, and
-the parser reads each distinct such text once per document; a later copy
+The leaves of an expression tree are values: an integer literal is its
+int, and H and E are the engine's divisors blowup.H and blowup.E.  Equal
+setup-free subexpressions of a document (integers, H, E and the operators
+over them, but no call and no sigma[...]) are one node of its tree.  A
+call argument or parenthesised expression whose text, up to the next ','
+or ')', holds none of '(', '[', '"' and '#' is such a subtree, and the
+parser reads each distinct such text once per document; a later copy
 takes the first one's node.  ``build`` compiles each expression once into
 values and closures, and folds each such node once for the whole document;
 every evaluation error still fails only its own assertion, when the report
@@ -174,19 +176,11 @@ def _lex_error(source: str, newlines: list, offset: int):
 
 
 # ---------------------------------------------------------------------------
-# syntax tree (slotted, not frozen: a pass builds one node per few tokens,
-# and a frozen node costs twice as much to build; nothing mutates them, so
-# a document holds each setup-free subtree once, however often it occurs)
-
-@dataclass(slots=True)
-class IntLit:
-    value: int
-
-
-@dataclass(slots=True)
-class DivisorAtom:
-    name: str  # "H" or "E"
-
+# syntax tree.  A leaf is its value: an int, blowup.H or blowup.E.  The
+# other nodes are slotted, not frozen: a pass builds one node per few
+# tokens, and a frozen node costs twice as much to build; nothing mutates
+# them, so a document holds each setup-free subtree once, however often it
+# occurs.
 
 @dataclass(slots=True)
 class SigmaAtom:
@@ -280,7 +274,7 @@ class Document:
 _CENTERS = {"curve": CurveCenter, "surface": SurfaceCenter}
 
 # The two divisor leaves, shared by every tree.
-_DIVISOR_ATOMS = {"H": DivisorAtom("H"), "E": DivisorAtom("E")}
+_DIVISOR_ATOMS = {"H": blowup.H, "E": blowup.E}
 
 
 class _Parser:
@@ -298,8 +292,8 @@ class _Parser:
         self.end = _LEADING.match(source).end()
         self.advance()
         self.depth = 0
-        # INT text -> its IntLit, and (operator, id(operand), ...) -> its Neg
-        # or BinOp, so equal literals, and operators over the same nodes, are
+        # INT text -> its int, and (operator, id(operand), ...) -> its Neg or
+        # BinOp, so equal literals, and operators over the same nodes, are
         # one node of the document.  No call and no sigma[...] is shared, so
         # only setup-free subtrees repeat; the table keeps each id in use.
         self.shared = {}
@@ -474,7 +468,9 @@ class _Parser:
         kind, value, start = self.kind, self.value, self.start
         if kind == "INT":
             self.advance()
-            node = self.shared.get(value) or self.share(value, IntLit(self.int_value(value, start)))
+            node = self.shared.get(value)
+            if node is None:  # not ``or``: the literal 0 is falsy
+                node = self.share(value, self.int_value(value, start))
             height = 1
         elif kind == "IDENT":
             self.advance()
@@ -606,10 +602,8 @@ def _quote(s: str) -> str:
 
 
 def _print_expr(node, min_prec: int = 0) -> str:
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, DivisorAtom):
-        return node.name
+    if isinstance(node, (int, Divisor)):
+        return repr(node)  # an integer, or H or E, whose repr is its name
     if isinstance(node, SigmaAtom):
         return "sigma[" + ", ".join(str(p) for p in node.parts) + "]"
     if isinstance(node, Call):
@@ -962,8 +956,8 @@ def _compile_binop(node: BinOp, setup: _Setup, folded: dict):
 
 
 _COMPILERS = {
-    IntLit: lambda node, setup, folded: node.value,
-    DivisorAtom: lambda node, setup, folded: blowup.H if node.name == "H" else blowup.E,
+    int: lambda node, setup, folded: node,
+    Divisor: lambda node, setup, folded: node,
     SigmaAtom: _compile_sigma,
     Call: _compile_call,
     Neg: _compile_neg,

@@ -44,14 +44,17 @@ class ScenarioResult:
 
 
 def _render(value):
-    """JSON-safe, deterministic rendering of an assertion value."""
-    if isinstance(value, bool) or isinstance(value, int):
+    """JSON-safe, deterministic rendering of an assertion value.
+
+    Every value is an int, a Fraction, a Divisor or a SchubertCycle (see
+    ``dsl._NUMBER``); an integral Fraction renders as its int."""
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{value.numerator}/{value.denominator}"
+        value = int(value)
+    if isinstance(value, int):
         str(value)  # raises here, not in the report, past the int-string limit
         return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
     return str(value)
 
 

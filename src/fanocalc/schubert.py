@@ -97,30 +97,8 @@ class Grassmannian:
     def contains(self, parts: tuple[int, ...]) -> bool:
         return len(parts) <= self.k and (not parts or parts[0] <= self.width)
 
-    def basis(self, codim: int | None = None) -> list[tuple[int, ...]]:
-        """All box partitions, optionally restricted to one codimension."""
-        every = _box_partitions(self.k, self.width)
-        if codim is None:
-            return sorted(every)
-        return sorted(p for p in every if sum(p) == codim)
-
     def __repr__(self):
         return f"Gr({self.k},{self.n})"
-
-
-@lru_cache(maxsize=None)
-def _box_partitions(k: int, width: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-
-    def rec(prefix, maxpart):
-        out.append(tuple(prefix))
-        if len(prefix) == k:
-            return
-        for p in range(1, maxpart + 1):
-            rec(prefix + [p], p)
-
-    rec([], width)
-    return tuple(out)
 
 
 class SchubertCycle:

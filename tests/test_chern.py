@@ -86,8 +86,9 @@ def test_tensor_degree_one_is_mixed_first_chern():
 @pytest.mark.parametrize("ctx", [GR24, GR25, GR26, GR36], ids=repr)
 def test_whitney_identity(ctx):
     sub, quot = universal_bundles(ctx)
-    # sub is the dual of the tautological subbundle S, so c(S) = dual total
-    assert sub.total.dual() * quot.total == TotalChernClass(ctx, [unit(ctx)])
+    # sub is the dual of the tautological subbundle S, so c_i(S) = (-1)^i c_i(sub)
+    c_s = TotalChernClass(ctx, [-c if i % 2 else c for i, c in enumerate(sub.total.components)])
+    assert c_s * quot.total == TotalChernClass(ctx, [unit(ctx)])
 
 
 @pytest.mark.parametrize(
@@ -108,11 +109,6 @@ def test_tangent_chern_classes_of_gr25():
     assert total.component(4).terms == {(3, 1): 35, (2, 2): 25}
     assert total.component(5).terms == {(3, 2): 30}
     assert total.component(6).terms == {(3, 3): 10}
-
-
-def test_dual_is_an_involution():
-    sub, _ = universal_bundles(GR26)
-    assert sub.total.dual().dual() == sub.total
 
 
 def test_bundle_rank_constrains_total_class():

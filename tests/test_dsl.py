@@ -644,6 +644,7 @@ _EXPRESSIONS = st.recursive(
 
 @settings(max_examples=150, deadline=5000)
 @example(_SETUPS[0], [("3^3^3^3", "==", "0"), ("(sigma[1]^0)^(3^3^3)", "!=", "2^(2^40)")])
+@example(_SETUPS[0], [("solve(1, 0, 2^20000)", "==", "0")])
 @given(
     st.sampled_from(_SETUPS),
     st.lists(st.tuples(_EXPRESSIONS, st.sampled_from(["==", "!="]), _EXPRESSIONS),

@@ -1,7 +1,6 @@
 """Package layering, read from the sources: imports at module top, no cycles, no test-only API."""
 
 import ast
-import re
 from pathlib import Path
 
 import fanocalc
@@ -72,6 +71,20 @@ def test_internal_import_graph_is_acyclic():
     assert remaining == {}
 
 
+def mentions(nodes):
+    """The names the code of ``nodes`` uses: names, attributes and imported names, not words in docs."""
+    found = set()
+    for node in nodes:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                found.add(child.attr)
+            elif isinstance(child, ast.alias):
+                found.update(child.name.split("."))
+    return found
+
+
 def test_no_unused_private_names():
     # each top-level statement of each module, with the names it defines and mentions
     statements = []
@@ -84,52 +97,40 @@ def test_no_unused_private_names():
                 defines = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 defines = []
-            mentions = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    mentions.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    mentions.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    mentions.add(node.name)
-            statements.append((module, defines, mentions))
+            statements.append((module, defines, mentions([stmt])))
     unused = [
         f"{module}.{name}"
         for i, (module, defines, _) in enumerate(statements)
         for name in defines
         if name.startswith("_") and not name.startswith("__")
-        and not any(name in mentions for j, (_, _, mentions) in enumerate(statements) if j != i)
+        and not any(name in found for j, (_, _, found) in enumerate(statements) if j != i)
     ]
     assert unused == []
 
 
 def test_no_public_name_only_tests_reach():
     # A unit is a top-level statement, one method of a top-level class, or the
-    # rest of that class.  A public def, class or method must be named in the
-    # text of another unit, its code or its docs, or be exported in __all__.
+    # rest of that class.  A public def, class or method must be used by the
+    # code of another unit, or be exported in __all__; a mention in a
+    # docstring or a comment does not count.
     units = []
     for module, tree in MODULES.items():
-        lines = (PACKAGE / f"{module}.py").read_text(encoding="utf-8").splitlines()
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                units.append((f"{module}.{stmt.name}", stmt.name, [stmt], lines))
+                units.append((f"{module}.{stmt.name}", stmt.name, [stmt]))
             elif isinstance(stmt, ast.ClassDef):
                 methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
-                units.extend((f"{module}.{stmt.name}.{m.name}", m.name, [m], lines) for m in methods)
+                units.extend((f"{module}.{stmt.name}.{m.name}", m.name, [m]) for m in methods)
                 rest = stmt.decorator_list + stmt.bases + [s for s in stmt.body if s not in methods]
-                units.append((f"{module}.{stmt.name}", stmt.name, rest, lines))
+                units.append((f"{module}.{stmt.name}", stmt.name, rest))
             else:
-                units.append((None, None, [stmt], lines))
-    words = [
-        {w for node in nodes for line in lines[node.lineno - 1:node.end_lineno]
-         for w in re.findall(r"\w+", line)}
-        for _, _, nodes, lines in units
-    ]
+                units.append((None, None, [stmt]))
+    used = [mentions(nodes) for _, _, nodes in units]
     exported = set(fanocalc.__all__)
     unreached = [
         qualified
-        for i, (qualified, name, _, _) in enumerate(units)
+        for i, (qualified, name, _) in enumerate(units)
         if name is not None and not name.startswith("_") and name not in exported
-        and not any(name in found for j, found in enumerate(words) if j != i)
+        and not any(name in found for j, found in enumerate(used) if j != i)
     ]
     assert unreached == []
