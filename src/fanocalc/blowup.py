@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 
@@ -141,6 +142,11 @@ class BlowupModel:
     def c1(self) -> Divisor:
         return -self.canonical
 
+    @cached_property
+    def monomials(self) -> tuple:
+        """H^(4-j) . E^j for j = 0..4, computed once per model."""
+        return tuple(monomial_number(self, 4 - j, j) for j in range(5))
+
 
 def monomial_number(model: BlowupModel, h_power: int, e_power: int) -> int:
     """The intersection number H^h_power . E^e_power on the blowup."""
@@ -165,14 +171,18 @@ def monomial_number(model: BlowupModel, h_power: int, e_power: int) -> int:
 
 
 def quartic_number(model: BlowupModel, d1: Divisor, d2: Divisor, d3: Divisor, d4: Divisor) -> int:
-    """D1 . D2 . D3 . D4: the coefficient of t^j in the product of the
-    (h + e t) pairs with H^(4-j) E^j."""
-    coeffs = [1, 0, 0, 0, 0]
-    for d in (d1, d2, d3, d4):
-        for j in range(4, 0, -1):
-            coeffs[j] = d.h * coeffs[j] + d.e * coeffs[j - 1]
-        coeffs[0] *= d.h
-    return sum(c * monomial_number(model, 4 - j, j) for j, c in enumerate(coeffs) if c)
+    """D1 . D2 . D3 . D4, read off the model's monomial table.
+
+    The coefficient a_j of t^j in the product of the four (h + e t) factors
+    pairs with H^(4-j) E^j = model.monomials[j].  The factors are multiplied
+    in one at a time, each by a five-term recurrence a_j <- h a_j + e a_(j-1).
+    """
+    m0, m1, m2, m3, m4 = model.monomials
+    a4, a3, a2, a1, a0 = 0, 0, 0, d1.e, d1.h
+    for d in (d2, d3, d4):
+        h, e = d.h, d.e
+        a4, a3, a2, a1, a0 = h * a4 + e * a3, h * a3 + e * a2, h * a2 + e * a1, h * a1 + e * a0, h * a0
+    return a0 * m0 + a1 * m1 + a2 * m2 + a3 * m3 + a4 * m4
 
 
 def c2_table(model: BlowupModel) -> tuple:

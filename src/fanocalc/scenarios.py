@@ -12,9 +12,9 @@ silently corrected; see the sanity and v14 scenarios.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import dsl
@@ -72,8 +72,31 @@ def _evaluate(thunk: Callable[[], object]):
         return _failure(exc)
 
 
+def _json_list(items: list, indent: str) -> str:
+    """A JSON array of already rendered items, closed at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _json_scalar(value) -> str:
+    """A str or an int (a name, a cite, a label or a rendered value) as JSON."""
+    return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
+
+
 @dataclass(frozen=True)
 class Report:
+    """The results of a run, as text or as JSON.
+
+    ``to_json`` writes the fixed schema directly, byte for byte what
+    ``json.dumps(..., indent=2, sort_keys=True)`` gives for it: an object
+    with ``failed``, ``scenarios`` and ``total``; each scenario with
+    ``assertions``, ``name`` and ``pass``; each assertion with ``actual``,
+    ``cite``, ``expected``, ``label`` and ``pass``.  Strings go through the
+    C string escaper of :mod:`json`, so non-ASCII text is written as
+    ``\\uXXXX`` escapes.
+    """
+
     scenarios: tuple
 
     @property
@@ -88,31 +111,28 @@ class Report:
     def passed(self) -> bool:
         return self.failed == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "scenarios": [
-                {
-                    "name": s.name,
-                    "assertions": [
-                        {
-                            "label": r.label,
-                            "expected": r.expected,
-                            "actual": r.actual,
-                            "pass": r.passed,
-                            "cite": r.cite,
-                        }
-                        for r in s.results
-                    ],
-                    "pass": s.passed,
-                }
-                for s in self.scenarios
-            ],
-            "total": self.total,
-            "failed": self.failed,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        flag = ("false", "true")
+        blocks = []
+        for s in self.scenarios:
+            rows = [
+                f'        {{\n          "actual": {_json_scalar(r.actual)},'
+                f'\n          "cite": {_json_scalar(r.cite)},'
+                f'\n          "expected": {_json_scalar(r.expected)},'
+                f'\n          "label": {_json_scalar(r.label)},'
+                f'\n          "pass": {flag[r.passed]}\n        }}'
+                for r in s.results
+            ]
+            blocks.append(
+                f'    {{\n      "assertions": {_json_list(rows, "      ")},'
+                f'\n      "name": {_json_scalar(s.name)},'
+                f'\n      "pass": {flag[s.passed]}\n    }}'
+            )
+        return (
+            f'{{\n  "failed": {self.failed},'
+            f'\n  "scenarios": {_json_list(blocks, "  ")},'
+            f'\n  "total": {self.total}\n}}\n'
+        )
 
     def to_text(self, verbose: bool = False) -> str:
         lines = []

@@ -202,10 +202,10 @@ def test_criterion_9_tooling():
         except ParseError:
             pass
     # emit -> parse -> run reproduces the built-in results exactly
-    full = {s["name"]: s for s in run(builtin_scenarios()).to_dict()["scenarios"]}
+    full = {s["name"]: s for s in json.loads(run(builtin_scenarios()).to_json())["scenarios"]}
     for name in BUILTIN_SOURCES:
         emitted = io.StringIO()
         assert main(["emit", name], out=emitted, err=emitted) == 0
-        again = run(parse(emitted.getvalue()).build()).to_dict()["scenarios"]
+        again = json.loads(run(parse(emitted.getvalue()).build()).to_json())["scenarios"]
         assert again == [full[name]]
     print("PASS criterion 9: exit codes, deterministic JSON, fuzz totality, round trip")

@@ -2,10 +2,10 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanocalc.blowup import (
@@ -103,6 +103,77 @@ def test_quartic_is_symmetric_and_multilinear(models, a, b, c, d, e):
         model, a, b, c, d
     ) + quartic_number(model, e, b, c, d)
     assert quartic_number(model, 2 * a, b, c, d) == 2 * quartic_number(model, a, b, c, d)
+
+
+def reference_quartic(model, *divisors):
+    """D1 . D2 . D3 . D4 term by term: the (h + e t) coefficient list against monomial_number."""
+    coeffs = [1, 0, 0, 0, 0]
+    for d in divisors:
+        for j in range(4, 0, -1):
+            coeffs[j] = d.h * coeffs[j] + d.e * coeffs[j - 1]
+        coeffs[0] *= d.h
+    return sum(c * monomial_number(model, 4 - j, j) for j, c in enumerate(coeffs))
+
+
+def reference_bracket(model, d):
+    """24 (chi(O(D)) - chi(O)): the Riemann-Roch bracket M^2 + M . c_2 with M = D (D + c_1)."""
+    m = d + model.c1
+    hh, he, ee = c2_table(model)
+    mc2 = d.h * m.h * hh + (d.h * m.e + d.e * m.h) * he + d.e * m.e * ee
+    return reference_quartic(model, d, m, d, m) + mc2
+
+
+def assert_matches_reference(model, divisors):
+    assert model.monomials == tuple(monomial_number(model, 4 - j, j) for j in range(5))
+    for quadruple in combinations_with_replacement(divisors, 4):
+        assert quartic_number(model, *quadruple) == reference_quartic(model, *quadruple), quadruple
+    for d in divisors:
+        bracket = reference_bracket(model, d)
+        if bracket % 24:
+            with pytest.raises(NonIntegralCharacteristicError):
+                chi_riemann_roch(model, d)
+        else:
+            assert chi_riemann_roch(model, d) == bracket // 24 + model.base.chi, d
+
+
+@pytest.mark.parametrize("name", ["p4-line", "w22-line", "w22-quintic", "w5-xi", "w5-pi", "v14-plane"])
+def test_quartic_and_chi_match_the_term_by_term_formula(models, name):
+    divisors = [H, E, H - E, 2 * H - 3 * E, Divisor(-50, 50), Divisor(2**200, -7)]
+    assert_matches_reference(models[name], divisors)
+
+
+_PROFILES = st.builds(
+    FourfoldProfile,
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+)
+_CENTERS = st.one_of(
+    st.builds(CurveCenter, st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=50)),
+    st.builds(
+        SurfaceCenter,
+        st.integers(min_value=1, max_value=50),
+        *[st.integers(min_value=-50, max_value=50)] * 4,
+    ),
+)
+_WIDE_DIVISORS = st.builds(
+    Divisor,
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    profile=FourfoldProfile(4, 3, 20, 1, 12),
+    center=CurveCenter(genus=0, hc=1),
+    divisors=[Divisor(2**200, -1), Divisor(3, 2**200), H - E],
+)
+@given(profile=_PROFILES, center=_CENTERS, divisors=st.lists(_WIDE_DIVISORS, min_size=1, max_size=3))
+def test_quartic_and_chi_match_the_term_by_term_formula_on_drawn_models(profile, center, divisors):
+    assert_matches_reference(BlowupModel(profile, center), divisors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario-language parser: grammar, positions, totality, round-trips."""
 
 import itertools
+import json
 import re
 import sys
 import traceback
@@ -359,7 +360,7 @@ def test_expression_runtime_errors_are_deferred():
         source = f'scenario "err" {{ {prelude} assert {expr} == 0 cite "boom" }}'
         report = run(parse(source).build())
         assert report.failed == 1, expr
-        row = report.to_dict()["scenarios"][0]["assertions"][0]
+        row = json.loads(report.to_json())["scenarios"][0]["assertions"][0]
         assert row["actual"] == f"error: {error}", expr
 
 
@@ -382,7 +383,7 @@ def test_power_is_bounded_by_the_bits_of_its_result():
     ]
     body = "".join(f'  assert {expr} == {value} cite "x"\n' for expr, value, _ in rows)
     report = run_source(f'scenario "p" {{\n  grassmannian 2 5\n{body}}}\n')
-    results = report.to_dict()["scenarios"][0]["assertions"]
+    results = json.loads(report.to_json())["scenarios"][0]["assertions"]
     for (expr, _, error), result in zip(rows, results):
         if error is None:
             assert result["pass"], expr
@@ -402,11 +403,16 @@ def test_engine_is_called_through_its_module(monkeypatch):
 
         monkeypatch.setattr(blowup, name, counting)
     setup = "profile P h4 4 index 3 c2h2 20 chi 1 euler 12 center curve genus 0 hc 1"
-    rows = (("quartic(H, H, H, H) == 4", "quartic_number"), ("chi(H) == 7", "chi_riemann_roch"))
+    # chi() reaches quartic_number through the module too, so a trace counts its quartic
+    rows = (
+        ("quartic(H, H, H, H) == 4", ("quartic_number",)),
+        ("chi(H) == 7", ("chi_riemann_roch", "quartic_number")),
+    )
     for row, traced in rows:
         calls.clear()
         assert run_source(f'scenario "t" {{ {setup} assert {row} cite "x" }}').failed == 0
-        assert calls.get(traced, 0) > 0, row
+        for name in traced:
+            assert calls.get(name, 0) > 0, (row, name)
 
 
 def test_broken_setup_fails_every_row_alike(monkeypatch):
@@ -422,7 +428,7 @@ def test_broken_setup_fails_every_row_alike(monkeypatch):
         'assert euler() == 7 cite "z" }'
     )
     (scenario,) = parse(source).build()
-    rows = run([scenario]).to_dict()["scenarios"][0]["assertions"]
+    rows = json.loads(run([scenario]).to_json())["scenarios"][0]["assertions"]
     (error,) = {row["actual"] for row in rows}
     assert error.startswith("error: ValueError: profile literals (h4, index, chi, euler)")
     assert len(derived) == 1  # the failing profile is derived once, not once per row
@@ -529,7 +535,7 @@ def test_a_shared_fold_that_raises_fails_each_of_its_rows():
     report = run_source(f'scenario "a" {{ {rows} }} scenario "b" {{ {rows} }}')
     assert report.failed == 4
     error = "error: ValueError: a power of up to 2199023255552 bits is over the limit of 100000"
-    assert [row["actual"] for s in report.to_dict()["scenarios"] for row in s["assertions"]] == [
+    assert [row["actual"] for s in json.loads(report.to_json())["scenarios"] for row in s["assertions"]] == [
         error
     ] * 4
 
@@ -777,6 +783,6 @@ def test_emit_equals_builtin_execution():
     # parsing the canonical printout runs identically to the raw source
     for name in BUILTIN_SOURCES:
         printed = parse(BUILTIN_SOURCES[name]).pretty()
-        a = run(parse(printed).build()).to_dict()
-        b = run(parse(BUILTIN_SOURCES[name]).build()).to_dict()
+        a = json.loads(run(parse(printed).build()).to_json())
+        b = json.loads(run(parse(BUILTIN_SOURCES[name]).build()).to_json())
         assert a == b, name

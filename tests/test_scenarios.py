@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanocalc import dsl, profiles
 from fanocalc.scenarios import (
@@ -53,10 +55,10 @@ def test_report_is_deterministic():
 
 
 def test_scenarios_are_isolated():
-    full = {s["name"]: s for s in run(builtin_scenarios()).to_dict()["scenarios"]}
+    full = {s["name"]: s for s in json.loads(run(builtin_scenarios()).to_json())["scenarios"]}
     for name in ("v14-link", "moduli-counts"):
         subset = [s for s in builtin_scenarios() if s.name == name]
-        partial = run(subset).to_dict()["scenarios"]
+        partial = json.loads(run(subset).to_json())["scenarios"]
         assert partial == [full[name]]
 
 
@@ -89,7 +91,7 @@ def test_deliberate_failure_is_reported_not_raised():
     report = run(dsl.parse(source).build())
     assert report.total == 1
     assert report.failed == 1
-    row = report.to_dict()["scenarios"][0]["assertions"][0]
+    row = json.loads(report.to_json())["scenarios"][0]["assertions"][0]
     assert row["actual"] == 1
     assert row["expected"] == 0
     assert row["pass"] is False
@@ -100,7 +102,7 @@ def test_setup_errors_become_failed_assertions():
     source = 'scenario "no-model" { assert euler() == 0 cite "missing statements" }'
     report = run(dsl.parse(source).build())
     assert report.failed == 1
-    row = report.to_dict()["scenarios"][0]["assertions"][0]
+    row = json.loads(report.to_json())["scenarios"][0]["assertions"][0]
     assert isinstance(row["actual"], str)
     assert row["actual"].startswith("error: ")
 
@@ -152,7 +154,7 @@ def test_profile_literal_cross_check_failure(monkeypatch, setup, error, derived)
         "}\n"
     )
     report = run(dsl.parse(source).build())
-    rows = report.to_dict()["scenarios"][0]["assertions"]
+    rows = json.loads(report.to_json())["scenarios"][0]["assertions"]
     assert report.failed == len(rows) == 3
     assert {row["actual"] for row in rows} == {f"error: {error}"}
     assert calls == derived
@@ -168,7 +170,7 @@ def test_empty_run():
     report = run([])
     assert report.total == 0
     assert report.failed == 0
-    assert report.to_dict() == {"scenarios": [], "total": 0, "failed": 0}
+    assert json.loads(report.to_json()) == {"scenarios": [], "total": 0, "failed": 0}
 
 
 def test_notes_surface_only_in_verbose_text():
@@ -207,9 +209,64 @@ def test_fraction_rendering():
             )
         ],
     )
-    row = run([scenario]).to_dict()["scenarios"][0]["assertions"][0]
+    row = json.loads(run([scenario]).to_json())["scenarios"][0]["assertions"][0]
     assert row["expected"] == "1/2"
     assert row["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# the JSON report is byte for byte the indented, key-sorted json.dumps
+
+
+def assert_canonical_json(report):
+    out = report.to_json()
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "",
+        'scenario "empty" { }',
+        'scenario "mixed" {\n'
+        '  assert 1 == 0 cite "fails" label "wrong"\n'
+        '  assert euler() == 0 cite "no model" label "error"\n'
+        '  assert solve(2, 0, 1) == solve(4, 0, 2) cite "p/q" label "half"\n'
+        '  assert 10^4299 != 0 cite "4300 digits" label "long"\n'
+        "}\n"
+        'scenario "a" { assert 1 == 1 cite "x" }',
+    ],
+    ids=["empty-file", "no-assertions", "mixed-rows"],
+)
+def test_json_report_is_the_canonical_dump(source):
+    report = run(dsl.parse(source).build())
+    assert_canonical_json(report)
+
+
+def test_builtin_json_report_is_the_canonical_dump():
+    assert_canonical_json(run(builtin_scenarios()))
+
+
+def dsl_string(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# any text a string literal can hold: everything but a newline, with \" and \\ escaped
+_STRING_TEXT = st.text(st.characters(exclude_characters="\n"), max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@example(name="\u00e9t\u00e9 \U0001d4b3", cite='tab\there\rCR \\ "q"', label="\u4e2d")
+@given(name=_STRING_TEXT, cite=_STRING_TEXT, label=_STRING_TEXT)
+def test_json_report_is_the_canonical_dump_on_drawn_strings(name, cite, label):
+    source = (
+        f"scenario {dsl_string(name)} {{ assert 1 == 2 cite {dsl_string(cite)}"
+        f" label {dsl_string(label)} }}"
+    )
+    report = run(dsl.parse(source).build())
+    row = report.scenarios[0].results[0]
+    assert (report.scenarios[0].name, row.cite, row.label) == (name, cite, label)
+    assert_canonical_json(report)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +346,7 @@ ANCHORS = [
 def test_every_cited_claim_is_verified_exactly_once():
     report = run(builtin_scenarios())
     rows = {}
-    for scenario in report.to_dict()["scenarios"]:
+    for scenario in json.loads(report.to_json())["scenarios"]:
         for row in scenario["assertions"]:
             rows[(scenario["name"], row["label"])] = row
     seen = set()
