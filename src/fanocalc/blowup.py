@@ -125,49 +125,41 @@ E = Divisor(0, 1)
 
 @dataclass(frozen=True)
 class BlowupModel:
-    """The blowup of a profiled fourfold along a curve or surface center."""
+    """The blowup of a profiled fourfold along a curve or surface center.
+
+    Every degree computation reads three tables, each worked out once per
+    model from the base profile and the center: ``c1``, the five monomials
+    H^(4-j) E^j and the three pairings of c_2.
+    """
 
     base: FourfoldProfile
     center: Center
 
-    @property
-    def discrepancy(self) -> int:
-        return 2 if isinstance(self.center, CurveCenter) else 1
-
-    @property
-    def canonical(self) -> Divisor:
-        return Divisor(-self.base.index, self.discrepancy)
-
-    @property
+    @cached_property
     def c1(self) -> Divisor:
-        return -self.canonical
+        """c_1 = r H - (codim - 1) E, r the Fano index and codim that of the center."""
+        return Divisor(self.base.index, -2 if isinstance(self.center, CurveCenter) else -1)
 
     @cached_property
     def monomials(self) -> tuple:
-        """H^(4-j) . E^j for j = 0..4, computed once per model."""
-        return tuple(monomial_number(self, 4 - j, j) for j in range(5))
+        """H^(4-j) . E^j for j = 0..4: H^4 from the base, the rest from the center."""
+        base, c, r = self.base, self.center, self.base.index
+        if isinstance(c, CurveCenter):
+            return (base.h4, 0, 0, c.hc, r * c.hc + 2 * c.genus - 2)
+        return (base.h4, 0, -c.hhc, -c.hkc - r * c.hhc, c.c2xc - c.euler - r * c.hkc - r * r * c.hhc)
 
+    @cached_property
+    def c2(self) -> tuple:
+        """c_2 of the blowup paired with H^2, H . E and E^2.
 
-def monomial_number(model: BlowupModel, h_power: int, e_power: int) -> int:
-    """The intersection number H^h_power . E^e_power on the blowup."""
-    if h_power < 0 or e_power < 0 or h_power + e_power != 4:
-        raise ValueError("exponents must be non-negative and sum to 4")
-    base, center, r = model.base, model.center, model.base.index
-    if e_power == 0:
-        return base.h4
-    if isinstance(center, CurveCenter):
-        if e_power == 1 or e_power == 2:
-            return 0
-        if e_power == 3:
-            return center.hc
-        return r * center.hc + 2 * center.genus - 2
-    if e_power == 1:
-        return 0
-    if e_power == 2:
-        return -center.hhc
-    if e_power == 3:
-        return -center.hkc - r * center.hhc
-    return center.c2xc - center.euler - r * center.hkc - r * r * center.hhc
+        Over a curve center, c_2 is the pulled-back c_2 plus (2g - 2 - r hc)
+        fibers of E; over a surface center, the pulled-back c_2 and center
+        class minus r H . E (r the Fano index), paired through the monomials.
+        """
+        base, c, r = self.base, self.center, self.base.index
+        if isinstance(c, CurveCenter):
+            return (base.c2h2, 0, 2 * c.genus - 2 - r * c.hc)
+        return (base.c2h2 + c.hhc, r * c.hhc, -2 * c.c2xc + c.euler - c.kc2 + r * r * c.hhc)
 
 
 def quartic_number(model: BlowupModel, d1: Divisor, d2: Divisor, d3: Divisor, d4: Divisor) -> int:
@@ -185,35 +177,18 @@ def quartic_number(model: BlowupModel, d1: Divisor, d2: Divisor, d3: Divisor, d4
     return a0 * m0 + a1 * m1 + a2 * m2 + a3 * m3 + a4 * m4
 
 
-def c2_table(model: BlowupModel) -> tuple:
-    """c_2 of the blowup paired with H^2, H . E and E^2.
-
-    Over a curve center, c_2 is the pulled-back c_2 plus (2g - 2 - r hc)
-    fibers of E; over a surface center, the pulled-back c_2 and center class
-    minus r H . E (r the Fano index), paired through the monomial table.
-    """
-    base, center, r = model.base, model.center, model.base.index
-    if isinstance(center, CurveCenter):
-        return (base.c2h2, 0, 2 * center.genus - 2 - r * center.hc)
-    return (
-        base.c2h2 + center.hhc,
-        r * center.hhc,
-        -2 * center.c2xc + center.euler - center.kc2 + r * r * center.hhc,
-    )
-
-
 def chi_riemann_roch(model: BlowupModel, d: Divisor) -> int:
     """chi(O(D)) on the blowup by Riemann-Roch.
 
     The bracket D^4 + 2 D^3 c_1 + D^2 c_1^2 + D^2 c_2 + D c_1 c_2 factors as
     M^2 + M . c_2 with M = D (D + c_1): one quartic and one pairing against
-    the c_2 table.  The degree-4 Todd integral is replaced by chi(O) of the
-    base, which the blowup preserves.  A bracket that fails the
+    the model's c_2 table.  The degree-4 Todd integral is replaced by chi(O)
+    of the base, which the blowup preserves.  A bracket that fails the
     24-divisibility test means the model data cannot come from a smooth
     fourfold, and raises :class:`NonIntegralCharacteristicError`.
     """
     m = d + model.c1
-    hh, he, ee = c2_table(model)
+    hh, he, ee = model.c2
     mc2 = d.h * m.h * hh + (d.h * m.e + d.e * m.h) * he + d.e * m.e * ee
     bracket = quartic_number(model, d, m, d, m) + mc2
     if bracket % 24:

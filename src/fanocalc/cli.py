@@ -89,7 +89,7 @@ def _cmd_check(args, out, err) -> int:
     collected, names = [], set()  # a scenario name is unique across the files, as within one
     for path in args.files:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
                 source = handle.read()
         except OSError as exc:
             err.write(f"check: cannot read {path}: {exc.strerror or exc}\n")

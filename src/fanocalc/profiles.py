@@ -97,10 +97,11 @@ def surface_pairings(k: int, n: int, codim: int, parts: tuple[int, ...]) -> tupl
 
     H is sigma_1 and c_2 that of the fourfold cut out by ``codim`` hyperplanes;
     the class lives in the Grassmannian, so both are Schubert integrals there.
+    A class outside the Grassmannian's box is zero, so it is no surface class.
     """
     ctx = Grassmannian(k, n)
     cycle = sigma(ctx, *parts)
-    if cycle.codim != ctx.dim - 2:
+    if cycle.codim != ctx.dim - 2 or cycle.is_zero():
         raise ValueError(f"{parts} is not a surface class in Gr({k},{n})")
     c2 = section_model(k, n, codim).chern.component(2)
     return cycle.pieri(1).pieri(1).integral(), (c2 * cycle).integral()

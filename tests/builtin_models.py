@@ -1,7 +1,6 @@
 """The blowup models of the built-in link scenarios, built from their own setups."""
 
 from fanocalc import dsl
-from fanocalc.blowup import monomial_number
 from fanocalc.scenarios import BUILTIN_SOURCES
 
 # Model key -> the built-in scenario whose profile and center statements give it.
@@ -32,4 +31,4 @@ def builtin_models() -> dict:
 def normal_c2(model) -> int:
     """c_2(N) of a surface center, from E^4 = c_2(N) - c_1(N)^2 and c_1(N) = r H|_S + K_S."""
     s, r = model.center, model.base.index
-    return monomial_number(model, 0, 4) + r * r * s.hhc + 2 * r * s.hkc + s.kc2
+    return model.monomials[4] + r * r * s.hhc + 2 * r * s.hkc + s.kc2

@@ -90,7 +90,7 @@ def test_criterion_4_w5_links():
     assert quartic_number(pi, l, l, l, E) == 2
     assert chi_riemann_roch(pi, l) == 5
     # K_E^3 = (K + E)^3 . E = -46 forces deg Y = 1 in -54 + 6y + 2 = -46
-    k_plus_e = pi.canonical + E
+    k_plus_e = -pi.c1 + E
     assert quartic_number(pi, k_plus_e, k_plus_e, k_plus_e, E) == -46
     assert (-46 - (-54 + 2)) // 6 == 1
     assert euler_blowup(pi) == 6 + 3 == 9
@@ -169,7 +169,7 @@ def test_criterion_8_property_suites():
         assert tangent_bundle(ctx).total.component(ctx.dim).integral() == math.comb(n, k)
     # Serre duality chi(D) = chi(K - D) over every model, |a|, |b| <= 3
     for model in MODELS.values():
-        k = model.canonical
+        k = -model.c1
         for a in range(-3, 4):
             for b in range(-3, 4):
                 d = a * H + b * E

@@ -18,10 +18,8 @@ from fanocalc.blowup import (
     NonIntegralCharacteristicError,
     SurfaceCenter,
     adjunction_genus,
-    c2_table,
     chi_riemann_roch,
     euler_blowup,
-    monomial_number,
     quartic_number,
     solve_linear,
 )
@@ -62,29 +60,14 @@ def test_divisor_algebra():
 def test_curve_monomials():
     profile = FourfoldProfile(7, 2, 10, 1, 8)
     model = BlowupModel(profile, CurveCenter(genus=3, hc=4))
-    assert monomial_number(model, 4, 0) == 7
-    assert monomial_number(model, 3, 1) == 0
-    assert monomial_number(model, 2, 2) == 0
-    assert monomial_number(model, 1, 3) == 4
-    assert monomial_number(model, 0, 4) == 2 * 4 + 2 * 3 - 2
+    assert model.monomials == (7, 0, 0, 4, 2 * 4 + 2 * 3 - 2)
 
 
 def test_surface_monomials():
     profile = FourfoldProfile(7, 2, 10, 1, 8)
     center = SurfaceCenter(hhc=5, hkc=-5, kc2=5, euler=7, c2xc=20)
     model = BlowupModel(profile, center)
-    assert monomial_number(model, 4, 0) == 7
-    assert monomial_number(model, 3, 1) == 0
-    assert monomial_number(model, 2, 2) == -5
-    assert monomial_number(model, 1, 3) == -(-5) - 2 * 5
-    assert monomial_number(model, 0, 4) == 20 - 7 - 2 * (-5) - 4 * 5
-
-
-def test_monomial_exponent_validation(models):
-    model = models["p4-line"]
-    for h_power, e_power in ((5, 0), (2, 1), (-1, 5), (0, 5)):
-        with pytest.raises(ValueError):
-            monomial_number(model, h_power, e_power)
+    assert model.monomials == (7, 0, -5, -(-5) - 2 * 5, 20 - 7 - 2 * (-5) - 4 * 5)
 
 
 _DIVISORS = st.builds(
@@ -105,26 +88,69 @@ def test_quartic_is_symmetric_and_multilinear(models, a, b, c, d, e):
     assert quartic_number(model, 2 * a, b, c, d) == 2 * quartic_number(model, a, b, c, d)
 
 
+# Reference formulas, one number at a time and apart from the model's tables;
+# the engine's tables and the quartics and characteristics read from them must agree.
+
+def reference_c1(model):
+    """c_1 = -K, with K = -r H + d E and discrepancy d = 2 over a curve, 1 over a surface."""
+    discrepancy = 2 if isinstance(model.center, CurveCenter) else 1
+    return -Divisor(-model.base.index, discrepancy)
+
+
+def reference_monomial(model, h_power, e_power):
+    """The intersection number H^h_power . E^e_power on the blowup."""
+    base, center, r = model.base, model.center, model.base.index
+    if e_power == 0:
+        return base.h4
+    if isinstance(center, CurveCenter):
+        if e_power == 1 or e_power == 2:
+            return 0
+        if e_power == 3:
+            return center.hc
+        return r * center.hc + 2 * center.genus - 2
+    if e_power == 1:
+        return 0
+    if e_power == 2:
+        return -center.hhc
+    if e_power == 3:
+        return -center.hkc - r * center.hhc
+    return center.c2xc - center.euler - r * center.hkc - r * r * center.hhc
+
+
+def reference_c2(model):
+    """c_2 of the blowup paired with H^2, H . E and E^2."""
+    base, center, r = model.base, model.center, model.base.index
+    if isinstance(center, CurveCenter):
+        return (base.c2h2, 0, 2 * center.genus - 2 - r * center.hc)
+    return (
+        base.c2h2 + center.hhc,
+        r * center.hhc,
+        -2 * center.c2xc + center.euler - center.kc2 + r * r * center.hhc,
+    )
+
+
 def reference_quartic(model, *divisors):
-    """D1 . D2 . D3 . D4 term by term: the (h + e t) coefficient list against monomial_number."""
+    """D1 . D2 . D3 . D4 term by term: the (h + e t) coefficient list against reference_monomial."""
     coeffs = [1, 0, 0, 0, 0]
     for d in divisors:
         for j in range(4, 0, -1):
             coeffs[j] = d.h * coeffs[j] + d.e * coeffs[j - 1]
         coeffs[0] *= d.h
-    return sum(c * monomial_number(model, 4 - j, j) for j, c in enumerate(coeffs))
+    return sum(c * reference_monomial(model, 4 - j, j) for j, c in enumerate(coeffs))
 
 
 def reference_bracket(model, d):
     """24 (chi(O(D)) - chi(O)): the Riemann-Roch bracket M^2 + M . c_2 with M = D (D + c_1)."""
-    m = d + model.c1
-    hh, he, ee = c2_table(model)
+    m = d + reference_c1(model)
+    hh, he, ee = reference_c2(model)
     mc2 = d.h * m.h * hh + (d.h * m.e + d.e * m.h) * he + d.e * m.e * ee
     return reference_quartic(model, d, m, d, m) + mc2
 
 
 def assert_matches_reference(model, divisors):
-    assert model.monomials == tuple(monomial_number(model, 4 - j, j) for j in range(5))
+    assert model.c1 == reference_c1(model)
+    assert model.monomials == tuple(reference_monomial(model, 4 - j, j) for j in range(5))
+    assert model.c2 == reference_c2(model)
     for quadruple in combinations_with_replacement(divisors, 4):
         assert quartic_number(model, *quadruple) == reference_quartic(model, *quadruple), quadruple
     for d in divisors:
@@ -225,8 +251,9 @@ def test_toric_oracle_counts_sections_on_p4_blowups(models, center):
 def test_toric_oracle_graded_parts_give_the_monomial_and_c2_tables(models, center):
     model, c = toric_model(models, center), CODIMS[center]
     table, (hh, he, ee), (r, e1) = monomials(c), c2_pairings(c), c1(c)
-    assert tuple(monomial_number(model, 4 - j, j) for j in range(5)) == table
-    assert c2_table(model) == (hh, he, ee)
+    assert model.monomials == table
+    assert model.c2 == (hh, he, ee)
+    assert model.c1 == Divisor(r, e1)
     # the degree-3 part is D^3 c_1 / 12 and the degree-1 part D c_1 c_2 / 24
     poly = hilbert(c)
     basis = [(1, 0)] * 3 + [(0, 1)] * 3
@@ -248,7 +275,7 @@ def test_c2_symbols_for_curve_center(models):
     model = models["p4-line"]
     g, hc, r = 0, 1, 5
     fibers = 2 * g - 2 - r * hc
-    assert c2_table(model) == (10 + 0 * fibers, 0 + 0 * fibers, 0 + 1 * fibers)
+    assert model.c2 == (10 + 0 * fibers, 0 + 0 * fibers, 0 + 1 * fibers)
 
 
 def test_c2_symbols_for_surface_center(models):
@@ -257,7 +284,7 @@ def test_c2_symbols_for_surface_center(models):
     c2 = (22, 0, -5)
     center = (1, 0, -normal_c2(model))
     he = tuple(quartic_number(model, H, E, a, b) for a, b in ((H, H), (H, E), (E, E)))
-    assert c2_table(model) == tuple(x + y - 3 * z for x, y, z in zip(c2, center, he))
+    assert model.c2 == tuple(x + y - 3 * z for x, y, z in zip(c2, center, he))
 
 
 def test_c2_normal_matches_the_chern_engine(models):
@@ -289,17 +316,18 @@ def test_chi_values_on_the_link_models(models):
 
 
 def test_canonical_class_and_discrepancy(models):
-    assert models["p4-line"].canonical == Divisor(-5, 2)
-    assert models["w22-line"].canonical == Divisor(-3, 2)
-    assert models["w5-xi"].canonical == Divisor(-3, 1)
-    assert models["v14-plane"].canonical == Divisor(-2, 1)
+    # K = -c_1 = -r H + (codim - 1) E: the discrepancy is 2 over a curve, 1 over a surface
+    assert -models["p4-line"].c1 == Divisor(-5, 2)
+    assert -models["w22-line"].c1 == Divisor(-3, 2)
+    assert -models["w5-xi"].c1 == Divisor(-3, 1)
+    assert -models["v14-plane"].c1 == Divisor(-2, 1)
     assert models["w5-pi"].c1 == Divisor(3, -1)
 
 
 @pytest.mark.parametrize("name", ["p4-line", "w22-line", "w22-quintic", "w5-xi", "w5-pi", "v14-plane"])
 def test_serre_duality_and_integrality(models, name):
     model = models[name]
-    k = model.canonical
+    k = -model.c1
     for a in range(-3, 4):
         for b in range(-3, 4):
             d = a * H + b * E

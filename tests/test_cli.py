@@ -11,6 +11,7 @@ import pytest
 
 import fanocalc
 from fanocalc.cli import main
+from fanocalc.dsl import ParseError, parse
 from fanocalc.scenarios import BUILTIN_SOURCES
 
 BUILTINS = sorted(BUILTIN_SOURCES)
@@ -206,6 +207,29 @@ def test_check_parse_error_exits_2(tmp_path):
     code, _, err = invoke("check", str(path))
     assert code == 2
     assert "line 1, column 15" in err
+
+
+def test_check_keeps_a_lone_cr_inside_a_string(tmp_path):
+    # only LF ends a line, so a string may hold a CR; check reads the file's characters unchanged
+    path = tmp_path / "cr.scn"
+    path.write_bytes(b'scenario "x" {\n  assert 1 == 1 cite "a\rb"\n}\n')
+    code, out, err = invoke("check", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["scenarios"][0]["assertions"][0]["cite"] == "a\rb"
+
+
+@pytest.mark.parametrize("source, position", [
+    (b'scenario "x" {\r  bogus\n}\n', "line 1, column 18"),  # a lone CR is one column
+    (b'scenario "x" {\r\n  bogus\r\n}\r\n', "line 2, column 3"),  # CRLF ends a line at its LF
+], ids=["lone-cr", "crlf"])
+def test_check_reports_the_positions_of_parse(tmp_path, source, position):
+    path = tmp_path / "broken.scn"
+    path.write_bytes(source)
+    with pytest.raises(ParseError, match=f"^{position}: "):
+        parse(source.decode("utf-8"))
+    code, out, err = invoke("check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"check: {path}: {position}: expected a statement or '}}', found 'bogus'\n"
 
 
 def test_check_overlong_literal_exits_2(tmp_path):
