@@ -13,7 +13,6 @@ per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
@@ -23,44 +22,84 @@ class NonIntegralCharacteristicError(ArithmeticError):
     """Riemann-Roch produced a non-integer: the input data is inconsistent."""
 
 
-@dataclass(frozen=True)
 class FourfoldProfile:
     """Numerical profile of a smooth Fano fourfold of Picard rank one.
 
     h4 is the degree of the hyperplane class, index the Fano index
     (so K = -index * H), c2h2 the pairing of c_2 against H^2, chi = chi(O)
     and euler the topological Euler number.  The pairing of c_1 c_2 against
-    H is index * c2h2, so it is not an input.
+    H is index * c2h2, so it is not an input.  Immutable, compared by value.
     """
 
-    h4: int
-    index: int
-    c2h2: int
-    chi: int
-    euler: int
+    __slots__ = ("h4", "index", "c2h2", "chi", "euler")
 
-    def __post_init__(self):
-        if self.h4 < 1:
+    def __init__(self, h4: int, index: int, c2h2: int, chi: int, euler: int):
+        if h4 < 1:
             raise ValueError("h4 must be positive")
-        if self.index < 1:
+        if index < 1:
             raise ValueError("the Fano index must be positive")
+        object.__setattr__(self, "h4", h4)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "c2h2", c2h2)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "euler", euler)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__; the default, which
+        # restores the slots one by one, meets the assignment guard
+        return type(self), (self.h4, self.index, self.c2h2, self.chi, self.euler)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.h4, self.index, self.c2h2, self.chi, self.euler) == (
+                other.h4, other.index, other.c2h2, other.chi, other.euler
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.h4, self.index, self.c2h2, self.chi, self.euler))
 
 
-@dataclass(frozen=True)
 class CurveCenter:
-    """A smooth curve inside the fourfold: genus and hyperplane degree."""
+    """A smooth curve inside the fourfold: genus and hyperplane degree.
 
-    genus: int
-    hc: int
+    Immutable, compared by value.
+    """
 
-    def __post_init__(self):
-        if self.genus < 0:
+    __slots__ = ("genus", "hc")
+
+    def __init__(self, genus: int, hc: int):
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        if self.hc < 1:
+        if hc < 1:
             raise ValueError("the curve must have positive degree")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "hc", hc)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.genus, self.hc)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genus, self.hc) == (other.genus, other.hc)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genus, self.hc))
 
 
-@dataclass(frozen=True)
 class SurfaceCenter:
     """A smooth surface S inside the fourfold.
 
@@ -68,29 +107,68 @@ class SurfaceCenter:
     number of S, c2xc = c_2 of the ambient fourfold paired with S.  Nothing
     here checks Noether's K^2 + Eu = 12; for the built-in rational centers,
     tests/test_profiles.py::test_schubert_plane_centers and
-    test_quintic_del_pezzo_center do.
+    test_quintic_del_pezzo_center do.  Immutable, compared by value.
     """
 
-    hhc: int
-    hkc: int
-    kc2: int
-    euler: int
-    c2xc: int
+    __slots__ = ("hhc", "hkc", "kc2", "euler", "c2xc")
 
-    def __post_init__(self):
-        if self.hhc < 1:
+    def __init__(self, hhc: int, hkc: int, kc2: int, euler: int, c2xc: int):
+        if hhc < 1:
             raise ValueError("the surface must have positive degree")
+        object.__setattr__(self, "hhc", hhc)
+        object.__setattr__(self, "hkc", hkc)
+        object.__setattr__(self, "kc2", kc2)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "c2xc", c2xc)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.hhc, self.hkc, self.kc2, self.euler, self.c2xc)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.hhc, self.hkc, self.kc2, self.euler, self.c2xc) == (
+                other.hhc, other.hkc, other.kc2, other.euler, other.c2xc
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.hhc, self.hkc, self.kc2, self.euler, self.c2xc))
 
 
 Center = Union[CurveCenter, SurfaceCenter]
 
 
-@dataclass(frozen=True)
 class Divisor:
-    """Integer combination a*H + b*E on the blowup."""
+    """Integer combination a*H + b*E on the blowup.  Immutable, compared by value."""
 
-    h: int
-    e: int
+    __slots__ = ("h", "e")
+
+    def __init__(self, h: int, e: int):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "e", e)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.h, self.e)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.h, self.e) == (other.h, other.e)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.h, self.e))
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor(self.h + other.h, self.e + other.e)
@@ -123,17 +201,33 @@ H = Divisor(1, 0)
 E = Divisor(0, 1)
 
 
-@dataclass(frozen=True)
 class BlowupModel:
     """The blowup of a profiled fourfold along a curve or surface center.
 
     Every degree computation reads three tables, each worked out once per
     model from the base profile and the center: ``c1``, the five monomials
-    H^(4-j) E^j and the three pairings of c_2.
+    H^(4-j) E^j and the three pairings of c_2.  Immutable, compared by
+    (base, center); the tables are cached in the instance ``__dict__``,
+    so the class has no ``__slots__``.
     """
 
-    base: FourfoldProfile
-    center: Center
+    def __init__(self, base: FourfoldProfile, center: Center):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "center", center)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.center) == (other.base, other.center)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.center))
 
     @cached_property
     def c1(self) -> Divisor:

@@ -11,7 +11,6 @@ so every coefficient stays an integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .schubert import (
@@ -79,19 +78,38 @@ class TotalChernClass:
         return "1 + " + " + ".join(f"({c})" for c in self.components[1:])
 
 
-@dataclass(frozen=True)
 class BundleModel:
-    """A vector bundle presented by its rank and total Chern class."""
+    """A vector bundle presented by its rank and total Chern class.
 
-    rank: int
-    total: TotalChernClass
+    Immutable, and compared by value; like its total class, it has no hash.
+    """
 
-    def __post_init__(self):
-        if self.rank < 1:
+    __slots__ = ("rank", "total")
+
+    def __init__(self, rank: int, total: TotalChernClass):
+        if rank < 1:
             raise ValueError("bundle rank must be positive")
-        for i in range(self.rank + 1, self.total.limit + 1):
-            if not self.total.component(i).is_zero():
+        for i in range(rank + 1, total.limit + 1):
+            if not total.component(i).is_zero():
                 raise ValueError("Chern class above the rank must vanish")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "total", total)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__; the default, which
+        # restores the slots one by one, meets the assignment guard
+        return type(self), (self.rank, self.total)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.total) == (other.rank, other.total)
+        return NotImplemented
 
 
 def universal_bundles(ctx: Grassmannian) -> tuple[BundleModel, BundleModel]:
@@ -170,17 +188,36 @@ def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
 # ---------------------------------------------------------------------------
 # linear sections
 
-@dataclass(frozen=True)
 class SectionModel:
     """A smooth intersection of ``codim`` hyperplane sections of Gr(k, n).
 
     ``chern`` holds the restriction-valued total class: components live in the
-    ambient ring and stand for their restrictions to the section.
+    ambient ring and stand for their restrictions to the section.  Immutable,
+    and compared by value; like its total class, it has no hash.
     """
 
-    context: Grassmannian
-    codim: int
-    chern: TotalChernClass
+    __slots__ = ("context", "codim", "chern")
+
+    def __init__(self, context: Grassmannian, codim: int, chern: TotalChernClass):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "chern", chern)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.context, self.codim, self.chern)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.codim, self.chern) == (
+                other.context, other.codim, other.chern
+            )
+        return NotImplemented
 
     @property
     def dim(self) -> int:

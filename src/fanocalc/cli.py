@@ -121,12 +121,16 @@ def main(argv: Optional[list] = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = _build_arg_parser()
+    # argparse writes help to sys.stdout and usage errors to sys.stderr
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; normalize.
-        code = exc.code if isinstance(exc.code, int) else _USAGE_EXIT
-        return code
+        return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
+    finally:
+        sys.stdout, sys.stderr = saved
     if args.command == "list":
         return _cmd_list(out)
     if args.command == "run":

@@ -74,7 +74,6 @@ import operator
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -177,87 +176,132 @@ def _lex_error(source: str, newlines: list, offset: int):
 
 # ---------------------------------------------------------------------------
 # syntax tree.  A leaf is its value: an int, blowup.H or blowup.E.  The
-# other nodes are slotted, not frozen: a pass builds one node per few
-# tokens, and a frozen node costs twice as much to build; nothing mutates
-# them, so a document holds each setup-free subtree once, however often it
-# occurs.
+# other nodes are slotted classes that store their fields directly and
+# have no assignment guard: a pass builds one node per few tokens, and a
+# guarded node, whose fields go through object.__setattr__, costs about
+# three times as much to build.  Nothing mutates them, so a document holds
+# each setup-free subtree once, however often it occurs.  Expression nodes
+# compare by structure; statements and scenarios by identity.
 
-@dataclass(slots=True)
 class SigmaAtom:
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
 
 
-@dataclass(slots=True)
 class Call:
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
 
 
-@dataclass(slots=True)
 class BinOp:
-    op: str
-    left: object
-    right: object
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: object, right: object):
+        self.op = op
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+        return NotImplemented
 
 
-@dataclass(slots=True)
 class Neg:
-    operand: object
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: object):
+        self.operand = operand
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.operand == other.operand
+        return NotImplemented
 
 
-@dataclass(slots=True)
 class ProfileStmt:
-    ident: str
-    h4: int
-    index: int
-    c2h2: Optional[int]
-    ambient: Optional[str]
-    codim: Optional[int]
-    chi: int
-    euler: int
-    line: int
-    column: int
+    __slots__ = ("ident", "h4", "index", "c2h2", "ambient", "codim", "chi", "euler", "line",
+                 "column")
+
+    def __init__(self, ident: str, h4: int, index: int, c2h2: Optional[int], ambient: Optional[str],
+                 codim: Optional[int], chi: int, euler: int, line: int, column: int):
+        self.ident = ident
+        self.h4 = h4
+        self.index = index
+        self.c2h2 = c2h2
+        self.ambient = ambient
+        self.codim = codim
+        self.chi = chi
+        self.euler = euler
+        self.line = line
+        self.column = column
 
 
-@dataclass(slots=True)
 class CenterStmt:
-    kind: str  # "curve" or "surface"
-    fields: tuple  # ordered (name, value) pairs
-    cycle: Optional[SigmaAtom]  # a surface's Schubert class in the profile's ambient
-    line: int
-    column: int
+    __slots__ = ("kind", "fields", "cycle", "line", "column")
+
+    def __init__(self, kind: str, fields: tuple, cycle: Optional[SigmaAtom], line: int, column: int):
+        self.kind = kind  # "curve" or "surface"
+        self.fields = fields  # ordered (name, value) pairs
+        self.cycle = cycle  # a surface's Schubert class in the profile's ambient
+        self.line = line
+        self.column = column
 
 
-@dataclass(slots=True)
 class GrassStmt:
-    k: int
-    n: int
-    line: int
-    column: int
+    __slots__ = ("k", "n", "line", "column")
+
+    def __init__(self, k: int, n: int, line: int, column: int):
+        self.k = k
+        self.n = n
+        self.line = line
+        self.column = column
 
 
-@dataclass(slots=True)
 class AssertStmt:
-    left: object
-    op: str
-    right: object
-    cite: str
-    label: Optional[str]
-    line: int
-    column: int
+    __slots__ = ("left", "op", "right", "cite", "label", "line", "column")
+
+    def __init__(self, left: object, op: str, right: object, cite: str, label: Optional[str],
+                 line: int, column: int):
+        self.left = left
+        self.op = op
+        self.right = right
+        self.cite = cite
+        self.label = label
+        self.line = line
+        self.column = column
 
 
-@dataclass(slots=True)
 class ScenarioNode:
-    name: str
-    statements: list
-    line: int
-    column: int
+    __slots__ = ("name", "statements", "line", "column")
+
+    def __init__(self, name: str, statements: list, line: int, column: int):
+        self.name = name
+        self.statements = statements
+        self.line = line
+        self.column = column
 
 
-@dataclass
 class Document:
-    scenarios: list = field(default_factory=list)
+    __slots__ = ("scenarios",)
+
+    def __init__(self, scenarios: Optional[list] = None):
+        self.scenarios = [] if scenarios is None else scenarios
 
     def pretty(self) -> str:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
@@ -270,8 +314,12 @@ class Document:
 # ---------------------------------------------------------------------------
 # parser
 
-# Center kind -> its class; the grammar reads the field names off the class.
-_CENTERS = {"curve": CurveCenter, "surface": SurfaceCenter}
+# Center kind -> its class and the fields the grammar reads, in order; each
+# field is a parameter of the class.
+_CENTERS = {
+    "curve": (CurveCenter, ("genus", "hc")),
+    "surface": (SurfaceCenter, ("hhc", "hkc", "kc2", "euler", "c2xc")),
+}
 
 # The two divisor leaves, shared by every tree.
 _DIVISOR_ATOMS = {"H": blowup.H, "E": blowup.E}
@@ -412,10 +460,10 @@ class _Parser:
     def parse_center(self, kw: int) -> CenterStmt:
         start = self.start
         kind = self.expect_kind("IDENT", "a name")
-        center = _CENTERS.get(kind)
-        if center is None:
+        entry = _CENTERS.get(kind)
+        if entry is None:
             self.fail(start, f"expected 'curve' or 'surface', found {kind!r}")
-        values = tuple((f.name, self.expect_field(f.name)) for f in fields(center))
+        values = tuple((name, self.expect_field(name)) for name in entry[1])
         cycle = None
         if kind == "surface" and self.value == "sigma":
             self.advance()
@@ -657,24 +705,27 @@ def _print_scenario(node: ScenarioNode) -> str:
 # ---------------------------------------------------------------------------
 # what a document builds: scenarios of deferred assertions
 
-@dataclass
 class Assertion:
-    label: str
-    cite: str
-    op: str
-    expected: Callable[[], object]
-    actual: Callable[[], object]
+    __slots__ = ("label", "cite", "op", "expected", "actual")
 
-    def __post_init__(self):
-        if self.op not in ("==", "!="):
-            raise ValueError(f"unsupported comparison {self.op!r}")
+    def __init__(self, label: str, cite: str, op: str, expected: Callable[[], object],
+                 actual: Callable[[], object]):
+        if op not in ("==", "!="):
+            raise ValueError(f"unsupported comparison {op!r}")
+        self.label = label
+        self.cite = cite
+        self.op = op
+        self.expected = expected
+        self.actual = actual
 
 
-@dataclass
 class Scenario:
-    name: str
-    assertions: list
-    notes: list = field(default_factory=list)
+    __slots__ = ("name", "assertions", "notes")
+
+    def __init__(self, name: str, assertions: list, notes: Optional[list] = None):
+        self.name = name
+        self.assertions = assertions
+        self.notes = [] if notes is None else notes
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +804,7 @@ class _Setup:
     def center(self, profile: blowup.FourfoldProfile):
         """The stated center; under an ``ambient`` profile, a surface's hhc and c2xc are checked."""
         stmt = self.statement("center")
-        center = _CENTERS[stmt.kind](**dict(stmt.fields))
+        center = _CENTERS[stmt.kind][0](**dict(stmt.fields))
         if stmt.kind == "curve":
             return center
         setting = self.statement("profile")

@@ -12,7 +12,6 @@ silently corrected; see the sanity and v14 scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -21,22 +20,69 @@ from . import dsl
 from .dsl import Assertion, Scenario  # noqa: F401  (part of this module's interface)
 
 
-@dataclass(frozen=True)
 class AssertionResult:
-    """One report row; ``expected`` and ``actual`` hold the rendered values."""
+    """One report row; ``expected`` and ``actual`` hold the rendered values.
 
-    label: str
-    cite: str
-    expected: object
-    actual: object
-    passed: bool
+    Immutable, compared by value.
+    """
+
+    __slots__ = ("label", "cite", "expected", "actual", "passed")
+
+    def __init__(self, label: str, cite: str, expected: object, actual: object, passed: bool):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cite", cite)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "passed", passed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__; the default, which
+        # restores the slots one by one, meets the assignment guard
+        return type(self), (self.label, self.cite, self.expected, self.actual, self.passed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.label, self.cite, self.expected, self.actual, self.passed) == (
+                other.label, other.cite, other.expected, other.actual, other.passed
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.cite, self.expected, self.actual, self.passed))
 
 
-@dataclass(frozen=True)
 class ScenarioResult:
-    name: str
-    results: tuple
-    notes: tuple
+    """One scenario's rows and notes.  Immutable, compared by value."""
+
+    __slots__ = ("name", "results", "notes")
+
+    def __init__(self, name: str, results: tuple, notes: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "notes", notes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.name, self.results, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.results, self.notes) == (other.name, other.results, other.notes)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.results, self.notes))
 
     @property
     def passed(self) -> bool:
@@ -84,7 +130,6 @@ def _json_scalar(value) -> str:
     return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
 
 
-@dataclass(frozen=True)
 class Report:
     """The results of a run, as text or as JSON.
 
@@ -94,10 +139,30 @@ class Report:
     ``assertions``, ``name`` and ``pass``; each assertion with ``actual``,
     ``cite``, ``expected``, ``label`` and ``pass``.  Strings go through the
     C string escaper of :mod:`json`, so non-ASCII text is written as
-    ``\\uXXXX`` escapes.
+    ``\\uXXXX`` escapes.  Immutable, compared by value.
     """
 
-    scenarios: tuple
+    __slots__ = ("scenarios",)
+
+    def __init__(self, scenarios: tuple):
+        object.__setattr__(self, "scenarios", scenarios)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.scenarios,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.scenarios == other.scenarios
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.scenarios)
 
     @property
     def total(self) -> int:

@@ -20,7 +20,6 @@ partition, the strip size and the box, so no strip is enumerated twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -71,15 +70,34 @@ def dual_partition(ctx: "Grassmannian", parts) -> tuple[int, ...]:
     return normalize_partition(ctx.width - p for p in reversed(padded))
 
 
-@dataclass(frozen=True)
 class Grassmannian:
-    """Ambient context: the space of k-planes in an n-space."""
+    """Ambient context: the space of k-planes in an n-space.  Immutable, compared by (k, n)."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self):
-        _check_kn(self.k, self.n)
+    def __init__(self, k: int, n: int):
+        _check_kn(k, n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__; the default, which
+        # restores the slots one by one, meets the assignment guard
+        return type(self), (self.k, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.n) == (other.k, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.n))
 
     @property
     def dim(self) -> int:

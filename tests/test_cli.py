@@ -322,6 +322,26 @@ def test_usage_errors_exit_2():
     assert invoke("run", "--format", "yaml")[0] == 2
 
 
+def test_usage_error_is_written_to_the_given_err(capsys):
+    streams = sys.stdout, sys.stderr
+    code, out, err = invoke("run", "--format", "xml")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fanocalc run ")
+    assert "error: argument --format: invalid choice: 'xml'" in err
+    assert (sys.stdout, sys.stderr) == streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_is_written_to_the_given_out(capsys):
+    streams = sys.stdout, sys.stderr
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: fanocalc ")
+    assert "Verify intersection-theoretic integer chains" in out
+    assert (sys.stdout, sys.stderr) == streams
+    assert capsys.readouterr() == ("", "")
+
+
 # ---------------------------------------------------------------------------
 # real processes
 

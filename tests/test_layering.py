@@ -1,6 +1,11 @@
-"""Package layering, read from the sources: imports at module top, no cycles, no test-only API."""
+"""Package layering, read from the sources: imports at module top, no cycles, no test-only API.
+
+One test also starts a fresh interpreter to see which modules importing the package loads.
+"""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import fanocalc
@@ -44,6 +49,13 @@ def internal_targets(node):
     return [t for t in targets if t in MODULES]
 
 
+def absolute_targets(node):
+    """The top-level modules an import statement names by absolute path."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[0] for a in node.names]
+    return [node.module.split(".")[0]] if node.level == 0 else []
+
+
 def test_no_import_inside_a_function():
     nested = [
         f"{name}.py:{node.lineno} in {function}()"
@@ -52,6 +64,34 @@ def test_no_import_inside_a_function():
         if function is not None
     ]
     assert nested == []
+
+
+def test_no_module_imports_dataclasses():
+    # a @dataclass execs generated source at every start, and importing the
+    # module loads inspect, ast, dis and tokenize: the records are plain classes
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node, _ in imports(tree)
+        if "dataclasses" in absolute_targets(node)
+    ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
+    # -I -S: no environment variables, user site or site hooks, so only the
+    # interpreter's own start and the package's imports are in sys.modules
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fanocalc.cli;"
+        " print(' '.join(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "fanocalc.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast"} == set()
 
 
 def test_internal_import_graph_is_acyclic():

@@ -1,0 +1,181 @@
+"""Value semantics of the package's record classes: construction, equality, hashing, immutability."""
+
+import copy
+import pickle
+import re
+
+import pytest
+
+from fanocalc.blowup import BlowupModel, CurveCenter, Divisor, FourfoldProfile, SurfaceCenter
+from fanocalc.chern import BundleModel, SectionModel, TotalChernClass, tangent_bundle
+from fanocalc.dsl import (
+    Assertion,
+    AssertStmt,
+    BinOp,
+    Call,
+    CenterStmt,
+    Document,
+    GrassStmt,
+    Neg,
+    ProfileStmt,
+    Scenario,
+    ScenarioNode,
+    SigmaAtom,
+)
+from fanocalc.scenarios import AssertionResult, Report, ScenarioResult
+from fanocalc.schubert import Grassmannian, sigma, unit
+
+GR25 = Grassmannian(2, 5)
+TOTAL = TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)])  # c = 1 + sigma_1, a line bundle's
+
+
+def thunk():
+    return 0
+
+
+# class -> field values, in field order
+RECORDS = [
+    (Grassmannian, {"k": 2, "n": 5}),
+    (BundleModel, {"rank": 1, "total": TOTAL}),
+    (SectionModel, {"context": GR25, "codim": 2, "chern": TOTAL}),
+    (FourfoldProfile, {"h4": 5, "index": 3, "c2h2": 22, "chi": 1, "euler": 6}),
+    (CurveCenter, {"genus": 0, "hc": 1}),
+    (SurfaceCenter, {"hhc": 1, "hkc": -3, "kc2": 9, "euler": 3, "c2xc": 5}),
+    (Divisor, {"h": 1, "e": -1}),
+    (BlowupModel, {"base": FourfoldProfile(4, 3, 20, 1, 12), "center": CurveCenter(0, 1)}),
+    (AssertionResult, {"label": "L4", "cite": "c", "expected": 1, "actual": 1, "passed": True}),
+    (ScenarioResult, {"name": "s", "results": (), "notes": ("n",)}),
+    (Report, {"scenarios": ()}),
+    (SigmaAtom, {"parts": (2, 1)}),
+    (Call, {"name": "euler", "args": ()}),
+    (BinOp, {"op": "+", "left": 1, "right": 2}),
+    (Neg, {"operand": 1}),
+    (ProfileStmt, {"ident": "W", "h4": 5, "index": 3, "c2h2": None, "ambient": "gr25",
+                   "codim": 2, "chi": 1, "euler": 6, "line": 2, "column": 3}),
+    (CenterStmt, {"kind": "curve", "fields": (("genus", 0), ("hc", 1)), "cycle": None,
+                  "line": 3, "column": 3}),
+    (GrassStmt, {"k": 2, "n": 5, "line": 2, "column": 3}),
+    (AssertStmt, {"left": 1, "op": "==", "right": 1, "cite": "c", "label": None,
+                  "line": 4, "column": 3}),
+    (ScenarioNode, {"name": "s", "statements": [], "line": 1, "column": 1}),
+    (Document, {"scenarios": []}),
+    (Assertion, {"label": "a01", "cite": "c", "op": "==", "expected": thunk, "actual": thunk}),
+    (Scenario, {"name": "s", "assertions": [], "notes": ["n"]}),
+]
+
+FROZEN = [
+    Grassmannian, BundleModel, SectionModel, FourfoldProfile, CurveCenter, SurfaceCenter,
+    Divisor, BlowupModel, AssertionResult, ScenarioResult, Report,
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=lambda p: getattr(p, "__name__", ""))
+def test_construction_by_position_and_by_keyword(cls, values):
+    for record in (cls(*values.values()), cls(**values)):
+        assert all(getattr(record, name) is value for name, value in values.items())
+
+
+def test_list_fields_default_to_a_fresh_empty_list():
+    assert Document().scenarios == [] and Document().scenarios is not Document().scenarios
+    first, second = Scenario("a", []), Scenario("b", [])
+    assert first.notes == [] and first.notes is not second.notes
+
+
+# a factory of equal, separately built values; a value one field away; the field values
+VALUES = [
+    (lambda: Grassmannian(2, 5), Grassmannian(2, 6), (2, 5)),
+    (lambda: Divisor(2, -1), Divisor(2, 1), (2, -1)),
+    (lambda: FourfoldProfile(5, 3, 22, 1, 6), FourfoldProfile(5, 3, 22, 1, 7), (5, 3, 22, 1, 6)),
+    (lambda: CurveCenter(0, 1), CurveCenter(1, 1), (0, 1)),
+    (lambda: SurfaceCenter(1, -3, 9, 3, 5), SurfaceCenter(1, -3, 9, 3, 4), (1, -3, 9, 3, 5)),
+    (lambda: BlowupModel(FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(0, 1)),
+     BlowupModel(FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(0, 2)),
+     (FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(0, 1))),
+]
+
+
+@pytest.mark.parametrize("make, other, fields", VALUES, ids=[type(v[1]).__name__ for v in VALUES])
+def test_equal_values_compare_and_hash_equal(make, other, fields):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and {a: "found"}[b] == "found"
+    assert a != other and not a == other
+    assert a != fields  # no other class compares equal, not even a tuple of the same values
+
+
+def test_bundle_and_section_models_compare_by_value_and_have_no_hash():
+    assert BundleModel(1, TOTAL) == BundleModel(1, TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)]))
+    assert BundleModel(1, TOTAL) != BundleModel(1, TotalChernClass(GR25, [unit(GR25)]))
+    assert SectionModel(GR25, 2, TOTAL) == SectionModel(Grassmannian(2, 5), 2, TOTAL)
+    assert SectionModel(GR25, 2, TOTAL) != SectionModel(GR25, 1, TOTAL)
+    for model in (BundleModel(1, TOTAL), SectionModel(GR25, 2, TOTAL)):
+        with pytest.raises(TypeError):
+            hash(model)
+
+
+def test_an_equal_grassmannian_is_a_cache_hit():
+    first = tangent_bundle(Grassmannian(2, 5))
+    before = tangent_bundle.cache_info()
+    assert tangent_bundle(Grassmannian(2, 5)) is first
+    after = tangent_bundle.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_expression_nodes_compare_by_structure():
+    def tree():
+        return Call("quartic", (BinOp("-", 1, Neg(2)), SigmaAtom((2, 1))))
+
+    assert tree() == tree()
+    assert tree() != Call("quartic", (BinOp("+", 1, Neg(2)), SigmaAtom((2, 1))))
+    assert tree() != Call("quartic", (BinOp("-", 1, Neg(3)), SigmaAtom((2, 1))))
+    assert tree() != Call("quartic", (BinOp("-", 1, Neg(2)), SigmaAtom((2,))))
+    assert tree() != Call("chi", tree().args)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_frozen_records_reject_assignment_and_deletion(cls):
+    values = dict(RECORDS)[cls]
+    record = cls(**values)
+    for name, value in values.items():
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_frozen_records_copy_and_pickle(cls):
+    record = cls(**dict(RECORDS)[cls])
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Grassmannian(2, 2), "need n > k >= 1, got k=2, n=2"),
+    (lambda: BundleModel(0, TOTAL), "bundle rank must be positive"),
+    (lambda: BundleModel(1, TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1), sigma(GR25, 2)])),
+     "Chern class above the rank must vanish"),
+    (lambda: FourfoldProfile(0, 3, 22, 1, 6), "h4 must be positive"),
+    (lambda: FourfoldProfile(5, 0, 22, 1, 6), "the Fano index must be positive"),
+    (lambda: CurveCenter(-1, 1), "genus must be non-negative"),
+    (lambda: CurveCenter(0, 0), "the curve must have positive degree"),
+    (lambda: SurfaceCenter(0, -3, 9, 3, 5), "the surface must have positive degree"),
+    (lambda: Assertion("x", "c", "<=", thunk, thunk), "unsupported comparison '<='"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("divisor, text", [
+    (Divisor(1, 0), "H"),
+    (Divisor(0, 1), "E"),
+    (Divisor(0, -1), "-E"),
+    (Divisor(2, -3), "2*H-3*E"),
+    (Divisor(-1, 1), "-1*H+E"),
+    (Divisor(0, 2), "2*E"),
+    (Divisor(0, 0), "0"),
+])
+def test_divisor_repr(divisor, text):
+    assert repr(divisor) == text
