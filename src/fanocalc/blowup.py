@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+
+from .record import FrozenRecord
 
 
 class NonIntegralCharacteristicError(ArithmeticError):
     """Riemann-Roch produced a non-integer: the input data is inconsistent."""
 
 
-class FourfoldProfile:
+class FourfoldProfile(FrozenRecord):
     """Numerical profile of a smooth Fano fourfold of Picard rank one.
 
     h4 is the degree of the hyperplane class, index the Fano index
@@ -44,29 +45,8 @@ class FourfoldProfile:
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "euler", euler)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__; the default, which
-        # restores the slots one by one, meets the assignment guard
-        return type(self), (self.h4, self.index, self.c2h2, self.chi, self.euler)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.h4, self.index, self.c2h2, self.chi, self.euler) == (
-                other.h4, other.index, other.c2h2, other.chi, other.euler
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.h4, self.index, self.c2h2, self.chi, self.euler))
-
-
-class CurveCenter:
+class CurveCenter(FrozenRecord):
     """A smooth curve inside the fourfold: genus and hyperplane degree.
 
     Immutable, compared by value.
@@ -82,25 +62,8 @@ class CurveCenter:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "hc", hc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.genus, self.hc)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.genus, self.hc) == (other.genus, other.hc)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.genus, self.hc))
-
-
-class SurfaceCenter:
+class SurfaceCenter(FrozenRecord):
     """A smooth surface S inside the fourfold.
 
     hhc = H^2 . S, hkc = H . K_S, kc2 = K_S^2, euler = topological Euler
@@ -121,30 +84,8 @@ class SurfaceCenter:
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "c2xc", c2xc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.hhc, self.hkc, self.kc2, self.euler, self.c2xc)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.hhc, self.hkc, self.kc2, self.euler, self.c2xc) == (
-                other.hhc, other.hkc, other.kc2, other.euler, other.c2xc
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.hhc, self.hkc, self.kc2, self.euler, self.c2xc))
-
-
-Center = Union[CurveCenter, SurfaceCenter]
-
-
-class Divisor:
+class Divisor(FrozenRecord):
     """Integer combination a*H + b*E on the blowup.  Immutable, compared by value."""
 
     __slots__ = ("h", "e")
@@ -152,23 +93,6 @@ class Divisor:
     def __init__(self, h: int, e: int):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "e", e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.h, self.e)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.h, self.e) == (other.h, other.e)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.h, self.e))
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor(self.h + other.h, self.e + other.e)
@@ -201,33 +125,21 @@ H = Divisor(1, 0)
 E = Divisor(0, 1)
 
 
-class BlowupModel:
+class BlowupModel(FrozenRecord):
     """The blowup of a profiled fourfold along a curve or surface center.
 
     Every degree computation reads three tables, each worked out once per
     model from the base profile and the center: ``c1``, the five monomials
     H^(4-j) E^j and the three pairings of c_2.  Immutable, compared by
     (base, center); the tables are cached in the instance ``__dict__``,
-    so the class has no ``__slots__``.
+    which is the one slot that is not a field.
     """
 
-    def __init__(self, base: FourfoldProfile, center: Center):
+    __slots__ = ("base", "center", "__dict__")
+
+    def __init__(self, base: FourfoldProfile, center: CurveCenter | SurfaceCenter):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "center", center)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.center) == (other.base, other.center)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.center))
 
     @cached_property
     def c1(self) -> Divisor:

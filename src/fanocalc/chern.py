@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .record import FrozenRecord
 from .schubert import (
     ContextMismatchError,
     Grassmannian,
@@ -23,10 +24,11 @@ from .schubert import (
 )
 
 
-class TotalChernClass:
+class TotalChernClass(FrozenRecord):
     """Graded total class c_0 + c_1 + ... + c_limit with c_0 = 1 implied.
 
-    Components above ``limit`` are zero.  Instances are immutable.
+    Components above ``limit`` are zero, so equality pads the shorter class
+    with zeros.  Immutable, with no hash.
     """
 
     __slots__ = ("context", "components")
@@ -40,8 +42,8 @@ class TotalChernClass:
                 raise ContextMismatchError("component from a different context")
             if c.codim != i:
                 raise ValueError(f"component {i} has codimension {c.codim}")
-        self.context = context
-        self.components = comps
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "components", comps)
 
     @property
     def limit(self) -> int:
@@ -78,7 +80,7 @@ class TotalChernClass:
         return "1 + " + " + ".join(f"({c})" for c in self.components[1:])
 
 
-class BundleModel:
+class BundleModel(FrozenRecord):
     """A vector bundle presented by its rank and total Chern class.
 
     Immutable, and compared by value; like its total class, it has no hash.
@@ -95,21 +97,7 @@ class BundleModel:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "total", total)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__; the default, which
-        # restores the slots one by one, meets the assignment guard
-        return type(self), (self.rank, self.total)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self.total) == (other.rank, other.total)
-        return NotImplemented
+    __hash__ = None
 
 
 def universal_bundles(ctx: Grassmannian) -> tuple[BundleModel, BundleModel]:
@@ -188,7 +176,7 @@ def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
 # ---------------------------------------------------------------------------
 # linear sections
 
-class SectionModel:
+class SectionModel(FrozenRecord):
     """A smooth intersection of ``codim`` hyperplane sections of Gr(k, n).
 
     ``chern`` holds the restriction-valued total class: components live in the
@@ -203,21 +191,7 @@ class SectionModel:
         object.__setattr__(self, "codim", codim)
         object.__setattr__(self, "chern", chern)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.context, self.codim, self.chern)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.codim, self.chern) == (
-                other.context, other.codim, other.chern
-            )
-        return NotImplemented
+    __hash__ = None
 
     @property
     def dim(self) -> int:

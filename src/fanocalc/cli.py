@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import dsl, scenarios
 
@@ -117,7 +116,7 @@ def _cmd_emit(args, out, err) -> int:
     return 0
 
 
-def main(argv: Optional[list] = None, out=None, err=None) -> int:
+def main(argv: list | None = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = _build_arg_parser()

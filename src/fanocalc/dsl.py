@@ -74,8 +74,8 @@ import operator
 import re
 import sys
 from bisect import bisect_left
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
@@ -238,8 +238,8 @@ class ProfileStmt:
     __slots__ = ("ident", "h4", "index", "c2h2", "ambient", "codim", "chi", "euler", "line",
                  "column")
 
-    def __init__(self, ident: str, h4: int, index: int, c2h2: Optional[int], ambient: Optional[str],
-                 codim: Optional[int], chi: int, euler: int, line: int, column: int):
+    def __init__(self, ident: str, h4: int, index: int, c2h2: int | None, ambient: str | None,
+                 codim: int | None, chi: int, euler: int, line: int, column: int):
         self.ident = ident
         self.h4 = h4
         self.index = index
@@ -255,7 +255,7 @@ class ProfileStmt:
 class CenterStmt:
     __slots__ = ("kind", "fields", "cycle", "line", "column")
 
-    def __init__(self, kind: str, fields: tuple, cycle: Optional[SigmaAtom], line: int, column: int):
+    def __init__(self, kind: str, fields: tuple, cycle: SigmaAtom | None, line: int, column: int):
         self.kind = kind  # "curve" or "surface"
         self.fields = fields  # ordered (name, value) pairs
         self.cycle = cycle  # a surface's Schubert class in the profile's ambient
@@ -276,7 +276,7 @@ class GrassStmt:
 class AssertStmt:
     __slots__ = ("left", "op", "right", "cite", "label", "line", "column")
 
-    def __init__(self, left: object, op: str, right: object, cite: str, label: Optional[str],
+    def __init__(self, left: object, op: str, right: object, cite: str, label: str | None,
                  line: int, column: int):
         self.left = left
         self.op = op
@@ -300,7 +300,7 @@ class ScenarioNode:
 class Document:
     __slots__ = ("scenarios",)
 
-    def __init__(self, scenarios: Optional[list] = None):
+    def __init__(self, scenarios: list | None = None):
         self.scenarios = [] if scenarios is None else scenarios
 
     def pretty(self) -> str:
@@ -381,7 +381,7 @@ class _Parser:
                 f" interpreter's limit of {sys.get_int_max_str_digits()}",
             )
 
-    def expect(self, text: str, wanted: Optional[str] = None) -> int:
+    def expect(self, text: str, wanted: str | None = None) -> int:
         """Consume the keyword or symbol ``text`` and return its offset; ``wanted`` overrides the message."""
         start = self.start
         if self.value != text:
@@ -722,7 +722,7 @@ class Assertion:
 class Scenario:
     __slots__ = ("name", "assertions", "notes")
 
-    def __init__(self, name: str, assertions: list, notes: Optional[list] = None):
+    def __init__(self, name: str, assertions: list, notes: list | None = None):
         self.name = name
         self.assertions = assertions
         self.notes = [] if notes is None else notes

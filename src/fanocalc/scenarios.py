@@ -13,14 +13,16 @@ silently corrected; see the sanity and v14 scenarios.
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+
+from _json import encode_basestring_ascii
 
 from . import dsl
 from .dsl import Assertion, Scenario  # noqa: F401  (part of this module's interface)
+from .record import FrozenRecord
 
 
-class AssertionResult:
+class AssertionResult(FrozenRecord):
     """One report row; ``expected`` and ``actual`` hold the rendered values.
 
     Immutable, compared by value.
@@ -35,29 +37,8 @@ class AssertionResult:
         object.__setattr__(self, "actual", actual)
         object.__setattr__(self, "passed", passed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__; the default, which
-        # restores the slots one by one, meets the assignment guard
-        return type(self), (self.label, self.cite, self.expected, self.actual, self.passed)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.label, self.cite, self.expected, self.actual, self.passed) == (
-                other.label, other.cite, other.expected, other.actual, other.passed
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.label, self.cite, self.expected, self.actual, self.passed))
-
-
-class ScenarioResult:
+class ScenarioResult(FrozenRecord):
     """One scenario's rows and notes.  Immutable, compared by value."""
 
     __slots__ = ("name", "results", "notes")
@@ -66,23 +47,6 @@ class ScenarioResult:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "results", results)
         object.__setattr__(self, "notes", notes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.name, self.results, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.results, self.notes) == (other.name, other.results, other.notes)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.results, self.notes))
 
     @property
     def passed(self) -> bool:
@@ -130,7 +94,7 @@ def _json_scalar(value) -> str:
     return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
 
 
-class Report:
+class Report(FrozenRecord):
     """The results of a run, as text or as JSON.
 
     ``to_json`` writes the fixed schema directly, byte for byte what
@@ -138,31 +102,15 @@ class Report:
     with ``failed``, ``scenarios`` and ``total``; each scenario with
     ``assertions``, ``name`` and ``pass``; each assertion with ``actual``,
     ``cite``, ``expected``, ``label`` and ``pass``.  Strings go through the
-    C string escaper of :mod:`json`, so non-ASCII text is written as
-    ``\\uXXXX`` escapes.  Immutable, compared by value.
+    C string escaper that :mod:`json` uses, imported from ``_json`` so the
+    package is not loaded, and non-ASCII text is written as ``\\uXXXX``
+    escapes.  Immutable, compared by value.
     """
 
     __slots__ = ("scenarios",)
 
     def __init__(self, scenarios: tuple):
         object.__setattr__(self, "scenarios", scenarios)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.scenarios,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.scenarios == other.scenarios
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.scenarios)
 
     @property
     def total(self) -> int:

@@ -23,6 +23,8 @@ import math
 from functools import lru_cache
 from itertools import permutations
 
+from .record import FrozenRecord
+
 
 class ContextMismatchError(ValueError):
     """Two cycles from different Grassmannians were combined."""
@@ -70,7 +72,7 @@ def dual_partition(ctx: "Grassmannian", parts) -> tuple[int, ...]:
     return normalize_partition(ctx.width - p for p in reversed(padded))
 
 
-class Grassmannian:
+class Grassmannian(FrozenRecord):
     """Ambient context: the space of k-planes in an n-space.  Immutable, compared by (k, n)."""
 
     __slots__ = ("k", "n")
@@ -80,17 +82,7 @@ class Grassmannian:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__; the default, which
-        # restores the slots one by one, meets the assignment guard
-        return type(self), (self.k, self.n)
-
+    # written out, not inherited: the only record compared on hot paths (context checks, cache keys)
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.k, self.n) == (other.k, other.n)

@@ -1,4 +1,4 @@
-"""Package layering, read from the sources: imports at module top, no cycles, no test-only API.
+"""Package layering, read from the sources: imports at module top, no cycles, no test-only API, one frozen base.
 
 One test also starts a fresh interpreter to see which modules importing the package loads.
 """
@@ -91,7 +91,22 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
     )
     loaded = set(proc.stdout.split())
     assert "fanocalc.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "ast"} == set()
+    assert loaded & {"dataclasses", "inspect", "ast", "typing", "json"} == set()
+
+
+def test_only_the_frozen_base_defines_the_record_guards():
+    # the frozen records inherit these from record.FrozenRecord, which reads
+    # the fields from each class's __slots__; a copy in a record is regrowth
+    guards = {"__setattr__", "__delattr__", "__reduce__"}
+    found = sorted(
+        f"{name}.{cls.name}.{stmt.name}"
+        for name, tree in MODULES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in guards
+    )
+    assert found == [f"record.FrozenRecord.{guard}" for guard in sorted(guards)]
 
 
 def test_internal_import_graph_is_acyclic():

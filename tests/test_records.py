@@ -46,6 +46,7 @@ RECORDS = [
     (AssertionResult, {"label": "L4", "cite": "c", "expected": 1, "actual": 1, "passed": True}),
     (ScenarioResult, {"name": "s", "results": (), "notes": ("n",)}),
     (Report, {"scenarios": ()}),
+    (TotalChernClass, {"context": GR25, "components": TOTAL.components}),
     (SigmaAtom, {"parts": (2, 1)}),
     (Call, {"name": "euler", "args": ()}),
     (BinOp, {"op": "+", "left": 1, "right": 2}),
@@ -65,7 +66,7 @@ RECORDS = [
 
 FROZEN = [
     Grassmannian, BundleModel, SectionModel, FourfoldProfile, CurveCenter, SurfaceCenter,
-    Divisor, BlowupModel, AssertionResult, ScenarioResult, Report,
+    Divisor, BlowupModel, AssertionResult, ScenarioResult, Report, TotalChernClass,
 ]
 
 
@@ -91,6 +92,10 @@ VALUES = [
     (lambda: BlowupModel(FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(0, 1)),
      BlowupModel(FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(0, 2)),
      (FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(0, 1))),
+    (lambda: AssertionResult("L4", "c", 1, 1, True), AssertionResult("L4", "c", 1, 1, False),
+     ("L4", "c", 1, 1, True)),
+    (lambda: ScenarioResult("s", (), ("n",)), ScenarioResult("s", (), ("m",)), ("s", (), ("n",))),
+    (lambda: Report(()), Report((ScenarioResult("s", (), ()),)), ((),)),
 ]
 
 
