@@ -55,10 +55,8 @@ over them, but no call and no sigma[...]) are one node of its tree.  A
 call argument or parenthesised expression whose text, up to the next ','
 or ')', holds none of '(', '[', '"' and '#' is such a subtree, and the
 parser reads each distinct such text once per document; a later copy
-takes the first one's node.  ``build`` compiles each expression once into
-values and closures, and folds each such node once for the whole document;
-every evaluation error still fails only its own assertion, when the report
-runs.
+takes the first one's node.  Running the built scenarios computes each
+such node once per build; an error fails only the assertion it is in.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -76,6 +74,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 
 from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
@@ -88,11 +87,10 @@ _PRECEDENCE = {"+": (1, False), "-": (1, False), "*": (2, False), _UNARY_MINUS: 
                "^": (4, True)}
 
 # Bound on both the parser's nesting depth and the height of an expression
-# tree.  The printer takes one frame per level of height, the compiler and
-# the compiled closures two, and the parser about three per level of
-# nesting; unbounded, they fail near 1000, 500, 500 and 350 levels at the
-# interpreter's default recursion limit of 1000.  64 leaves room for the
-# caller and for the engine calls an assertion makes.
+# tree.  The evaluator takes one frame per level of height, the printer one
+# or, at a call, three, and the parser about three per level of nesting; at
+# the default recursion limit of 1000 they fail near 990, 330 and 350
+# levels.  64 leaves room for the caller and for an assertion's engine calls.
 _MAX_DEPTH = 64
 
 _AMBIENTS = {
@@ -307,8 +305,8 @@ class Document:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
 
     def build(self) -> list:
-        folded = {}  # see _compile; it lives only as long as this call
-        return [_build_scenario(node, folded) for node in self.scenarios]
+        memo = {}  # see _value; one per call, it lives as long as the scenarios built
+        return [_build_scenario(node, memo) for node in self.scenarios]
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +727,8 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: each expression is compiled once, at build, into values and
-# closures that hold no syntax node
+# evaluation: each assertion side is a closure that walks its tree when the
+# report runs
 
 _SETUP_KEYWORDS = {ProfileStmt: "profile", CenterStmt: "center", GrassStmt: "grassmannian"}
 
@@ -948,80 +946,46 @@ _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.su
               "*": _times, "^": _power}
 
 
-def _compile(node, setup: _Setup, folded: dict):
-    """``node`` as its value when it needs no scenario setup and evaluates, else as a closure.
+def _value(node, setup: _Setup, memo: dict):
+    """The value of ``node`` under ``setup``, computed when its assertion runs.
 
-    ``folded`` maps the id of each operator node already folded in this
-    build to its result, so a node the parser shared is folded once.  A
-    closure raises when it runs: arguments first, then unknown name, arity
-    and types."""
-    if id(node) in folded:
-        return folded[id(node)]
-    return _COMPILERS[type(node)](node, setup, folded)
-
-
-def _compile_sigma(node: SigmaAtom, setup: _Setup, folded: dict):
-    parts = node.parts
-    return lambda: sigma(setup.grassmannian(), *parts)
-
-
-def _compile_call(node: Call, setup: _Setup, folded: dict):
-    name, entry = node.name, _FUNCTIONS.get(node.name)
-    args = [_compile(arg, setup, folded) for arg in node.args]
-
-    def call():
-        values = [arg() if callable(arg) else arg for arg in args]
+    ``memo`` maps the id of each operator node whose operands are leaves or
+    in ``memo`` (the setup-free nodes, which the parser shares) to
+    ``(node, value)``, which keeps the id in use: each is computed once per
+    build.  A failure is not stored, so each row that uses it raises it
+    again.  A call raises in this order: arguments, then unknown name,
+    arity and types."""
+    if (hit := memo.get(id(node))) is not None:
+        return hit[1]
+    if isinstance(node, (int, Divisor)):
+        return node
+    kind = node.__class__
+    if kind is SigmaAtom:
+        return sigma(setup.grassmannian(), *node.parts)
+    if kind is Call:
+        values = []
+        for arg in node.args:  # a loop, not a comprehension, which would take a frame
+            values.append(_value(arg, setup, memo))
+        name, entry = node.name, _FUNCTIONS.get(node.name)
         if entry is None:
             raise ValueError(f"unknown function {name!r}")
         if len(values) != entry[0]:
             raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(values)}")
         return entry[1](setup, *values)
-
-    return call
-
-
-def _compile_neg(node: Neg, setup: _Setup, folded: dict):
-    operand = _compile(node.operand, setup, folded)
-    if callable(operand):
-        return lambda: -operand()
-    value = folded[id(node)] = -operand  # an int or a Divisor, and both negate
+    if kind is Neg:
+        operands = (node.operand,)
+        value = -_value(node.operand, setup, memo)
+    else:
+        operands = (node.left, node.right)
+        value = _OPERATORS[node.op](_value(node.left, setup, memo), _value(node.right, setup, memo))
+    for operand in operands:
+        if not isinstance(operand, (int, Divisor)) and id(operand) not in memo:
+            return value
+    memo[id(node)] = node, value
     return value
 
 
-def _compile_binop(node: BinOp, setup: _Setup, folded: dict):
-    """The operator's result when both operands are values and it succeeds, else a closure."""
-    rule = _OPERATORS[node.op]
-    left, right = _compile(node.left, setup, folded), _compile(node.right, setup, folded)
-    if callable(left):
-        if callable(right):
-            return lambda: rule(left(), right())
-        return lambda: rule(left(), right)
-    if callable(right):
-        return lambda: rule(left, right())
-    try:
-        value = rule(left, right)
-    except Exception:  # noqa: BLE001 - the closure raises it again when it runs
-        value = lambda: rule(left, right)
-    folded[id(node)] = value
-    return value
-
-
-_COMPILERS = {
-    int: lambda node, setup, folded: node,
-    Divisor: lambda node, setup, folded: node,
-    SigmaAtom: _compile_sigma,
-    Call: _compile_call,
-    Neg: _compile_neg,
-    BinOp: _compile_binop,
-}
-
-
-def _thunk(compiled) -> Callable[[], object]:
-    """A closure for a compiled expression; no value the language computes is callable."""
-    return compiled if callable(compiled) else lambda: compiled
-
-
-def _build_scenario(node: ScenarioNode, folded: dict) -> Scenario:
+def _build_scenario(node: ScenarioNode, memo: dict) -> Scenario:
     setup = _Setup()
     for stmt in node.statements:
         setup.add(stmt)
@@ -1032,7 +996,7 @@ def _build_scenario(node: ScenarioNode, folded: dict) -> Scenario:
         if label in labels:
             raise ParseError(stmt.line, stmt.column, f"duplicate assertion label {label!r}")
         labels.add(label)
-        expected = _thunk(_compile(stmt.right, setup, folded))
-        actual = _thunk(_compile(stmt.left, setup, folded))
+        expected = partial(_value, stmt.right, setup, memo)
+        actual = partial(_value, stmt.left, setup, memo)
         assertions.append(Assertion(label, stmt.cite, stmt.op, expected, actual))
     return Scenario(name=node.name, assertions=assertions)

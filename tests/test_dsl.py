@@ -465,9 +465,16 @@ def test_tree_height_is_bounded():
         # reported at the operator whose node passes the bound
         assert (info.value.line, info.value.column) == (1, 22 + 2 * dsl._MAX_DEPTH)
         assert info.value.message == "expression nesting too deep"
-    document = parse(chain(dsl._MAX_DEPTH))
-    assert parse(document.pretty()).pretty() == document.pretty()
-    assert run(document.build()).failed == 0
+    # the tallest legal trees: one that needs no setup, and one with a call
+    # at the bottom, which is evaluated only when the report runs
+    tallest = "+".join(["dim(2, 5)"] + ["1"] * (dsl._MAX_DEPTH - 2))
+    with pytest.raises(ParseError):
+        parse(f'scenario "c" {{ assert {tallest}+1 == 0 cite "x" }}')
+    for source in (chain(dsl._MAX_DEPTH),
+                   f'scenario "c" {{ assert {tallest} == {dsl._MAX_DEPTH + 4} cite "x" }}'):
+        document = parse(source)
+        assert parse(document.pretty()).pretty() == document.pretty()
+        assert run(document.build()).failed == 0
 
 
 def test_overlong_integer_literal_is_a_parse_error():
@@ -528,6 +535,30 @@ def test_a_shared_node_is_folded_once_per_build(monkeypatch):
         report = run(document.build())
         assert (report.total, report.failed) == (50, 0)
         assert calls == [(2, blowup.H)]
+
+
+def test_running_built_scenarios_again_repeats_their_engine_calls(monkeypatch):
+    from fanocalc import blowup
+
+    quartic, calls = blowup.quartic_number, []
+    monkeypatch.setattr(blowup, "quartic_number",
+                        lambda model, *divisors: calls.append(divisors) or quartic(model, *divisors))
+    (scenario,) = parse(
+        'scenario "a" {\n'
+        "  profile P4 h4 1 index 5 ambient p4 codim 0 chi 1 euler 5\n"
+        "  center curve genus 0 hc 1\n"
+        '  assert quartic(H, H, H, H) - 1 == 0 cite "an operator over a call"\n'
+        '  assert quartic(2*H - E, H, H, H) == 2 cite "a shared setup-free argument"\n'
+        '  assert 2*H - E != E cite "the same node"\n'
+        "}\n"
+    ).build()
+    reports = []
+    for _ in range(2):
+        calls.clear()
+        reports.append(run([scenario]).to_json())
+        assert calls == [(blowup.H,) * 4, (2 * blowup.H - blowup.E,) + (blowup.H,) * 3]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["failed"] == 0
 
 
 def test_a_shared_fold_that_raises_fails_each_of_its_rows():
