@@ -35,11 +35,11 @@ class TotalChernClass(FrozenRecord):
 
     def __init__(self, context: Grassmannian, components):
         comps = tuple(components)
+        if any(c.context != context for c in comps):
+            raise ContextMismatchError("component from a different context")
         if not comps or comps[0] != unit(context):
             raise ValueError("a total Chern class must start with 1")
         for i, c in enumerate(comps):
-            if c.context != context:
-                raise ContextMismatchError("component from a different context")
             if c.codim != i:
                 raise ValueError(f"component {i} has codimension {c.codim}")
         object.__setattr__(self, "context", context)
@@ -139,12 +139,13 @@ def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
 
 def _divide_exactly(cycle: SchubertCycle, m: int) -> SchubertCycle:
     quotient = {}
-    for parts, coeff in cycle.terms.items():
+    for parts, coeff in cycle._terms.items():
         q, r = divmod(coeff, m)
         if r:
             raise ValueError(f"coefficient {coeff} of {parts} is not divisible by {m}")
         quotient[parts] = q
-    return SchubertCycle(cycle.context, cycle.codim, quotient)
+    # the dividend's keys, so the kernel's invariant holds without re-validation
+    return SchubertCycle._trusted(cycle.context, cycle.codim, quotient)
 
 
 def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:

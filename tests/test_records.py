@@ -26,6 +26,7 @@ from fanocalc.scenarios import AssertionResult, Report, ScenarioResult
 from fanocalc.schubert import Grassmannian, sigma, unit
 
 GR25 = Grassmannian(2, 5)
+GR26 = Grassmannian(2, 6)
 TOTAL = TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)])  # c = 1 + sigma_1, a line bundle's
 
 
@@ -161,6 +162,7 @@ def test_frozen_records_copy_and_pickle(cls):
     (lambda: BundleModel(0, TOTAL), "bundle rank must be positive"),
     (lambda: BundleModel(1, TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1), sigma(GR25, 2)])),
      "Chern class above the rank must vanish"),
+    (lambda: TotalChernClass(GR25, [unit(GR26), sigma(GR26, 1)]), "component from a different context"),
     (lambda: FourfoldProfile(0, 3, 22, 1, 6), "h4 must be positive"),
     (lambda: FourfoldProfile(5, 0, 22, 1, 6), "the Fano index must be positive"),
     (lambda: CurveCenter(-1, 1), "genus must be non-negative"),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanocalc import schubert
+from fanocalc.chern import tensor_chern, universal_bundles
 from fanocalc.schubert import (
     ContextMismatchError,
     Grassmannian,
@@ -54,6 +56,30 @@ def test_gr36_products_match_lr_oracle():
         got = (sigma(GR36, *lam) * sigma(GR36, *mu)).terms
         want = oracle_product(3, 6, lam, mu)
         assert got == want, (lam, mu)
+
+
+def _oracle_bilinear(a, b):
+    """a * b as the bilinear sum of the oracle's basis products."""
+    ctx = a.context
+    out = {}
+    for lam, ca in a.terms.items():
+        for mu, cb in b.terms.items():
+            for nu, c in oracle_product(ctx.k, ctx.n, lam, mu).items():
+                out[nu] = out.get(nu, 0) + ca * cb * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def test_gr48_multi_term_products_match_lr_oracle():
+    # four-row partitions, whose Giambelli words merge, and a factor with
+    # several terms, whose words share one table
+    gr48 = Grassmannian(4, 8)
+    pairs = [
+        (sigma(gr48, 2, 1, 1, 1), sigma(gr48, 2, 2, 1, 1)),
+        (sigma(gr48, 3, 2, 1, 1), sigma(gr48, 1, 1, 1, 1)),
+        (sigma(gr48, 2, 1, 1, 1) - sigma(gr48, 2, 2, 1) + 3 * sigma(gr48, 3, 1, 1), sigma(gr48, 1, 1, 1)),
+    ]
+    for a, b in pairs:
+        assert (a * b).terms == (b * a).terms == _oracle_bilinear(a, b), (a, b)
 
 
 def test_lr_oracle_self_check():
@@ -156,6 +182,13 @@ def test_product_is_associative_and_commutative(abc):
     assert (a * b) * c == a * (b * c)
 
 
+@settings(max_examples=40, deadline=None)
+@given(ab=st.one_of(_tuples(GR26, 2), _tuples(GR36, 2)))
+def test_multi_term_products_match_lr_oracle(ab):
+    a, b = ab
+    assert (a * b).terms == _oracle_bilinear(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ab=st.one_of(_tuples(GR25, 2), _tuples(GR26, 2), _tuples(GR36, 2)),
@@ -213,6 +246,19 @@ def test_pieri_rejects_bad_arguments():
     # the row rule is the only strip kind; a second argument is not accepted
     with pytest.raises(TypeError):
         sigma(GR25, 1).pieri(1, "diagonal")
+
+
+# ---------------------------------------------------------------------------
+# work counts of the product kernel (deterministic, unlike its timings)
+
+def test_kernel_work_counts():
+    gr48 = Grassmannian(4, 8)
+    schubert._row_strips.cache_clear()
+    tensor_chern(*universal_bundles(gr48))
+    info = schubert._row_strips.cache_info()
+    assert info.hits + info.misses == 5048  # strip-table lookups of the tangent bundle's class
+    # the special classes commute, so words with the same letters are merged
+    assert sum(len(schubert._giambelli_monomials(lam)) for lam in box_partitions(4, 8)) == 535
 
 
 # ---------------------------------------------------------------------------
