@@ -1,7 +1,7 @@
 """Exact intersection-theoretic bookkeeping for Fano fourfolds.
 
 Subpackages cover Schubert calculus on Grassmannians (:mod:`.schubert`),
-Chern classes of homogeneous bundles and linear sections (:mod:`.chern`),
+Chern classes of homogeneous bundles and hypersurface sections (:mod:`.chern`),
 blowup arithmetic and Riemann-Roch characteristics (:mod:`.blowup`),
 derived numerical profiles (:mod:`.profiles`), the scenario report layer
 (:mod:`.scenarios`) and the scenario language (:mod:`.dsl`).

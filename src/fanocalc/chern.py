@@ -1,4 +1,4 @@
-"""Chern-class calculus for Grassmannians and their smooth linear sections.
+"""Chern-class calculus for Grassmannians and their smooth sections by hypersurfaces.
 
 Total Chern classes are graded tuples of Schubert cycles.  The class of a
 tensor product comes from the multiplicativity of the Chern character:
@@ -175,28 +175,30 @@ def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
 
 
 # ---------------------------------------------------------------------------
-# linear sections
+# sections by hypersurfaces
 
 class SectionModel(FrozenRecord):
-    """A smooth intersection of ``codim`` hyperplane sections of Gr(k, n).
+    """A smooth intersection of hypersurfaces of the given degrees in Gr(k, n).
 
+    Degrees are those of the Pluecker embedding: a hyperplane has degree 1,
+    and P^N is Gr(1, N+1), so a complete intersection is a section too.
     ``chern`` holds the restriction-valued total class: components live in the
     ambient ring and stand for their restrictions to the section.  Immutable,
     and compared by value; like its total class, it has no hash.
     """
 
-    __slots__ = ("context", "codim", "chern")
+    __slots__ = ("context", "degrees", "chern")
 
-    def __init__(self, context: Grassmannian, codim: int, chern: TotalChernClass):
+    def __init__(self, context: Grassmannian, degrees: tuple[int, ...], chern: TotalChernClass):
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "chern", chern)
 
     __hash__ = None
 
     @property
     def dim(self) -> int:
-        return self.context.dim - self.codim
+        return self.context.dim - len(self.degrees)
 
     @property
     def index(self) -> int:
@@ -204,25 +206,28 @@ class SectionModel(FrozenRecord):
         return self.chern.component(1).coefficient((1,))
 
 
-def section_chern(ambient: TotalChernClass, codim: int) -> SectionModel:
-    """Adjunction along ``codim`` hyperplanes: divide by 1 + sigma_1, codim times.
+def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> SectionModel:
+    """Adjunction along hypersurfaces of the given degrees: divide by 1 + d sigma_1 for each d.
 
-    One division turns c into c' with c'_m = c_m - sigma_1 c'_(m-1); only
-    the degrees up to the dimension of the section are kept.
+    One division turns c into c' with c'_m = c_m - d sigma_1 c'_(m-1); only
+    the components up to the dimension of the section are kept.
     """
     ctx = ambient.context
-    if codim < 0 or codim >= ctx.dim:
+    if len(degrees) >= ctx.dim:
         raise ValueError("section codimension must satisfy 0 <= codim < dim")
-    s1 = sigma(ctx, 1)
-    comps = [ambient.component(m) for m in range(ctx.dim - codim + 1)]
-    for _ in range(codim):
+    if any(d < 1 for d in degrees):
+        raise ValueError("hypersurface degrees must be positive")
+    comps = [ambient.component(m) for m in range(ctx.dim - len(degrees) + 1)]
+    for d in degrees:
+        normal = d * sigma(ctx, 1)
         for m in range(1, len(comps)):
-            comps[m] = comps[m] - s1 * comps[m - 1]
-    return SectionModel(ctx, codim, TotalChernClass(ctx, comps))
+            comps[m] = comps[m] - normal * comps[m - 1]
+    return SectionModel(ctx, degrees, TotalChernClass(ctx, comps))
 
 
 def section_degree(model: SectionModel, cycle: SchubertCycle) -> int:
-    """Degree on the section of an ambient cycle: integrate against sigma_1^codim."""
+    """Degree on the section of an ambient cycle: integrate against the product of the d sigma_1."""
     if cycle.context != model.context:
         raise ContextMismatchError("cycle from a different context")
-    return (cycle * sigma(model.context, 1) ** model.codim).integral()
+    hypersurfaces = sigma(model.context, 1) ** len(model.degrees)
+    return math.prod(model.degrees) * (cycle * hypersurfaces).integral()

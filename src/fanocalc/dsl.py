@@ -40,12 +40,14 @@ is at most 64 levels tall; deeper input is a ParseError.
 
 The left side of an assertion is the computed value, the right side the
 expected one.  ``ambient IDENT codim INT`` derives the profile from the
-Chern engine (ambients: p4, w22, gr24, gr25, gr26) and cross-checks the h4,
-index, chi and euler literals against the derived values.  Under such a
-profile a surface center's hhc and c2xc are cross-checked too: in a
-Grassmannian ambient the center ends with its Schubert class there, and
-hhc = sigma[1]^2 . class, c2xc = c_2 . class; in p4 or w22, c_2 is
-(c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
+Chern engine and cross-checks the h4, index, chi and euler literals against
+the derived values.  The ambients p4, w22 (two quadrics in P^6), gr24, gr25
+and gr26 are each cut from a Gr(k, n) by hypersurfaces, P^N being
+Gr(1, N+1); the codim adds that many hyperplanes and must leave a fourfold.
+Under such a profile a surface center's hhc and c2xc are cross-checked
+too: in a Grassmannian ambient the center ends with its Schubert class
+there, and hhc = sigma[1]^2 . class, c2xc = c_2 . class; in p4 or w22, c_2
+is (c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
 ``c2h2`` profile takes the center as stated, with no class.
 
 The leaves of an expression tree are values: an integer literal is its
@@ -93,15 +95,14 @@ _PRECEDENCE = {"+": (1, False), "-": (1, False), "*": (2, False), _UNARY_MINUS: 
 # levels.  64 leaves room for the caller and for an assertion's engine calls.
 _MAX_DEPTH = 64
 
+# Ambient name -> (k, n, degrees): hypersurfaces of these degrees cut it from Gr(k, n).
 _AMBIENTS = {
-    "p4": (),
-    "w22": (2, 2),
-    "gr24": (2, 4),
-    "gr25": (2, 5),
-    "gr26": (2, 6),
+    "p4": (1, 5, ()),
+    "w22": (1, 7, (2, 2)),
+    "gr24": (2, 4, ()),
+    "gr25": (2, 5, ()),
+    "gr26": (2, 6, ()),
 }
-
-_CI_AMBIENTS = ("p4", "w22")
 
 
 class ParseError(ValueError):
@@ -781,15 +782,7 @@ class _Setup:
                 chi=stmt.chi,
                 euler=stmt.euler,
             )
-        if stmt.ambient not in _AMBIENTS:
-            raise ValueError(f"unknown ambient {stmt.ambient!r}")
-        if stmt.ambient in _CI_AMBIENTS:
-            if stmt.codim != 0:
-                raise ValueError(f"ambient {stmt.ambient!r} requires codim 0")
-            derived = profiles.ci_profile(_AMBIENTS[stmt.ambient])
-        else:
-            k, n = _AMBIENTS[stmt.ambient]
-            derived = profiles.section_profile(k, n, stmt.codim)
+        derived = profiles.section_profile(*_fourfold(stmt))
         stated = (stmt.h4, stmt.index, stmt.chi, stmt.euler)
         found = (derived.h4, derived.index, derived.chi, derived.euler)
         if stated != found:
@@ -807,7 +800,7 @@ class _Setup:
             return center
         setting = self.statement("profile")
         ambient = setting.ambient
-        if ambient is None or ambient in _CI_AMBIENTS:
+        if ambient is None or _AMBIENTS[ambient][0] == 1:  # none, or projective space
             if stmt.cycle is not None:
                 raise ValueError("a surface class needs a profile with a Grassmannian ambient")
             if ambient is None:
@@ -816,7 +809,7 @@ class _Setup:
         else:
             if stmt.cycle is None:
                 raise ValueError(f"a surface center in ambient {ambient!r} needs its Schubert class")
-            found = profiles.surface_pairings(*_AMBIENTS[ambient], setting.codim, stmt.cycle.parts)
+            found = profiles.surface_pairings(*_fourfold(setting), stmt.cycle.parts)
         stated = (center.hhc, center.c2xc)
         if stated != found:
             raise ValueError(
@@ -833,6 +826,16 @@ class _Setup:
     def grassmannian(self) -> Grassmannian:
         stmt = self.statement("grassmannian")
         return Grassmannian(stmt.k, stmt.n)
+
+
+def _fourfold(stmt) -> tuple[int, int, tuple[int, ...]]:
+    """(k, n, degrees) of a profile's ambient and codim hyperplanes, checked before the tuple is built."""
+    if stmt.ambient not in _AMBIENTS:
+        raise ValueError(f"unknown ambient {stmt.ambient!r}")
+    k, n, degrees = _AMBIENTS[stmt.ambient]
+    if grass_dim(k, n) - len(degrees) - stmt.codim != 4:
+        raise ValueError(f"codim {stmt.codim} does not cut ambient {stmt.ambient!r} down to a fourfold")
+    return k, n, degrees + (1,) * stmt.codim
 
 
 def _as_int(value, what: str) -> int:
@@ -862,7 +865,9 @@ def _degree(setup, cycle):
 
 def _chern(setup, *args):
     k, n, codim, i = (_as_int(v, "a chern() argument") for v in args)
-    return profiles.section_model(k, n, codim).chern.component(i)
+    if not 0 <= codim < grass_dim(k, n):  # before the tuple is built
+        raise ValueError("section codimension must satisfy 0 <= codim < dim")
+    return profiles.section_model(k, n, (1,) * codim).chern.component(i)
 
 
 # Function name -> (arity, rule of the scenario setup and the argument

@@ -6,12 +6,12 @@ product is computed.  h^0 of O(d) comes from counting sections:
 * on Gr(k, n), h^0(O(d)) is the dimension of the GL(n) representation of the
   k x d rectangle, the hook-content product (Stanley, EC2 Cor. 7.21.4, with
   Borel-Weil);
-* on a section of Gr(k, n) by c hyperplanes, the Koszul complex gives
-  P(t) = sum_j (-1)^j C(c, j) P_Gr(t - j);
-* on a complete intersection of degrees d_i in P^N, it gives
-  P(t) = sum_S (-1)^|S| C(t - sum_S d_i + N, N).
+* on a section of Gr(k, n) by hypersurfaces of degrees d_i, the Koszul
+  complex gives P(t) = sum_S (-1)^|S| P_Gr(t - sum_S d_i), over the subsets
+  S of the degrees.  P^N is Gr(1, N+1), where h^0(O(d)) = C(N + d, N), so
+  a complete intersection in P^N is such a section too.
 
-Every term is an honest h^0 for t >= the number of Koszul shifts, and the
+Every term is an honest h^0 for t >= the sum of the degrees, and the
 polynomial is interpolated in Fractions there.  Riemann-Roch on a fourfold
 with c_1 = rH reads
 
@@ -19,8 +19,13 @@ with c_1 = rH reads
 
 so h4, r, c2h2 and chi are read off, and the t^1 coefficient is a check on
 the reading: the pairing c_1 c_2 H must be r c2h2.  The topological Euler
-number has no route here; it stays pinned by c_top = C(n, k) on the
-Grassmannians and by the scenario literals.
+number has no route through P(t).  For a complete intersection fourfold in
+P^N it has the closed form
+
+    e = prod d_i * [h^4] (1 + h)^(N+1) / prod (1 + d_i h),
+
+from the normal sequence alone; on the other sections it stays pinned by
+c_top = C(n, k) on the Grassmannians and by the scenario literals.
 """
 
 from fractions import Fraction
@@ -36,16 +41,10 @@ def grassmannian_h0(k: int, n: int, d: int) -> int:
     return top // hooks
 
 
-def section_hilbert(k: int, n: int, codim: int, t: int) -> int:
-    """chi(O(t)) on a section of Gr(k, n) by ``codim`` hyperplanes, for t >= codim."""
-    return sum((-1) ** j * comb(codim, j) * grassmannian_h0(k, n, t - j) for j in range(codim + 1))
-
-
-def ci_hilbert(degrees: tuple, t: int) -> int:
-    """chi(O(t)) on a complete intersection fourfold of the given degrees, for t >= their sum."""
-    ambient = 4 + len(degrees)
+def section_hilbert(k: int, n: int, degrees: tuple, t: int) -> int:
+    """chi(O(t)) on a section of Gr(k, n) by hypersurfaces of the given degrees, for t >= their sum."""
     return sum(
-        (-1) ** size * comb(t - sum(subset) + ambient, ambient)
+        (-1) ** size * grassmannian_h0(k, n, t - sum(subset))
         for size in range(len(degrees) + 1)
         for subset in combinations(degrees, size)
     )
@@ -83,12 +82,21 @@ def fourfold_profile(hilbert, start: int) -> tuple:
     return tuple(_exact(x) for x in (h4, index, c2h2, chi))
 
 
-def section_profile(k: int, n: int, codim: int) -> tuple:
-    return fourfold_profile(lambda t: section_hilbert(k, n, codim, t), codim)
+def section_profile(k: int, n: int, degrees: tuple) -> tuple:
+    return fourfold_profile(lambda t: section_hilbert(k, n, degrees, t), sum(degrees))
+
+
+def ci_euler(degrees: tuple) -> int:
+    """The closed form above: the h^4 coefficient of a series truncated after degree 4."""
+    series = [comb(5 + len(degrees), j) for j in range(5)]  # (1 + h)^(N+1), N = 4 + len(degrees)
+    for d in degrees:
+        series = [sum(series[j] * (-d) ** (m - j) for j in range(m + 1)) for m in range(5)]
+    return prod(degrees) * series[4]
 
 
 def ci_profile(degrees: tuple) -> tuple:
-    return fourfold_profile(lambda t: ci_hilbert(degrees, t), sum(degrees))
+    """(h4, index, c2h2, chi, euler) of a complete intersection fourfold in P^(4 + len(degrees))."""
+    return section_profile(1, 5 + len(degrees), degrees) + (ci_euler(degrees),)
 
 
 def _exact(value: Fraction) -> int:

@@ -23,7 +23,7 @@ from fanocalc.blowup import (
     quartic_number,
     solve_linear,
 )
-from fanocalc.profiles import ci_profile, section_model
+from fanocalc.profiles import section_model, section_profile
 from fanocalc.schubert import Grassmannian, sigma
 from builtin_models import normal_c2
 from toric_oracle import CODIMS, GRID, c1, c2_pairings, graded, h0, hilbert, intersect, monomials
@@ -234,7 +234,7 @@ def toric_model(models, center):
     if center == "line":
         return models["p4-line"]
     plane = SurfaceCenter(hhc=1, hkc=-3, kc2=9, euler=3, c2xc=10)  # c_2(P^4) = 10 H^2
-    return BlowupModel(ci_profile(), plane)
+    return BlowupModel(section_profile(1, 5, ()), plane)
 
 
 @pytest.mark.parametrize("center", sorted(CODIMS))
@@ -291,9 +291,10 @@ def test_c2_normal_matches_the_chern_engine(models):
     # c_2(N) from E^4 on the blowup must agree with the Whitney
     # identity c(N) c(P^2) = c(section)|_plane, paired in the ambient Grassmannian:
     # c_1(N) = (index - 3) l and c_2(N) = c_2(section) . plane - 3 c_1(N) . l - 3
-    planes = {"w5-xi": (2, 5, 2, (2, 2)), "w5-pi": (2, 5, 2, (3, 1)), "v14-plane": (2, 6, 4, (4, 2))}
-    for name, (k, n, codim, parts) in planes.items():
-        section = section_model(k, n, codim)
+    w5, v14 = (1, 1), (1, 1, 1, 1)
+    planes = {"w5-xi": (2, 5, w5, (2, 2)), "w5-pi": (2, 5, w5, (3, 1)), "v14-plane": (2, 6, v14, (4, 2))}
+    for name, (k, n, degrees, parts) in planes.items():
+        section = section_model(k, n, degrees)
         a = section.index - 3
         plane = sigma(Grassmannian(k, n), *parts)
         c2_on_plane = (section.chern.component(2) * plane).integral()

@@ -119,14 +119,14 @@ def test_bundle_rank_constrains_total_class():
 
 
 # ---------------------------------------------------------------------------
-# linear sections
+# sections by hypersurfaces
 
 def w5_model() -> SectionModel:
-    return section_chern(tangent_bundle(GR25).total, 2)
+    return section_chern(tangent_bundle(GR25).total, (1, 1))
 
 
 def v14_model() -> SectionModel:
-    return section_chern(tangent_bundle(GR26).total, 4)
+    return section_chern(tangent_bundle(GR26).total, (1, 1, 1, 1))
 
 
 def test_w5_section_invariants():
@@ -157,20 +157,24 @@ def test_v14_section_invariants():
     ids=repr,
 )
 def test_section_times_normal_class_is_the_ambient_class(ctx):
-    # Whitney on the section: c(X) * (1 + sigma_1)^codim = c(G) restricted to
+    # Whitney on the section: c(X) * prod(1 + d sigma_1) = c(G) restricted to
     # X, so the ambient class returns in every degree up to dim X.  This pins
     # c_3 and c_4 of the sections, which Hilbert polynomials do not see.
     ambient = tangent_bundle(ctx).total
     s1 = sigma(ctx, 1)
-    for codim in range(ctx.dim):
-        normal = TotalChernClass(ctx, [math.comb(codim, t) * s1 ** t for t in range(codim + 1)])
-        back = section_chern(ambient, codim).chern * normal
-        top = ctx.dim - codim
-        assert [back.component(m) for m in range(top + 1)] == [ambient.component(m) for m in range(top + 1)], codim
+    hyperplanes = [(1,) * codim for codim in range(ctx.dim)]
+    mixed = [(2,), (1, 2), (2, 3)] if ctx in (GR25, GR26, GR36) else []
+    for degrees in hyperplanes + mixed:
+        normal = TotalChernClass(ctx, [unit(ctx)])
+        for d in degrees:
+            normal = normal * TotalChernClass(ctx, [unit(ctx), d * s1])
+        back = section_chern(ambient, degrees).chern * normal
+        top = ctx.dim - len(degrees)
+        assert [back.component(m) for m in range(top + 1)] == [ambient.component(m) for m in range(top + 1)], degrees
 
 
 def test_codim_zero_section_is_the_ambient_space():
-    model = section_chern(tangent_bundle(GR24).total, 0)
+    model = section_chern(tangent_bundle(GR24).total, ())
     assert model.dim == 4
     assert model.index == 4
     assert section_degree(model, sigma(GR24, 1) ** 4) == 2
@@ -179,18 +183,19 @@ def test_codim_zero_section_is_the_ambient_space():
 
 def test_section_codim_bounds():
     ambient = tangent_bundle(GR25).total
-    with pytest.raises(ValueError):
-        section_chern(ambient, -1)
-    with pytest.raises(ValueError):
-        section_chern(ambient, 6)
+    with pytest.raises(ValueError, match="^section codimension must satisfy 0 <= codim < dim$"):
+        section_chern(ambient, (1,) * 6)
+    for degrees in ((0,), (1, -1)):
+        with pytest.raises(ValueError, match="^hypersurface degrees must be positive$"):
+            section_chern(ambient, degrees)
 
 
 def test_index_of_a_zero_first_chern_class_is_zero():
-    assert SectionModel(GR25, 0, TotalChernClass(GR25, [unit(GR25), zero(GR25, 1)])).index == 0
+    assert SectionModel(GR25, (), TotalChernClass(GR25, [unit(GR25), zero(GR25, 1)])).index == 0
 
 
 def test_sections_of_index_zero_or_below_are_not_fano():
     # c_1 of the codim-8 section of Gr(2,8) is 0 * sigma_1, of Gr(3,7) -1 * sigma_1
     for k, n in ((2, 8), (3, 7)):
         with pytest.raises(ValueError, match="^the Fano index must be positive$"):
-            section_profile(k, n, 8)
+            section_profile(k, n, (1,) * 8)

@@ -419,8 +419,8 @@ def test_broken_setup_fails_every_row_alike(monkeypatch):
     from fanocalc import profiles
 
     derived = []
-    ci_profile = profiles.ci_profile
-    monkeypatch.setattr(profiles, "ci_profile", lambda *a: derived.append(a) or ci_profile(*a))
+    section_profile = profiles.section_profile
+    monkeypatch.setattr(profiles, "section_profile", lambda *a: derived.append(a) or section_profile(*a))
     source = (
         'scenario "b" { profile P4 h4 2 index 5 ambient p4 codim 0 chi 1 euler 5 '
         "center curve genus 0 hc 1 "

@@ -5,8 +5,8 @@ import pytest
 import hilbert_oracle
 from builtin_models import scenario_model
 from fanocalc.blowup import CurveCenter, SurfaceCenter
-from fanocalc.dsl import _AMBIENTS, _CI_AMBIENTS
-from fanocalc.profiles import ci_profile, section_model, section_profile
+from fanocalc.dsl import _AMBIENTS
+from fanocalc.profiles import section_model, section_profile
 from fanocalc.schubert import grass_dim
 
 
@@ -14,94 +14,115 @@ def as_tuple(profile):
     return (profile.h4, profile.index, profile.c2h2, profile.chi, profile.euler)
 
 
+# A complete intersection fourfold in P^N is a section of Gr(1, N+1).
+
 def test_projective_space_profile():
-    assert as_tuple(ci_profile()) == (1, 5, 10, 1, 5)
+    assert as_tuple(section_profile(1, 5, ())) == (1, 5, 10, 1, 5)
 
 
 def test_intersection_of_two_quadrics_profile():
-    assert as_tuple(ci_profile((2, 2))) == (4, 3, 20, 1, 12)
+    assert as_tuple(section_profile(1, 7, (2, 2))) == (4, 3, 20, 1, 12)
 
 
 def test_cubic_fourfold_profile():
-    cubic = ci_profile((3,))
+    cubic = section_profile(1, 6, (3,))
     assert (cubic.h4, cubic.index, cubic.chi, cubic.euler) == (3, 3, 1, 27)
 
 
 def test_grassmannian_section_profiles():
-    assert as_tuple(section_profile(2, 5, 2)) == (5, 3, 22, 1, 6)
-    assert as_tuple(section_profile(2, 6, 4)) == (14, 2, 38, 1, 12)
+    assert as_tuple(section_profile(2, 5, (1, 1))) == (5, 3, 22, 1, 6)
+    assert as_tuple(section_profile(2, 6, (1, 1, 1, 1))) == (14, 2, 38, 1, 12)
 
 
 def test_gr24_agrees_with_the_quadric_fourfold():
     # the Pluecker embedding realizes Gr(2,4) as the quadric in P^5
-    quadric = ci_profile((2,))
-    gr24 = section_profile(2, 4, 0)
+    quadric = section_profile(1, 6, (2,))
+    gr24 = section_profile(2, 4, ())
     assert as_tuple(quadric) == as_tuple(gr24) == (2, 4, 14, 1, 6)
 
 
 # The Hilbert-polynomial oracle reaches h4, index, c2h2 and chi without the
-# Chern engine; the Euler number has no route there and stays pinned by
-# c_top = C(n, k) and the scenario literals.
+# Chern engine.  The Euler number has a closed form on complete
+# intersections only; elsewhere it stays pinned by c_top = C(n, k) and the
+# scenario literals.
 
 def oracle_fields(profile):
     return (profile.h4, profile.index, profile.c2h2, profile.chi)
 
 
+def fourfold_degrees(k, n, degrees):
+    """``degrees`` and the hyperplanes that cut the rest of Gr(k, n) down to a fourfold."""
+    return degrees + (1,) * (grass_dim(k, n) - len(degrees) - 4)
+
+
 @pytest.mark.parametrize("ambient", sorted(_AMBIENTS))
 def test_every_ambient_agrees_with_its_hilbert_polynomial(ambient):
-    if ambient in _CI_AMBIENTS:
-        degrees = _AMBIENTS[ambient]
-        derived, oracle = ci_profile(degrees), hilbert_oracle.ci_profile(degrees)
-    else:
-        k, n = _AMBIENTS[ambient]
-        codim = grass_dim(k, n) - 4
-        derived, oracle = section_profile(k, n, codim), hilbert_oracle.section_profile(k, n, codim)
-    assert oracle_fields(derived) == oracle
+    k, n, degrees = _AMBIENTS[ambient]
+    degrees = fourfold_degrees(k, n, degrees)
+    assert oracle_fields(section_profile(k, n, degrees)) == hilbert_oracle.section_profile(k, n, degrees)
 
 
 @pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (2, 6), (3, 6), (2, 7)])
 def test_fourfold_sections_agree_with_their_hilbert_polynomials(k, n):
     # every fourfold linear section of a Grassmannian up to Gr(3, 7) with index >= 1
-    codim = grass_dim(k, n) - 4
-    assert oracle_fields(section_profile(k, n, codim)) == hilbert_oracle.section_profile(k, n, codim)
+    degrees = fourfold_degrees(k, n, ())
+    assert oracle_fields(section_profile(k, n, degrees)) == hilbert_oracle.section_profile(k, n, degrees)
 
 
 @pytest.mark.parametrize(
     "degrees", [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)], ids=str
 )
 def test_complete_intersections_agree_with_their_hilbert_polynomials(degrees):
-    assert oracle_fields(ci_profile(degrees)) == hilbert_oracle.ci_profile(degrees)
+    # all five fields: the Euler number from the closed form of the oracle
+    assert as_tuple(section_profile(1, 5 + len(degrees), degrees)) == hilbert_oracle.ci_profile(degrees)
+
+
+def test_gushel_mukai_fourfold_profile():
+    # a quadric section of W5; its b_4 is 24 (Debarre-Kuznetsov), so e = 1 + 1 + 24 + 1 + 1
+    gm = section_profile(2, 5, (1, 2))
+    assert as_tuple(gm) == as_tuple(section_profile(2, 5, (2, 1))) == (10, 2, 34, 1, 28)
+    assert oracle_fields(gm) == hilbert_oracle.section_profile(2, 5, (1, 2))
+
+
+def test_hypersurface_euler_numbers_have_a_closed_form():
+    # e = ((1 - d)^6 - 1) / d + 6 on a hypersurface of degree d in P^5
+    closed = {d: ((1 - d) ** 6 - 1) // d + 6 for d in range(1, 6)}
+    assert (closed[1], closed[3], closed[4]) == (5, 27, 188)
+    assert {d: hilbert_oracle.ci_euler((d,)) for d in closed} == closed
+    assert {d: section_profile(1, 6, (d,)).euler for d in closed} == closed
 
 
 def test_hilbert_oracle_self_check():
-    # Gr(2, 4) is the quadric in P^5, and Gr(2, 5) has 10 Pluecker coordinates
+    # Gr(2, 4) is the quadric in P^5, Gr(2, 5) has 10 Pluecker coordinates, and P^5 is Gr(1, 6)
     assert [hilbert_oracle.grassmannian_h0(2, 4, d) for d in range(4)] == [1, 6, 20, 50]
     assert hilbert_oracle.grassmannian_h0(2, 5, 1) == 10
-    assert hilbert_oracle.section_profile(2, 4, 0) == hilbert_oracle.ci_profile((2,)) == (2, 4, 14, 1)
-    assert hilbert_oracle.section_profile(2, 5, 2) == (5, 3, 22, 1)
-    assert hilbert_oracle.section_profile(2, 6, 4) == (14, 2, 38, 1)
+    assert [hilbert_oracle.grassmannian_h0(1, 6, d) for d in range(5)] == [1, 6, 21, 56, 126]
+    assert hilbert_oracle.section_profile(2, 4, ()) == hilbert_oracle.ci_profile((2,))[:4] == (2, 4, 14, 1)
+    assert hilbert_oracle.section_profile(2, 5, (1, 1)) == (5, 3, 22, 1)
+    assert hilbert_oracle.section_profile(2, 6, (1, 1, 1, 1)) == (14, 2, 38, 1)
+    assert hilbert_oracle.ci_euler(()) == 5 and hilbert_oracle.ci_euler((2, 2)) == 12
     with pytest.raises(ValueError):
         hilbert_oracle.fourfold_profile(lambda t: t ** 5, 0)
 
 
 def test_ci_profile_validation():
-    with pytest.raises(ValueError):
-        ci_profile((1,))
-    with pytest.raises(ValueError):
-        ci_profile((4, 4))
+    # a hyperplane section of P^5 is P^4; two quartics in P^6 have index 7 - 8 = -1
+    assert section_profile(1, 6, (1,)) == section_profile(1, 5, ())
+    with pytest.raises(ValueError, match="^the Fano index must be positive$"):
+        section_profile(1, 7, (4, 4))
 
 
 def test_section_profile_requires_fourfold_codim():
-    with pytest.raises(ValueError):
-        section_profile(2, 5, 1)
-    with pytest.raises(ValueError):
-        section_profile(2, 6, 2)
+    with pytest.raises(ValueError, match="^codim 1 does not cut Gr\\(2,5\\) down to a fourfold$"):
+        section_profile(2, 5, (1,))
+    with pytest.raises(ValueError, match="does not cut"):
+        section_profile(2, 6, (1, 2))
 
 
 def test_builtin_models(models):
     # the built-in links' profile and center statements, as their scenarios resolve them
-    p4, w22 = ci_profile(), ci_profile((2, 2))
-    w5, v14 = section_profile(2, 5, 2), section_profile(2, 6, 4)
+    p4, w22 = section_profile(1, 5, ()), section_profile(1, 7, (2, 2))
+    w5, v14 = section_profile(2, 5, (1, 1)), section_profile(2, 6, (1, 1, 1, 1))
     bases = {"p4-line": p4, "w22-line": w22, "w22-quintic": w22, "w5-xi": w5, "w5-pi": w5,
              "v14-plane": v14}
     assert {name: model.base for name, model in models.items()} == bases
@@ -148,5 +169,5 @@ _W22_QUINTIC = (
 
 
 def test_section_model_shape():
-    model = section_model(2, 5, 2)
-    assert (model.codim, model.dim, model.index) == (2, 4, 3)
+    model = section_model(2, 5, (1, 1))
+    assert (model.degrees, model.dim, model.index) == ((1, 1), 4, 3)

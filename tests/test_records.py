@@ -38,7 +38,7 @@ def thunk():
 RECORDS = [
     (Grassmannian, {"k": 2, "n": 5}),
     (BundleModel, {"rank": 1, "total": TOTAL}),
-    (SectionModel, {"context": GR25, "codim": 2, "chern": TOTAL}),
+    (SectionModel, {"context": GR25, "degrees": (1, 1), "chern": TOTAL}),
     (FourfoldProfile, {"h4": 5, "index": 3, "c2h2": 22, "chi": 1, "euler": 6}),
     (CurveCenter, {"genus": 0, "hc": 1}),
     (SurfaceCenter, {"hhc": 1, "hkc": -3, "kc2": 9, "euler": 3, "c2xc": 5}),
@@ -112,9 +112,10 @@ def test_equal_values_compare_and_hash_equal(make, other, fields):
 def test_bundle_and_section_models_compare_by_value_and_have_no_hash():
     assert BundleModel(1, TOTAL) == BundleModel(1, TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)]))
     assert BundleModel(1, TOTAL) != BundleModel(1, TotalChernClass(GR25, [unit(GR25)]))
-    assert SectionModel(GR25, 2, TOTAL) == SectionModel(Grassmannian(2, 5), 2, TOTAL)
-    assert SectionModel(GR25, 2, TOTAL) != SectionModel(GR25, 1, TOTAL)
-    for model in (BundleModel(1, TOTAL), SectionModel(GR25, 2, TOTAL)):
+    assert SectionModel(GR25, (1, 1), TOTAL) == SectionModel(Grassmannian(2, 5), (1, 1), TOTAL)
+    assert SectionModel(GR25, (1, 1), TOTAL) != SectionModel(GR25, (1,), TOTAL)
+    assert SectionModel(GR25, (1, 2), TOTAL) != SectionModel(GR25, (2, 1), TOTAL)
+    for model in (BundleModel(1, TOTAL), SectionModel(GR25, (1, 1), TOTAL)):
         with pytest.raises(TypeError):
             hash(model)
 

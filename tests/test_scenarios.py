@@ -126,7 +126,7 @@ _NEEDS_GRASSMANNIAN = "ValueError: a surface class needs a profile with a Grassm
          _MISMATCH.format((2, 5), (1, 5)), ["section_profile", "surface_pairings"]),
         ("profile W22 h4 4 index 3 ambient w22 codim 0 chi 1 euler 12"
          " center surface hhc 5 hkc -5 kc2 5 euler 7 c2xc 24",
-         _MISMATCH.format((5, 24), (5, 25)), ["ci_profile"]),
+         _MISMATCH.format((5, 24), (5, 25)), ["section_profile"]),
         (f"{_W5} {_PLANE} c2xc 5 sigma[1]", "ValueError: (1,) is not a surface class in Gr(2,5)",
          ["section_profile", "surface_pairings"]),
         (f"profile V14 h4 14 index 2 ambient gr26 codim 4 chi 1 euler 12 {_PLANE} c2xc 2",
@@ -135,7 +135,7 @@ _NEEDS_GRASSMANNIAN = "ValueError: a surface class needs a profile with a Grassm
         (f"profile W5 h4 5 index 3 c2h2 22 chi 1 euler 6 {_PLANE} c2xc 5 sigma[2, 2]",
          _NEEDS_GRASSMANNIAN, []),
         (f"profile P4 h4 1 index 5 ambient p4 codim 0 chi 1 euler 5 {_PLANE} c2xc 10 sigma[2]",
-         _NEEDS_GRASSMANNIAN, ["ci_profile"]),
+         _NEEDS_GRASSMANNIAN, ["section_profile"]),
     ],
     ids=["h4", "c2xc", "hhc", "quintic-c2xc", "not-a-surface", "no-class", "class-c2h2",
          "class-p4"],
@@ -143,7 +143,7 @@ _NEEDS_GRASSMANNIAN = "ValueError: a surface class needs a profile with a Grassm
 def test_profile_literal_cross_check_failure(monkeypatch, setup, error, derived):
     # a stated number that disagrees with the engine fails every row alike, derived once
     calls = []
-    for name in ("ci_profile", "section_profile", "surface_pairings"):
+    for name in ("section_profile", "surface_pairings"):
         original = getattr(profiles, name)
         monkeypatch.setattr(profiles, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
     source = (
@@ -158,6 +158,32 @@ def test_profile_literal_cross_check_failure(monkeypatch, setup, error, derived)
     assert report.failed == len(rows) == 3
     assert {row["actual"] for row in rows} == {f"error: {error}"}
     assert calls == derived
+
+
+_OUT_OF_RANGE = "ValueError: section codimension must satisfy 0 <= codim < dim"
+_NOT_A_FOURFOLD = "ValueError: codim {} does not cut ambient {!r} down to a fourfold"
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        *((f"assert chern(2, 5, {codim}, 1) == 0", _OUT_OF_RANGE) for codim in (-1, 6, 100000)),
+        *((f"profile X h4 5 index 3 ambient {ambient} codim {codim} chi 1 euler 6"
+           " center curve genus 0 hc 1 assert euler() == 6", _NOT_A_FOURFOLD.format(codim, ambient))
+          for ambient, codim in (("gr25", -1), ("gr25", 6), ("gr25", 100000), ("gr25", 1),
+                                 ("p4", -1), ("p4", 1), ("w22", 1), ("gr24", 100000))),
+    ],
+)
+def test_codim_is_checked_before_any_section_is_built(monkeypatch, body, error):
+    # an unchecked codim would build (1,) * codim hyperplanes first: the row fails before that
+    calls = []
+    for name in ("section_model", "section_profile"):
+        original = getattr(profiles, name)
+        monkeypatch.setattr(profiles, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    source = f'scenario "codim" {{ {body} cite "c" }}'
+    (row,) = json.loads(run(dsl.parse(source).build()).to_json())["scenarios"][0]["assertions"]
+    assert row["actual"] == f"error: {error}"
+    assert calls == []
 
 
 def test_not_equal_comparison():
