@@ -39,11 +39,7 @@ class FourfoldProfile(FrozenRecord):
             raise ValueError("h4 must be positive")
         if index < 1:
             raise ValueError("the Fano index must be positive")
-        object.__setattr__(self, "h4", h4)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "c2h2", c2h2)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "euler", euler)
+        self._store(h4, index, c2h2, chi, euler)
 
 
 class CurveCenter(FrozenRecord):
@@ -59,8 +55,7 @@ class CurveCenter(FrozenRecord):
             raise ValueError("genus must be non-negative")
         if hc < 1:
             raise ValueError("the curve must have positive degree")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "hc", hc)
+        self._store(genus, hc)
 
 
 class SurfaceCenter(FrozenRecord):
@@ -78,11 +73,7 @@ class SurfaceCenter(FrozenRecord):
     def __init__(self, hhc: int, hkc: int, kc2: int, euler: int, c2xc: int):
         if hhc < 1:
             raise ValueError("the surface must have positive degree")
-        object.__setattr__(self, "hhc", hhc)
-        object.__setattr__(self, "hkc", hkc)
-        object.__setattr__(self, "kc2", kc2)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "c2xc", c2xc)
+        self._store(hhc, hkc, kc2, euler, c2xc)
 
 
 class Divisor(FrozenRecord):
@@ -91,8 +82,7 @@ class Divisor(FrozenRecord):
     __slots__ = ("h", "e")
 
     def __init__(self, h: int, e: int):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "e", e)
+        self._store(h, e)
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor(self.h + other.h, self.e + other.e)
@@ -138,8 +128,7 @@ class BlowupModel(FrozenRecord):
     __slots__ = ("base", "center", "__dict__")
 
     def __init__(self, base: FourfoldProfile, center: CurveCenter | SurfaceCenter):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "center", center)
+        self._store(base, center)
 
     @cached_property
     def c1(self) -> Divisor:

@@ -42,8 +42,7 @@ class TotalChernClass(FrozenRecord):
         for i, c in enumerate(comps):
             if c.codim != i:
                 raise ValueError(f"component {i} has codimension {c.codim}")
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "components", comps)
+        self._store(context, comps)
 
     @property
     def limit(self) -> int:
@@ -76,9 +75,6 @@ class TotalChernClass(FrozenRecord):
         top = max(self.limit, other.limit)
         return all(self.component(i) == other.component(i) for i in range(top + 1))
 
-    def __repr__(self):
-        return "1 + " + " + ".join(f"({c})" for c in self.components[1:])
-
 
 class BundleModel(FrozenRecord):
     """A vector bundle presented by its rank and total Chern class.
@@ -94,8 +90,7 @@ class BundleModel(FrozenRecord):
         for i in range(rank + 1, total.limit + 1):
             if not total.component(i).is_zero():
                 raise ValueError("Chern class above the rank must vanish")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "total", total)
+        self._store(rank, total)
 
     __hash__ = None
 
@@ -190,9 +185,7 @@ class SectionModel(FrozenRecord):
     __slots__ = ("context", "degrees", "chern")
 
     def __init__(self, context: Grassmannian, degrees: tuple[int, ...], chern: TotalChernClass):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "chern", chern)
+        self._store(context, degrees, chern)
 
     __hash__ = None
 

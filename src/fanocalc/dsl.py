@@ -80,6 +80,7 @@ from functools import partial
 
 from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
+from .record import Record
 from .schubert import Grassmannian, SchubertCycle, grass_dim, sigma
 
 # Operator -> (precedence, right-associative).  The parser and the printer
@@ -180,34 +181,25 @@ def _lex_error(source: str, newlines: list, offset: int):
 # guarded node, whose fields go through object.__setattr__, costs about
 # three times as much to build.  Nothing mutates them, so a document holds
 # each setup-free subtree once, however often it occurs.  Expression nodes
-# compare by structure; statements and scenarios by identity.
+# are record.Record: they compare by structure and have no hash.
+# Statements and scenarios compare by identity.
 
-class SigmaAtom:
+class SigmaAtom(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
         self.parts = parts
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
 
-
-class Call:
+class Call(Record):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple):
         self.name = name
         self.args = args
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) == (other.name, other.args)
-        return NotImplemented
 
-
-class BinOp:
+class BinOp(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: object, right: object):
@@ -215,22 +207,12 @@ class BinOp:
         self.left = left
         self.right = right
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
-        return NotImplemented
 
-
-class Neg:
+class Neg(Record):
     __slots__ = ("operand",)
 
     def __init__(self, operand: object):
         self.operand = operand
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.operand == other.operand
-        return NotImplemented
 
 
 class ProfileStmt:

@@ -1,25 +1,48 @@
-"""The frozen base of the package's value records.
+"""The bases of the package's value records.
 
-A record lists its fields in ``__slots__`` and sets them in its own
-``__init__`` through ``object.__setattr__``; this base supplies the rest,
-read from the class's own ``__slots__``, so no second field list exists.
+A record lists its fields in ``__slots__``, and this module reads them
+from there, once per class, so no second field list exists.  ``Record``
+compares by field; ``FrozenRecord`` adds the guards, copy, pickle and the
+hash, and its records check their arguments in their own ``__init__`` and
+end it with one ``_store`` call.
 """
 
 
-class FrozenRecord:
-    """A value record that refuses assignment and deletion once built.
-
-    Records compare equal when they are of the same class and their fields
-    are equal, and hash by their fields.  Copy and pickle rebuild a record
-    through its ``__init__``, so its checks run again; the default, which
-    restores the slots one by one, would meet the assignment guard.  A
+class Record:
+    """A slotted class whose instances compare equal when they are of the
+    same class and their fields are equal.  It has no hash.  A
     ``"__dict__"`` slot (for ``cached_property`` tables) is not a field.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(name for name in cls.__slots__ if name != "__dict__")
+
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__ if name != "__dict__"])
+        return tuple([getattr(self, name) for name in self._names])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+
+class FrozenRecord(Record):
+    """A value record that refuses assignment and deletion once built.
+
+    Records hash by their fields.  Copy and pickle rebuild a record through
+    its ``__init__``, so its checks run again; the default, which restores
+    the slots one by one, would meet the assignment guard.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *values) -> None:
+        """Set the fields to ``values``, in the order ``_fields`` reads them."""
+        for name, value in zip(self._names, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -29,11 +52,6 @@ class FrozenRecord:
 
     def __reduce__(self):
         return type(self), self._fields()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
 
     def __hash__(self):
         return hash(self._fields())

@@ -31,11 +31,7 @@ class AssertionResult(FrozenRecord):
     __slots__ = ("label", "cite", "expected", "actual", "passed")
 
     def __init__(self, label: str, cite: str, expected: object, actual: object, passed: bool):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "cite", cite)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "passed", passed)
+        self._store(label, cite, expected, actual, passed)
 
 
 class ScenarioResult(FrozenRecord):
@@ -44,9 +40,7 @@ class ScenarioResult(FrozenRecord):
     __slots__ = ("name", "results", "notes")
 
     def __init__(self, name: str, results: tuple, notes: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "results", results)
-        object.__setattr__(self, "notes", notes)
+        self._store(name, results, notes)
 
     @property
     def passed(self) -> bool:
@@ -110,7 +104,7 @@ class Report(FrozenRecord):
     __slots__ = ("scenarios",)
 
     def __init__(self, scenarios: tuple):
-        object.__setattr__(self, "scenarios", scenarios)
+        self._store(scenarios)
 
     @property
     def total(self) -> int:

@@ -88,8 +88,7 @@ class Grassmannian(FrozenRecord):
 
     def __init__(self, k: int, n: int):
         _check_kn(k, n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        self._store(k, n)
 
     # written out, not inherited: the only record compared on hot paths (context checks, cache keys)
     def __eq__(self, other):

@@ -118,6 +118,21 @@ def test_bundle_rank_constrains_total_class():
         BundleModel(1, total)
 
 
+def test_total_class_equality_pads_with_zero_components():
+    # the one record equality that is not field equality: components above
+    # the limit are zero, so a written-out zero does not change the class
+    one, s1 = unit(GR25), sigma(GR25, 1)
+    short = TotalChernClass(GR25, [one, s1])
+    padded = TotalChernClass(GR25, [one, s1, zero(GR25, 2)])
+    longer = TotalChernClass(GR25, [one, s1, sigma(GR25, 2)])
+    assert short == padded and padded == short and not short != padded
+    assert short != longer and longer != short and not short == longer
+    assert BundleModel(1, short) == BundleModel(1, padded)
+    assert BundleModel(2, short) != BundleModel(2, longer)
+    assert SectionModel(GR25, (1,), short) == SectionModel(GR25, (1,), padded)
+    assert SectionModel(GR25, (1,), short) != SectionModel(GR25, (1,), longer)
+
+
 # ---------------------------------------------------------------------------
 # sections by hypersurfaces
 

@@ -1,4 +1,4 @@
-"""Package layering, read from the sources: imports at module top, no cycles, no test-only API, one frozen base.
+"""Package layering, read from the sources: imports at module top, no cycles, no test-only API, one record base.
 
 One test also starts a fresh interpreter to see which modules importing the package loads.
 """
@@ -107,6 +107,34 @@ def test_only_the_frozen_base_defines_the_record_guards():
         if isinstance(stmt, ast.FunctionDef) and stmt.name in guards
     )
     assert found == [f"record.FrozenRecord.{guard}" for guard in sorted(guards)]
+
+
+def test_records_store_and_compare_through_the_bases():
+    # a frozen record sets its fields through FrozenRecord._store and compares
+    # through record.Record, both read from __slots__; what else writes an
+    # equality out is the hot Gr(k, n), the padded total class or the
+    # Schubert kernel
+    methods = [
+        (f"{name}.{cls.name}.{stmt.name}", stmt)
+        for name, tree in MODULES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+    ]
+    stores = sorted({
+        path
+        for path, method in methods
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+        and node.args and ast.unparse(node.args[0]) == "self"
+    })
+    assert stores == ["record.FrozenRecord._store"]
+    equalities = sorted(path for path, method in methods if method.name == "__eq__")
+    assert equalities == [
+        "chern.TotalChernClass.__eq__", "record.Record.__eq__",
+        "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",
+    ]
 
 
 def test_internal_import_graph_is_acyclic():

@@ -137,6 +137,9 @@ def test_expression_nodes_compare_by_structure():
     assert tree() != Call("quartic", (BinOp("-", 1, Neg(3)), SigmaAtom((2, 1))))
     assert tree() != Call("quartic", (BinOp("-", 1, Neg(2)), SigmaAtom((2,))))
     assert tree() != Call("chi", tree().args)
+    assert Neg((2, 1)) != SigmaAtom((2, 1))  # equality depends on the class, not just the fields
+    with pytest.raises(TypeError):
+        hash(BinOp("+", 1, 2))
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
