@@ -1,7 +1,8 @@
 """The bases of the package's value records.
 
 A record lists its fields in ``__slots__``, and this module reads them
-from there, once per class, so no second field list exists.  ``Record``
+from there, once per class and along its bases, so no second field list
+exists and a subclass keeps the fields of the record it extends.  ``Record``
 compares by field; ``FrozenRecord`` adds the guards, copy, pickle and the
 hash, and its records check their arguments in their own ``__init__`` and
 end it with one ``_store`` call.
@@ -18,7 +19,13 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._names = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # a class's own __slots__ name only its own fields: read the bases' too, bases first
+        cls._names = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())
+            if name != "__dict__"
+        )
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._names])

@@ -161,6 +161,36 @@ def test_frozen_records_copy_and_pickle(cls):
         assert type(clone) is cls and clone == record
 
 
+class _NamedDivisor(Divisor):
+    """A subclass of a record that adds no field."""
+
+    __slots__ = ()
+
+
+class _LabelledCurve(CurveCenter):
+    """A subclass of a record that adds one field after the base's."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, genus, hc, label):
+        self._store(genus, hc, label)
+
+
+def test_a_subclass_keeps_the_fields_of_the_record_it_extends():
+    named = _NamedDivisor(2, -1)
+    assert (named.h, named.e) == (2, -1)
+    assert named == _NamedDivisor(2, -1) and hash(named) == hash(_NamedDivisor(2, -1))
+    assert named != _NamedDivisor(2, 1) and named != Divisor(2, -1)
+    labelled = _LabelledCurve(0, 1, "line")
+    assert (labelled.genus, labelled.hc, labelled.label) == (0, 1, "line")
+    assert labelled != _LabelledCurve(0, 1, "conic") and labelled != _LabelledCurve(0, 2, "line")
+    for record in (named, labelled):
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and clone == record
+        with pytest.raises(AttributeError):
+            record.h = 0
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Grassmannian(2, 2), "need n > k >= 1, got k=2, n=2"),
     (lambda: BundleModel(0, TOTAL), "bundle rank must be positive"),

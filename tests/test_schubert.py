@@ -1,6 +1,7 @@
 """Schubert calculus against an independent Littlewood-Richardson oracle."""
 
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +29,15 @@ GR25 = Grassmannian(2, 5)
 GR26 = Grassmannian(2, 6)
 GR36 = Grassmannian(3, 6)
 GR27 = Grassmannian(2, 7)
+GR35 = Grassmannian(3, 5)  # k > n - k: columns are shorter than rows
+GR46 = Grassmannian(4, 6)
+GR37 = Grassmannian(3, 7)
 
 
 # ---------------------------------------------------------------------------
 # oracle equivalence
 
-@pytest.mark.parametrize("ctx", [GR25, GR26, GR36, GR27], ids=repr)
+@pytest.mark.parametrize("ctx", [GR25, GR26, GR36, GR27, GR35, GR46], ids=repr)
 def test_all_basis_products_match_lr_oracle(ctx):
     for lam in box_partitions(ctx.k, ctx.n):
         for mu in box_partitions(ctx.k, ctx.n):
@@ -183,7 +187,7 @@ def test_product_is_associative_and_commutative(abc):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ab=st.one_of(_tuples(GR26, 2), _tuples(GR36, 2)))
+@given(ab=st.one_of(_tuples(GR26, 2), _tuples(GR36, 2), _tuples(GR46, 2)))
 def test_multi_term_products_match_lr_oracle(ab):
     a, b = ab
     assert (a * b).terms == _oracle_bilinear(a, b)
@@ -191,7 +195,7 @@ def test_multi_term_products_match_lr_oracle(ab):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ab=st.one_of(_tuples(GR25, 2), _tuples(GR26, 2), _tuples(GR36, 2)),
+    ab=st.one_of(_tuples(GR25, 2), _tuples(GR26, 2), _tuples(GR36, 2), _tuples(GR46, 2)),
     p=st.integers(min_value=0, max_value=4),
     e=st.integers(min_value=0, max_value=3),
 )
@@ -205,6 +209,27 @@ def test_kernel_results_pass_public_validation(ab, p, e):
     for r in results:
         assert r == SchubertCycle(r.context, r.codim, r.terms)
         assert all(r.terms.values())
+
+
+def _conjugate(lam):
+    """The transposed partition: its parts are the column lengths of lam."""
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
+
+
+def _transposed(cycle):
+    """The image of a cycle of Gr(k, n) in Gr(n - k, n) under sigma_lam -> sigma_lam'."""
+    ctx = cycle.context
+    terms = {_conjugate(lam): c for lam, c in cycle.terms.items()}
+    return SchubertCycle(Grassmannian(ctx.n - ctx.k, ctx.n), cycle.codim, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ab=st.one_of(*(_tuples(ctx, 2) for ctx in (GR25, GR35, GR36, GR46, GR37))))
+def test_transposing_partitions_is_a_ring_isomorphism(ab):
+    # H*(Gr(k, n)) -> H*(Gr(n - k, n)), sigma_lam -> sigma_lam' (Fulton, Young Tableaux, 9.4)
+    a, b = ab
+    assert _transposed(a * b) == _transposed(a) * _transposed(b)
+    assert _transposed(_transposed(a)) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,14 +274,53 @@ def test_pieri_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
+# Giambelli words
+
+def _permutation_expansion(lam):
+    """det(sigma_{lam_i + j - i}) summed term by term over all r! permutations, words merged."""
+    r = len(lam)
+    words = {}
+    for perm in permutations(range(r)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+        letters = [lam[i] + perm[i] - i for i in range(r)]
+        if all(m >= 0 for m in letters):
+            word = tuple(sorted((m for m in letters if m), reverse=True))
+            words[word] = words.get(word, 0) + sign
+    return {word: weight for word, weight in words.items() if weight}
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (3, 7)])
+def test_giambelli_words_match_the_permutation_expansion(k, n):
+    for lam in box_partitions(k, n):
+        pairs = schubert._giambelli_monomials(lam)
+        words = {word: weight for weight, word in pairs}
+        assert len(words) == len(pairs) and all(words.values()), lam  # merged, none cancelled
+        assert words == _permutation_expansion(lam), lam
+
+
+# ---------------------------------------------------------------------------
 # work counts of the product kernel (deterministic, unlike its timings)
+
+def _strip_lookups(work):
+    schubert._row_strips.cache_clear()
+    work()
+    info = schubert._row_strips.cache_info()
+    return info.hits + info.misses
+
 
 def test_kernel_work_counts():
     gr48 = Grassmannian(4, 8)
-    schubert._row_strips.cache_clear()
-    tensor_chern(*universal_bundles(gr48))
-    info = schubert._row_strips.cache_info()
-    assert info.hits + info.misses == 5048  # strip-table lookups of the tangent bundle's class
+    # strip-table lookups of the tangent bundle's class
+    assert _strip_lookups(lambda: tensor_chern(*universal_bundles(gr48))) == 4904
+    # ... and of the products of all pairs of basis classes, each unordered pair once
+    for ctx, lookups in ((Grassmannian(3, 8), 2339), (gr48, 4233)):
+        basis = [sigma(ctx, *lam) for lam in box_partitions(ctx.k, ctx.n)]
+        assert _strip_lookups(lambda: [a * b for i, a in enumerate(basis) for b in basis[i:]]) == lookups, ctx
+    # the product chooses what to expand from shapes alone, so only the
+    # partitions it expands reach the Giambelli table
+    schubert._giambelli_monomials.cache_clear()
+    tensor_chern(*universal_bundles(Grassmannian(5, 10)))
+    assert schubert._giambelli_monomials.cache_info().misses == 105
     # the special classes commute, so words with the same letters are merged
     assert sum(len(schubert._giambelli_monomials(lam)) for lam in box_partitions(4, 8)) == 535
 
