@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import dsl, scenarios
 
 _USAGE_EXIT = 2
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every call.
+
+    Parsing leaves it unchanged: each call gets its own namespace, and argparse
+    looks up ``sys.stdout`` and ``sys.stderr`` when it writes."""
     parser = argparse.ArgumentParser(
         prog="fanocalc",
         description="Verify intersection-theoretic integer chains on Fano fourfolds.",
@@ -108,18 +114,17 @@ def _cmd_check(args, out, err) -> int:
 
 
 def _cmd_emit(args, out, err) -> int:
-    source = scenarios.BUILTIN_SOURCES.get(args.name)
-    if source is None:
+    if args.name not in scenarios.BUILTIN_SOURCES:
         err.write(f"emit: unknown scenario {args.name!r}\n")
         return _USAGE_EXIT
-    out.write(dsl.parse(source).pretty())
+    out.write(scenarios.pretty_builtin(args.name))
     return 0
 
 
 def main(argv: list | None = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_arg_parser()
+    parser = _arg_parser()
     # argparse writes help to sys.stdout and usage errors to sys.stderr
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err

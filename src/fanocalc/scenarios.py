@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 
 from _json import encode_basestring_ascii
 
@@ -339,14 +340,33 @@ BUILTIN_NOTES = {
 }
 
 
+@lru_cache(maxsize=len(BUILTIN_SOURCES))
+def _builtin_document(source: str) -> dsl.Document:
+    """The parsed document of one built-in source text, parsed once per process.
+
+    Keyed by the text, so a changed source is parsed again.  The document is
+    only built or printed here, never handed out, so no caller can change it."""
+    return dsl.parse(source)
+
+
 def builtin_scenarios() -> list:
-    """The ten built-in scenarios, parsed from their DSL sources, sorted by name."""
+    """The ten built-in scenarios, parsed from their DSL sources, sorted by name.
+
+    Each source is parsed once per process, but every call builds the
+    scenarios again: it returns fresh scenario, assertion and notes objects,
+    with their own evaluation state, so a caller may change them freely."""
     scenarios = []
     for name in sorted(BUILTIN_SOURCES):
-        document = dsl.parse(BUILTIN_SOURCES[name])
-        (scenario,) = document.build()
+        (scenario,) = _builtin_document(BUILTIN_SOURCES[name]).build()
         if scenario.name != name:
             raise ValueError(f"source for {name!r} defines {scenario.name!r}")
         scenario.notes = list(BUILTIN_NOTES.get(name, ()))
         scenarios.append(scenario)
     return scenarios
+
+
+def pretty_builtin(name: str) -> str:
+    """The named built-in scenario, pretty-printed in the scenario language.
+
+    Raises ``KeyError`` for a name that is not in ``BUILTIN_SOURCES``."""
+    return _builtin_document(BUILTIN_SOURCES[name]).pretty()

@@ -1,11 +1,9 @@
-"""Brute-force Littlewood-Richardson oracle.
+"""Littlewood-Richardson oracle.
 
 Independent of the library under test: coefficients are counted directly as
 skew semistandard tableaux whose reverse reading word is a lattice word.
 Only suitable for the small partitions that fit in a Grassmannian box.
 """
-
-from itertools import product
 
 
 def _pad(parts, rows):
@@ -13,47 +11,40 @@ def _pad(parts, rows):
 
 
 def lr_coefficient(lam, mu, nu) -> int:
-    """Count LR tableaux of shape nu/lam and content mu."""
+    """Count LR tableaux of shape nu/lam and content mu.
+
+    The cells are filled one at a time in reverse reading order: each row
+    right to left, top row first.  A cell takes a value only where the rows
+    stay weakly increasing, the columns strictly increasing, the content
+    within mu and the word read so far a lattice word.  So every filling
+    that reaches the last cell is an LR tableau, and none is missed.
+    """
     rows = max(len(lam), len(nu), 1)
     lam = _pad(lam, rows)
     nu = _pad(nu, rows)
     if any(n < l for n, l in zip(nu, lam)):
         return 0
-    cells = [(r, c) for r in range(rows) for c in range(lam[r], nu[r])]
+    cells = [(r, c) for r in range(rows) for c in range(nu[r] - 1, lam[r] - 1, -1)]
     if sum(mu) != len(cells):
         return 0
-    if not cells:
-        return 1
-    values = range(1, len(mu) + 1)
-    count = 0
-    for filling in product(values, repeat=len(cells)):
-        grid = {cell: v for cell, v in zip(cells, filling)}
-        if _is_lr(grid, cells, mu):
-            count += 1
-    return count
+    grid = {}  # the filled cells; the cell above and the one to the right come earlier
+    content = [0] * (len(mu) + 1)  # content[v]: how many v are placed, for v = 1..len(mu)
 
+    def fill(i):
+        if i == len(cells):
+            return 1
+        r, c = cells[i]
+        count = 0
+        for v in range(grid.get((r - 1, c), 0) + 1, grid.get((r, c + 1), len(mu)) + 1):
+            if content[v] < mu[v - 1] and (v == 1 or content[v] < content[v - 1]):
+                grid[(r, c)] = v
+                content[v] += 1
+                count += fill(i + 1)
+                content[v] -= 1
+        grid.pop((r, c), None)
+        return count
 
-def _is_lr(grid, cells, mu) -> bool:
-    content = [0] * len(mu)
-    for (r, c) in cells:
-        v = grid[(r, c)]
-        content[v - 1] += 1
-        left = grid.get((r, c - 1))
-        if left is not None and left > v:
-            return False
-        above = grid.get((r - 1, c))
-        if above is not None and above >= v:
-            return False
-    if content != list(mu):
-        return False
-    # reverse reading word: right to left within each row, top row first
-    seen = [0] * (len(mu) + 1)
-    for (r, c) in sorted(cells, key=lambda rc: (rc[0], -rc[1])):
-        v = grid[(r, c)]
-        seen[v] += 1
-        if v > 1 and seen[v] > seen[v - 1]:
-            return False
-    return True
+    return fill(0)
 
 
 def box_partitions(k, n):

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import fanocalc
-from fanocalc.cli import main
+from fanocalc.cli import _arg_parser, main
+from fanocalc import dsl
 from fanocalc.dsl import ParseError, parse
 from fanocalc.scenarios import BUILTIN_SOURCES
 
@@ -300,6 +301,19 @@ def test_check_rejects_a_scenario_name_repeated_across_files(tmp_path):
     assert err == f"check: {b}: line 2, column 1: duplicate scenario name 'y'\n"
 
 
+def test_check_reads_and_parses_each_file_on_every_call(tmp_path, monkeypatch):
+    # user input is never cached: a file rewritten between two calls reports its new content
+    parsed = []
+    original = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda source: parsed.append(source) or original(source))
+    path, written = tmp_path / "a.scn", []
+    for expected, code in ((2, 0), (3, 1)):
+        written.append(f'scenario "x" {{\n  assert 1 + 1 == {expected} cite "c"\n}}\n')
+        path.write_text(written[-1], encoding="utf-8")
+        assert invoke("check", str(path))[0] == code
+    assert parsed == written
+
+
 def test_emit_then_check_round_trip(tmp_path):
     for name in BUILTINS:
         code, emitted, _ = invoke("emit", name)
@@ -340,6 +354,26 @@ def test_help_is_written_to_the_given_out(capsys):
     assert "Verify intersection-theoretic integer chains" in out
     assert (sys.stdout, sys.stderr) == streams
     assert capsys.readouterr() == ("", "")
+
+
+def test_the_reused_parser_leaks_nothing_between_calls():
+    # one parser serves every call of a process; each call's output still
+    # goes to that call's own streams, and no call sees another's arguments
+    _arg_parser.cache_clear()
+    helps = [invoke("--help"), invoke("--help")]
+    code, out, err = invoke()
+    assert (code, out) == (2, "") and err.startswith("usage: fanocalc ")
+    code, out, err = invoke("run")
+    assert (code, out, err) == (2, "", "run: nothing to run; give scenario names or --all\n")
+    code, out, err = invoke("bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fanocalc ") and "invalid choice: 'bogus'" in err
+    code, out, err = invoke("run", "--all")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS gr25-chern/deg ") and out.rstrip().endswith("70 assertions, 0 failed")
+    info = _arg_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    assert helps == [(0, _arg_parser().format_help(), "")] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Package layering, read from the sources: imports at module top, no cycles, no test-only API, one record base.
+"""Package layering, read from the sources: imports at module top, no cycles, no test-only API, one record base, bounded caches.
 
 One test also starts a fresh interpreter to see which modules importing the package loads.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,38 @@ def test_records_store_and_compare_through_the_bases():
         "chern.TotalChernClass.__eq__", "record.Record.__eq__",
         "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",
     ]
+
+
+# The caches keyed by user input that ROADMAP item 6 is to bound; bounding one
+# takes it off this list, and no name may join it.
+UNBOUNDED_CACHES = {
+    "profiles.section_model", "profiles.section_profile", "chern.tangent_bundle",
+    "schubert._row_strips", "schubert._giambelli_monomials", "schubert._conjugate",
+}
+
+
+def test_every_cache_has_an_integer_maxsize():
+    # each functools cache decorates a top-level function, and its maxsize is
+    # read from the cache itself; any other use of one counts as unbounded
+    caches = {"lru_cache", "cache", "functools.lru_cache", "functools.cache"}
+    maxsizes = {}
+    for module, tree in MODULES.items():
+        decorated = {
+            id(getattr(d, "func", d)): stmt.name
+            for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for d in stmt.decorator_list
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in caches:
+                name = decorated.get(id(node))
+                if name is None:
+                    maxsizes[f"{module}, line {node.lineno}"] = None
+                else:
+                    wrapped = getattr(importlib.import_module(f"fanocalc.{module}"), name)
+                    maxsizes[f"{module}.{name}"] = wrapped.cache_parameters()["maxsize"]
+    unbounded = {use for use, maxsize in maxsizes.items() if not isinstance(maxsize, int)}
+    assert unbounded == UNBOUNDED_CACHES
+    assert {"scenarios._builtin_document", "cli._arg_parser"} <= set(maxsizes)
 
 
 def test_internal_import_graph_is_acyclic():

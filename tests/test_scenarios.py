@@ -13,7 +13,9 @@ from fanocalc.scenarios import (
     Assertion,
     Report,
     Scenario,
+    _builtin_document,
     builtin_scenarios,
+    pretty_builtin,
     run,
 )
 
@@ -385,3 +387,48 @@ def test_every_cited_claim_is_verified_exactly_once():
         assert fragment in row["cite"], (key, row["cite"])
         assert row["expected"] == expected, (key, row["expected"])
         assert row["pass"] is True, key
+
+
+def counting_parse(monkeypatch):
+    """Rebind dsl.parse to count its calls per source, starting from an empty document cache."""
+    calls = []
+    original = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda source: calls.append(source) or original(source))
+    _builtin_document.cache_clear()
+    return calls
+
+
+def test_each_builtin_source_is_parsed_once_per_process(monkeypatch):
+    calls = counting_parse(monkeypatch)
+    first = builtin_scenarios()
+    assert sorted(calls) == sorted(BUILTIN_SOURCES.values())
+    second = builtin_scenarios()
+    assert len(calls) == len(BUILTIN_SOURCES)  # the second call parses nothing
+    assert run(first).to_json() == run(second).to_json()
+    for one, other in zip(first, second):
+        assert one is not other
+        assert one.assertions is not other.assertions
+        assert one.notes is not other.notes
+        assert all(a is not b for a, b in zip(one.assertions, other.assertions))
+    # what one call's caller does to its lists does not reach the next call
+    for scenario in second:
+        scenario.assertions.append(Assertion("extra", "x", "==", lambda: 1, lambda: 2))
+        scenario.notes.append("extra")
+    third = builtin_scenarios()
+    assert [len(s.assertions) for s in third] == [len(s.assertions) for s in first]
+    assert [s.notes for s in third] == [s.notes for s in first]
+    assert run(third).to_json() == run(first).to_json()
+    assert len(calls) == len(BUILTIN_SOURCES)
+
+
+def test_a_changed_builtin_source_is_parsed_again(monkeypatch):
+    calls = counting_parse(monkeypatch)
+    builtin_scenarios()
+    changed = BUILTIN_SOURCES["moduli-counts"].replace("== 32 cite", "== 33 cite")
+    monkeypatch.setitem(BUILTIN_SOURCES, "moduli-counts", changed)
+    report = run(builtin_scenarios())
+    assert calls[len(BUILTIN_SOURCES):] == [changed]
+    assert report.failed == 1
+    (row,) = [r for s in report.scenarios for r in s.results if not r.passed]
+    assert (row.label, row.expected, row.actual) == ("dim-g", 33, 32)
+    assert pretty_builtin("moduli-counts") == dsl.parse(changed).pretty()

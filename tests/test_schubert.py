@@ -37,7 +37,11 @@ GR37 = Grassmannian(3, 7)
 # ---------------------------------------------------------------------------
 # oracle equivalence
 
-@pytest.mark.parametrize("ctx", [GR25, GR26, GR36, GR27, GR35, GR46], ids=repr)
+@pytest.mark.parametrize(
+    "ctx",
+    [GR25, GR26, GR36, GR27, GR35, GR46, GR37, Grassmannian(5, 7), Grassmannian(4, 8)],
+    ids=repr,
+)
 def test_all_basis_products_match_lr_oracle(ctx):
     for lam in box_partitions(ctx.k, ctx.n):
         for mu in box_partitions(ctx.k, ctx.n):
