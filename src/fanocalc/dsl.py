@@ -51,14 +51,15 @@ is (c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
 ``c2h2`` profile takes the center as stated, with no class.
 
 The leaves of an expression tree are values: an integer literal is its
-int, and H and E are the engine's divisors blowup.H and blowup.E.  Equal
-setup-free subexpressions of a document (integers, H, E and the operators
-over them, but no call and no sigma[...]) are one node of its tree.  A
-call argument or parenthesised expression whose text, up to the next ','
-or ')', holds none of '(', '[', '"' and '#' is such a subtree, and the
-parser reads each distinct such text once per document; a later copy
-takes the first one's node.  Running the built scenarios computes each
-such node once per build; an error fails only the assertion it is in.
+int, and H and E are the engine's divisors blowup.H and blowup.E; every
+other node compares and hashes by identity.  Equal setup-free
+subexpressions of a document (integers, H, E and the operators over them,
+but no call and no sigma[...]) are one node of its tree.  A call argument
+or parenthesised expression whose text, up to the next ',' or ')', holds
+none of '(', '[', '"' and '#' is such a subtree, and the parser reads each
+distinct such text once per document; a later copy takes the first one's
+node.  Running the built scenarios computes each such node once per
+build; an error fails only the assertion it is in.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -80,7 +81,6 @@ from functools import partial
 
 from . import blowup, profiles
 from .blowup import BlowupModel, CurveCenter, Divisor, SurfaceCenter
-from .record import Record
 from .schubert import Grassmannian, SchubertCycle, grass_dim, sigma
 
 # Operator -> (precedence, right-associative).  The parser and the printer
@@ -180,18 +180,18 @@ def _lex_error(source: str, newlines: list, offset: int):
 # have no assignment guard: a pass builds one node per few tokens, and a
 # guarded node, whose fields go through object.__setattr__, costs about
 # three times as much to build.  Nothing mutates them, so a document holds
-# each setup-free subtree once, however often it occurs.  Expression nodes
-# are record.Record: they compare by structure and have no hash.
-# Statements and scenarios compare by identity.
+# each setup-free subtree once, however often it occurs.  Every node
+# compares and hashes by identity, so a node is a key of the parser's
+# sharing table and of the evaluator's memo.
 
-class SigmaAtom(Record):
+class SigmaAtom:
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
         self.parts = parts
 
 
-class Call(Record):
+class Call:
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple):
@@ -199,7 +199,7 @@ class Call(Record):
         self.args = args
 
 
-class BinOp(Record):
+class BinOp:
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: object, right: object):
@@ -208,7 +208,7 @@ class BinOp(Record):
         self.right = right
 
 
-class Neg(Record):
+class Neg:
     __slots__ = ("operand",)
 
     def __init__(self, operand: object):
@@ -288,7 +288,7 @@ class Document:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
 
     def build(self) -> list:
-        memo = {}  # see _value; one per call, it lives as long as the scenarios built
+        memo = {}  # node -> value, shared by the scenarios built; see _value
         return [_build_scenario(node, memo) for node in self.scenarios]
 
 
@@ -321,10 +321,9 @@ class _Parser:
         self.end = _LEADING.match(source).end()
         self.advance()
         self.depth = 0
-        # INT text -> its int, and (operator, id(operand), ...) -> its Neg or
-        # BinOp, so equal literals, and operators over the same nodes, are
-        # one node of the document.  No call and no sigma[...] is shared, so
-        # only setup-free subtrees repeat; the table keeps each id in use.
+        # (operator, operand, ...) -> its Neg or BinOp, so operators over equal
+        # leaves or the same nodes are one node of the document.  No call and
+        # no sigma[...] is shared, so only setup-free subtrees repeat.
         self.shared = {}
         # Source text -> (tree, height) of each plain operand read; see operand.
         self.operands = {}
@@ -497,10 +496,7 @@ class _Parser:
         kind, value, start = self.kind, self.value, self.start
         if kind == "INT":
             self.advance()
-            node = self.shared.get(value)
-            if node is None:  # not ``or``: the literal 0 is falsy
-                node = self.share(value, self.int_value(value, start))
-            height = 1
+            node, height = self.int_value(value, start), 1
         elif kind == "IDENT":
             self.advance()
             follow = self.value
@@ -515,7 +511,7 @@ class _Parser:
         elif value == "-":
             self.advance()
             operand, height = self.nested(start, _PRECEDENCE[_UNARY_MINUS][0])
-            key = (_UNARY_MINUS, id(operand))
+            key = (_UNARY_MINUS, operand)
             node = self.shared.get(key) or self.share(key, Neg(operand))
             height += 1
             if height > _MAX_DEPTH:
@@ -533,7 +529,7 @@ class _Parser:
                 rhs, rhs_height = self.nested(start, prec)
             else:
                 rhs, rhs_height = self.expr(prec + 1)
-            key = (op, id(node), id(rhs))
+            key = (op, node, rhs)
             node = self.shared.get(key) or self.share(key, BinOp(op, node, rhs))
             height = (height if height > rhs_height else rhs_height) + 1
             if height > _MAX_DEPTH:
@@ -936,16 +932,15 @@ _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.su
 def _value(node, setup: _Setup, memo: dict):
     """The value of ``node`` under ``setup``, computed when its assertion runs.
 
-    ``memo`` maps the id of each operator node whose operands are leaves or
-    in ``memo`` (the setup-free nodes, which the parser shares) to
-    ``(node, value)``, which keeps the id in use: each is computed once per
-    build.  A failure is not stored, so each row that uses it raises it
-    again.  A call raises in this order: arguments, then unknown name,
-    arity and types."""
-    if (hit := memo.get(id(node))) is not None:
-        return hit[1]
+    ``memo`` maps each operator node whose operands are leaves or in
+    ``memo`` (the setup-free nodes, which the parser shares) to its value,
+    so each is computed once per build.  A failure is not stored, so each
+    row that uses it raises it again.  A call raises in this order:
+    arguments, then unknown name, arity and types."""
     if isinstance(node, (int, Divisor)):
         return node
+    if (value := memo.get(node)) is not None:
+        return value
     kind = node.__class__
     if kind is SigmaAtom:
         return sigma(setup.grassmannian(), *node.parts)
@@ -966,9 +961,9 @@ def _value(node, setup: _Setup, memo: dict):
         operands = (node.left, node.right)
         value = _OPERATORS[node.op](_value(node.left, setup, memo), _value(node.right, setup, memo))
     for operand in operands:
-        if not isinstance(operand, (int, Divisor)) and id(operand) not in memo:
+        if not isinstance(operand, (int, Divisor)) and operand not in memo:
             return value
-    memo[id(node)] = node, value
+    memo[node] = value
     return value
 
 

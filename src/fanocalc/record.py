@@ -1,18 +1,22 @@
-"""The bases of the package's value records.
+"""The base of the package's value records.
 
 A record lists its fields in ``__slots__``, and this module reads them
 from there, once per class and along its bases, so no second field list
-exists and a subclass keeps the fields of the record it extends.  ``Record``
-compares by field; ``FrozenRecord`` adds the guards, copy, pickle and the
-hash, and its records check their arguments in their own ``__init__`` and
-end it with one ``_store`` call.
+exists and a subclass keeps the fields of the record it extends.  Its
+records check their arguments in their own ``__init__`` and end it with
+one ``_store`` call.
 """
 
 
-class Record:
-    """A slotted class whose instances compare equal when they are of the
-    same class and their fields are equal.  It has no hash.  A
-    ``"__dict__"`` slot (for ``cached_property`` tables) is not a field.
+class FrozenRecord:
+    """A value record that compares and hashes by its fields and refuses
+    assignment and deletion once built.
+
+    Two records are equal when they are of the same class and their fields
+    are equal.  A ``"__dict__"`` slot (for ``cached_property`` tables) is
+    not a field.  Copy and pickle rebuild a record through its
+    ``__init__``, so its checks run again; the default, which restores the
+    slots one by one, would meet the assignment guard.
     """
 
     __slots__ = ()
@@ -34,17 +38,6 @@ class Record:
         if other.__class__ is self.__class__:
             return self._fields() == other._fields()
         return NotImplemented
-
-
-class FrozenRecord(Record):
-    """A value record that refuses assignment and deletion once built.
-
-    Records hash by their fields.  Copy and pickle rebuild a record through
-    its ``__init__``, so its checks run again; the default, which restores
-    the slots one by one, would meet the assignment guard.
-    """
-
-    __slots__ = ()
 
     def _store(self, *values) -> None:
         """Set the fields to ``values``, in the order ``_fields`` reads them."""

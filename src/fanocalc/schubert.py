@@ -129,7 +129,7 @@ class SchubertCycle:
     ``terms`` maps box partitions to non-zero integer coefficients; every key
     has weight ``codim``.  The zero cycle keeps its declared codimension, so
     products that land above the dimension of the ambient Grassmannian stay
-    well-typed.
+    well-typed, and it adds only to cycles of that codimension.
     """
 
     __slots__ = ("context", "codim", "_terms")
@@ -195,13 +195,12 @@ class SchubertCycle:
         if not isinstance(other, SchubertCycle):
             return NotImplemented
         self._require_same_context(other)
-        if self._terms and other._terms and self.codim != other.codim:
+        if self.codim != other.codim:
             raise ValueError("cannot add cycles of different codimension")
-        codim = self.codim if self._terms or not other._terms else other.codim
         merged = dict(self._terms)
         for p, c in other._terms.items():
             merged[p] = merged.get(p, 0) + c
-        return SchubertCycle._trusted(self.context, codim, merged)
+        return SchubertCycle._trusted(self.context, self.codim, merged)
 
     def __neg__(self):
         return SchubertCycle._trusted(

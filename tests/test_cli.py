@@ -163,6 +163,24 @@ def test_check_fails_a_number_compared_with_a_cycle_or_divisor(tmp_path):
     ]
 
 
+def test_check_fails_a_sum_of_zero_cycles_of_two_codimensions(tmp_path):
+    # both sums print 0, but a zero cycle keeps its codimension: the row
+    # reports the sum's error, not two equal-looking values
+    path = tmp_path / "zero.scn"
+    path.write_text(
+        'scenario "a" { grassmannian 2 5 assert (sigma[1] - sigma[1]) + (sigma[2] - sigma[2])'
+        ' == 0 * sigma[3] cite "x" }\n',
+        encoding="utf-8",
+    )
+    code, out, _ = invoke("check", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL a/a01 expected=0 actual=error: ValueError: cannot add cycles of different"
+        " codimension cite: x",
+        "1 assertions, 1 failed",
+    ]
+
+
 def test_check_has_no_verbose_option(tmp_path):
     # scenario files carry no notes, so check has nothing for --verbose to add
     path = tmp_path / "ok.scn"

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import fanocalc
+from fanocalc import dsl
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fanocalc"
 MODULES = {
@@ -112,7 +113,7 @@ def test_only_the_frozen_base_defines_the_record_guards():
 
 def test_records_store_and_compare_through_the_bases():
     # a frozen record sets its fields through FrozenRecord._store and compares
-    # through record.Record, both read from __slots__; what else writes an
+    # through FrozenRecord.__eq__, both read from __slots__; what else writes an
     # equality out is the hot Gr(k, n), the padded total class or the
     # Schubert kernel
     methods = [
@@ -133,9 +134,32 @@ def test_records_store_and_compare_through_the_bases():
     assert stores == ["record.FrozenRecord._store"]
     equalities = sorted(path for path, method in methods if method.name == "__eq__")
     assert equalities == [
-        "chern.TotalChernClass.__eq__", "record.Record.__eq__",
+        "chern.TotalChernClass.__eq__", "record.FrozenRecord.__eq__",
         "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",
     ]
+
+
+def test_the_syntax_tree_compares_and_hashes_by_identity():
+    # the parser's sharing table and the evaluator's memo key on the nodes
+    # themselves, so the scenario language reads no id() and no class of it
+    # takes an equality or a hash from anywhere but object
+    calls = [
+        f"dsl.py:{node.lineno}"
+        for node in ast.walk(MODULES["dsl"])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "id"
+    ]
+    assert calls == []
+    classes = [
+        value for value in vars(dsl).values()
+        if isinstance(value, type) and value.__module__ == dsl.__name__
+    ]
+    assert {"SigmaAtom", "Call", "BinOp", "Neg", "AssertStmt", "Document"} <= {
+        cls.__name__ for cls in classes
+    }
+    assert [
+        cls.__name__ for cls in classes
+        if cls.__eq__ is not object.__eq__ or cls.__hash__ is not object.__hash__
+    ] == []
 
 
 # The caches keyed by user input that ROADMAP item 6 is to bound; bounding one

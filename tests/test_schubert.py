@@ -1,6 +1,7 @@
 """Schubert calculus against an independent Littlewood-Richardson oracle."""
 
 import math
+import operator
 from itertools import permutations
 
 import pytest
@@ -347,6 +348,18 @@ def test_context_mismatch_is_rejected():
 def test_mixed_codimension_sum_is_rejected():
     with pytest.raises(ValueError):
         sigma(GR25, 1) + sigma(GR25, 2)
+
+
+def test_a_zero_cycle_adds_only_in_its_own_codimension():
+    # a zero cycle keeps its codimension, so it is no identity for a sum of another
+    for a, b in ((zero(GR25, 1), sigma(GR25, 2)), (sigma(GR25, 2), zero(GR25, 1)),
+                 (zero(GR25, 1), zero(GR25, 2))):
+        for combine in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="^cannot add cycles of different codimension$"):
+                combine(a, b)
+    assert zero(GR25, 2) + sigma(GR25, 2) == sigma(GR25, 2) == sigma(GR25, 2) - zero(GR25, 2)
+    total = zero(GR25, 2) + zero(GR25, 2)
+    assert total.is_zero() and total.codim == 2
 
 
 def test_normalize_partition():
