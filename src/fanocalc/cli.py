@@ -103,13 +103,12 @@ def _cmd_check(args, out, err) -> int:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT
         try:
-            document = dsl.parse(source)
-            for node in document.scenarios:
-                dsl.claim_name(names, node)
-            collected.extend(document.build())
+            document = dsl.parse(source, names)
         except dsl.ParseError as exc:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT
+        names.update(node.name for node in document.scenarios)
+        collected.extend(document.build())
     return _report_exit(scenarios.run(collected), args.format, False, out)
 
 

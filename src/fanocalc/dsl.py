@@ -8,13 +8,19 @@ double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
 The parser reads the tokens as it needs them, each one match of one
 regular expression at a source offset.  A lexical error anywhere in the
 source wins over every other error: when a parse fails, the whole source is
-lexed once more for one.  A (line, column) is worked out from an offset, by
-bisection over the offsets of the newlines, only for a statement or an
-error.  Both count from 1; only LF ends a line, and a column counts
+lexed once more for one.  Otherwise the first error in the source is the
+one reported; a scenario name counts as read once its '}' is.  A (line,
+column) is worked out from an offset only for an error, and the syntax tree
+stores none.  Both count from 1; only LF ends a line, and a column counts
 characters, so a tab or a lone CR is one column.
 
-Grammar (statements in any order and number; integer fields may carry a
-leading '-'):
+The parser enforces every rule of a document, so a document it returns
+always builds: a scenario has at most one each of profile, center and
+grassmannian, its assertion labels are unique, the generated ones
+included, and a scenario name is unique in the document and among the
+names the caller gives.
+
+Grammar (statements in any order; integer fields may carry a leading '-'):
 
     document   := { scenario }
     scenario   := "scenario" STRING "{" { statement } "}"
@@ -74,7 +80,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from bisect import bisect_left
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
@@ -142,7 +147,6 @@ _TOKEN = re.compile(
 )
 _LEADING = re.compile(_SKIP)
 _OPEN_STRING = re.compile(_STRING)
-_NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r"\\(.)")
 
 # The text from an offset to the next ',' or ')' holds none of '(', '[',
@@ -150,28 +154,28 @@ _ESCAPE = re.compile(r"\\(.)")
 _PLAIN = re.compile(r'[^,()\["#]*+')
 
 
-def _position(newlines: list, offset: int) -> tuple:
-    """The 1-based (line, column) of ``offset``, given the offsets of the source's newlines."""
-    line = bisect_left(newlines, offset)
-    return line + 1, offset - (newlines[line - 1] if line else -1)
+def _fail(source: str, offset: int, message: str):
+    """Raise the ParseError ``message`` at the 1-based line and column of ``offset``."""
+    raise ParseError(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset),
+                     message)
 
 
-def _validate(source: str, newlines: list) -> None:
+def _validate(source: str) -> None:
     """Raise the ParseError for the first character of ``source`` that starts no token, if any."""
     for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
         kind = m.lastgroup
         if kind == "BAD" or kind == "WORD" and not m[kind][0].isalpha():
-            _lex_error(source, newlines, m.start())
+            _lex_error(source, m.start())
 
 
-def _lex_error(source: str, newlines: list, offset: int):
+def _lex_error(source: str, offset: int):
     """Raise the ParseError for the character at ``offset`` that starts no token."""
     if source[offset] == '"':
         end = _OPEN_STRING.match(source, offset).end()
         if source.startswith("\\", end):
-            raise ParseError(*_position(newlines, end), "unsupported escape in string literal")
-        raise ParseError(*_position(newlines, offset), "unterminated string literal")
-    raise ParseError(*_position(newlines, offset), f"unexpected character {source[offset]!r}")
+            _fail(source, end, "unsupported escape in string literal")
+        _fail(source, offset, "unterminated string literal")
+    _fail(source, offset, f"unexpected character {source[offset]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +220,10 @@ class Neg:
 
 
 class ProfileStmt:
-    __slots__ = ("ident", "h4", "index", "c2h2", "ambient", "codim", "chi", "euler", "line",
-                 "column")
+    __slots__ = ("ident", "h4", "index", "c2h2", "ambient", "codim", "chi", "euler")
 
     def __init__(self, ident: str, h4: int, index: int, c2h2: int | None, ambient: str | None,
-                 codim: int | None, chi: int, euler: int, line: int, column: int):
+                 codim: int | None, chi: int, euler: int):
         self.ident = ident
         self.h4 = h4
         self.index = index
@@ -229,53 +232,42 @@ class ProfileStmt:
         self.codim = codim
         self.chi = chi
         self.euler = euler
-        self.line = line
-        self.column = column
 
 
 class CenterStmt:
-    __slots__ = ("kind", "fields", "cycle", "line", "column")
+    __slots__ = ("kind", "fields", "cycle")
 
-    def __init__(self, kind: str, fields: tuple, cycle: SigmaAtom | None, line: int, column: int):
+    def __init__(self, kind: str, fields: tuple, cycle: SigmaAtom | None):
         self.kind = kind  # "curve" or "surface"
         self.fields = fields  # ordered (name, value) pairs
         self.cycle = cycle  # a surface's Schubert class in the profile's ambient
-        self.line = line
-        self.column = column
 
 
 class GrassStmt:
-    __slots__ = ("k", "n", "line", "column")
+    __slots__ = ("k", "n")
 
-    def __init__(self, k: int, n: int, line: int, column: int):
+    def __init__(self, k: int, n: int):
         self.k = k
         self.n = n
-        self.line = line
-        self.column = column
 
 
 class AssertStmt:
-    __slots__ = ("left", "op", "right", "cite", "label", "line", "column")
+    __slots__ = ("left", "op", "right", "cite", "label")
 
-    def __init__(self, left: object, op: str, right: object, cite: str, label: str | None,
-                 line: int, column: int):
+    def __init__(self, left: object, op: str, right: object, cite: str, label: str | None):
         self.left = left
         self.op = op
         self.right = right
         self.cite = cite
         self.label = label
-        self.line = line
-        self.column = column
 
 
 class ScenarioNode:
-    __slots__ = ("name", "statements", "line", "column")
+    __slots__ = ("name", "statements")
 
-    def __init__(self, name: str, statements: list, line: int, column: int):
+    def __init__(self, name: str, statements: list):
         self.name = name
         self.statements = statements
-        self.line = line
-        self.column = column
 
 
 class Document:
@@ -288,6 +280,7 @@ class Document:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
 
     def build(self) -> list:
+        """The document's scenarios; raises no ParseError, as the parser checked every rule."""
         memo = {}  # node -> value, shared by the scenarios built; see _value
         return [_build_scenario(node, memo) for node in self.scenarios]
 
@@ -317,7 +310,6 @@ class _Parser:
 
     def __init__(self, source: str):
         self.source = source
-        self.newlines = [m.start() for m in _NEWLINE.finditer(source)]
         self.end = _LEADING.match(source).end()
         self.advance()
         self.depth = 0
@@ -336,11 +328,8 @@ class _Parser:
         self.start = m.start()
         self.end = m.end()
 
-    def position(self, offset: int) -> tuple:
-        return _position(self.newlines, offset)
-
     def fail(self, offset: int, message: str):
-        raise ParseError(*self.position(offset), message)
+        _fail(self.source, offset, message)
 
     def describe(self) -> str:
         kind = self.kind
@@ -393,33 +382,46 @@ class _Parser:
 
     # document / scenario / statements
 
-    def parse_document(self) -> Document:
+    def parse_document(self, names: set) -> Document:
         doc = Document()
-        names = set()
         while self.kind != "EOF":
-            node = self.parse_scenario()
-            claim_name(names, node)
-            doc.scenarios.append(node)
+            doc.scenarios.append(self.parse_scenario(names))
         return doc
 
-    def parse_scenario(self) -> ScenarioNode:
+    def parse_scenario(self, names: set) -> ScenarioNode:
+        """A scenario whose name is not in ``names``, which it joins."""
         kw = self.expect("scenario")
         name = self.expect_string()
         self.expect("{")
-        statements = []
-        while self.value != "}":
+        statements, setups, labels = [], set(), set()
+        while (keyword := self.value) != "}":
             start = self.start
-            parse_statement = self._STATEMENTS.get(self.value)
-            if parse_statement is None:
-                self.fail(start, f"expected a statement or '}}', found {self.describe()}")
-            self.advance()
-            statements.append(parse_statement(self, start))
+            if keyword == "assert":
+                self.advance()
+                stmt = self.parse_assert()
+                label = _label(stmt, len(labels) + 1)  # each earlier assertion's label is in labels
+                if label in labels:
+                    self.fail(start, f"duplicate assertion label {label!r}")
+                labels.add(label)
+            else:
+                parse_setup = self._SETUPS.get(keyword)
+                if parse_setup is None:
+                    self.fail(start, f"expected a statement or '}}', found {self.describe()}")
+                if keyword in setups:
+                    self.fail(start, f"duplicate {keyword} statement")
+                setups.add(keyword)
+                self.advance()
+                stmt = parse_setup(self)
+            statements.append(stmt)
         self.advance()
-        return ScenarioNode(name, statements, *self.position(kw))
+        if name in names:
+            self.fail(kw, f"duplicate scenario name {name!r}")
+        names.add(name)
+        return ScenarioNode(name, statements)
 
-    # each statement parser starts after its keyword, whose offset it gets for its position
+    # each statement parser starts after its keyword
 
-    def parse_profile(self, kw: int) -> ProfileStmt:
+    def parse_profile(self) -> ProfileStmt:
         ident = self.expect_kind("IDENT", "a name")
         h4 = self.expect_field("h4")
         index = self.expect_field("index")
@@ -435,9 +437,9 @@ class _Parser:
             self.fail(self.start, f"expected 'c2h2' or 'ambient', found {self.describe()}")
         chi = self.expect_field("chi")
         euler = self.expect_field("euler")
-        return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler, *self.position(kw))
+        return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler)
 
-    def parse_center(self, kw: int) -> CenterStmt:
+    def parse_center(self) -> CenterStmt:
         start = self.start
         kind = self.expect_kind("IDENT", "a name")
         entry = _CENTERS.get(kind)
@@ -448,14 +450,14 @@ class _Parser:
         if kind == "surface" and self.value == "sigma":
             self.advance()
             cycle = self.sigma()
-        return CenterStmt(kind, values, cycle, *self.position(kw))
+        return CenterStmt(kind, values, cycle)
 
-    def parse_grass(self, kw: int) -> GrassStmt:
+    def parse_grass(self) -> GrassStmt:
         k = self.expect_int()
         n = self.expect_int()
-        return GrassStmt(k, n, *self.position(kw))
+        return GrassStmt(k, n)
 
-    def parse_assert(self, kw: int) -> AssertStmt:
+    def parse_assert(self) -> AssertStmt:
         left, _ = self.nested(self.start)
         op = self.value
         if op != "==" and op != "!=":
@@ -468,14 +470,10 @@ class _Parser:
         if self.value == "label":
             self.advance()
             label = self.expect_string()
-        return AssertStmt(left, op, right, cite, label, *self.position(kw))
+        return AssertStmt(left, op, right, cite, label)
 
-    _STATEMENTS = {
-        "profile": parse_profile,
-        "center": parse_center,
-        "grassmannian": parse_grass,
-        "assert": parse_assert,
-    }
+    # setup keyword -> its statement's parser; a scenario has at most one of each
+    _SETUPS = {"profile": parse_profile, "center": parse_center, "grassmannian": parse_grass}
 
     # expressions, by precedence climbing over _PRECEDENCE.  Each method
     # returns (tree, height).  An assertion side, a parenthesis, a call
@@ -597,25 +595,25 @@ class _Parser:
         return SigmaAtom(tuple(parts))
 
 
-def claim_name(names: set, node: ScenarioNode) -> None:
-    """Add the scenario's name to ``names``; a name already there is a ParseError at the scenario."""
-    if node.name in names:
-        raise ParseError(node.line, node.column, f"duplicate scenario name {node.name!r}")
-    names.add(node.name)
+def _label(stmt: AssertStmt, counter: int) -> str:
+    """The label of the ``counter``-th assertion of its scenario: its own, or ``aNN``."""
+    return stmt.label if stmt.label is not None else f"a{counter:02d}"
 
 
-def parse(source: str) -> Document:
+def parse(source: str, names=None) -> Document:
     """Parse a document; raise :class:`ParseError` with 1-based position.
 
+    ``names`` holds scenario names already taken, by earlier files of one
+    check; a scenario may reuse none of them, and the set is not changed.
     A lexical error anywhere in the source wins over every other error.  A
     document that parses has had each of its tokens read, or skipped as a
     copy of a text read before, so the source is checked for one only when
     the parse fails."""
     parser = _Parser(source)
     try:
-        return parser.parse_document()
+        return parser.parse_document(set(names or ()))
     except ParseError:
-        _validate(source, parser.newlines)
+        _validate(source)
         raise
 
 
@@ -732,17 +730,11 @@ def _once(method):
 class _Setup:
     """Deferred, validated scenario state shared by all assertion closures."""
 
-    def __init__(self):
-        self.statements = {}  # keyword -> the scenario's one statement of that kind
+    def __init__(self, statements: list):
+        # keyword -> the scenario's one statement of that kind; the parser allows no second
+        self.statements = {_SETUP_KEYWORDS[type(stmt)]: stmt for stmt in statements
+                           if not isinstance(stmt, AssertStmt)}
         self.outcomes = {}  # _once method -> (value, exception)
-
-    def add(self, stmt):
-        keyword = _SETUP_KEYWORDS.get(type(stmt))
-        if keyword is None:
-            return
-        if keyword in self.statements:
-            raise ParseError(stmt.line, stmt.column, f"duplicate {keyword} statement")
-        self.statements[keyword] = stmt
 
     def statement(self, keyword: str):
         stmt = self.statements.get(keyword)
@@ -968,16 +960,11 @@ def _value(node, setup: _Setup, memo: dict):
 
 
 def _build_scenario(node: ScenarioNode, memo: dict) -> Scenario:
-    setup = _Setup()
-    for stmt in node.statements:
-        setup.add(stmt)
-    assertions, labels = [], set()
+    setup = _Setup(node.statements)
+    assertions = []
     asserts = [stmt for stmt in node.statements if isinstance(stmt, AssertStmt)]
     for counter, stmt in enumerate(asserts, 1):
-        label = stmt.label if stmt.label is not None else f"a{counter:02d}"
-        if label in labels:
-            raise ParseError(stmt.line, stmt.column, f"duplicate assertion label {label!r}")
-        labels.add(label)
+        label = _label(stmt, counter)
         expected = partial(_value, stmt.right, setup, memo)
         actual = partial(_value, stmt.left, setup, memo)
         assertions.append(Assertion(label, stmt.cite, stmt.op, expected, actual))

@@ -17,10 +17,7 @@ SOURCES = {
 def scenario_model(source: str):
     """The model of a one-scenario document, as the scenario resolves it."""
     (node,) = dsl.parse(source).scenarios
-    setup = dsl._Setup()
-    for stmt in node.statements:
-        setup.add(stmt)
-    return setup.model()
+    return dsl._Setup(node.statements).model()
 
 
 def builtin_models() -> dict:

@@ -323,7 +323,8 @@ def test_check_reads_and_parses_each_file_on_every_call(tmp_path, monkeypatch):
     # user input is never cached: a file rewritten between two calls reports its new content
     parsed = []
     original = dsl.parse
-    monkeypatch.setattr(dsl, "parse", lambda source: parsed.append(source) or original(source))
+    monkeypatch.setattr(dsl, "parse",
+                        lambda source, *args: parsed.append(source) or original(source, *args))
     path, written = tmp_path / "a.scn", []
     for expected, code in ((2, 0), (3, 1)):
         written.append(f'scenario "x" {{\n  assert 1 + 1 == {expected} cite "c"\n}}\n')

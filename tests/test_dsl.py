@@ -76,14 +76,14 @@ def test_duplicate_scenario_names_rejected():
     assert "duplicate scenario name" in info.value.message
 
 
-def test_duplicate_statements_rejected_at_build():
+def test_duplicate_statements_rejected_at_parse():
     source = 'scenario "a" { grassmannian 2 5 grassmannian 2 6 }'
     with pytest.raises(ParseError) as info:
-        parse(source).build()
+        parse(source)
     assert "duplicate grassmannian" in info.value.message
 
 
-def test_duplicate_labels_rejected_at_build():
+def test_duplicate_labels_rejected_at_parse():
     source = (
         'scenario "a" {\n'
         '  assert 1 == 1 cite "x" label "same"\n'
@@ -91,8 +91,27 @@ def test_duplicate_labels_rejected_at_build():
         "}"
     )
     with pytest.raises(ParseError) as info:
-        parse(source).build()
+        parse(source)
     assert "duplicate assertion label" in info.value.message
+
+
+def test_the_first_error_in_the_source_is_reported():
+    # a document rule is checked where its statement is read, so a duplicate
+    # before a syntax error is reported, and one after it is never reached;
+    # a lexical error anywhere still wins
+    duplicate, broken = "grassmannian 2 6", 'assert (1 == 1 cite "x"'
+
+    def outcome(*statements):
+        body = "".join(f"  {s}\n" for s in statements)
+        with pytest.raises(ParseError) as info:
+            parse(f'scenario "a" {{\n  grassmannian 2 5\n{body}}}')
+        return _error(info.value)
+
+    assert outcome(duplicate, broken) == (3, 3, "duplicate grassmannian statement")
+    assert outcome(broken, duplicate) == (3, 13, "expected ')', found '=='")
+    assert outcome(duplicate, broken, "$") == (5, 3, "unexpected character '$'")
+    assert outcome("$", duplicate, broken) == (3, 3, "unexpected character '$'")
+    assert outcome(duplicate, "$") == (4, 3, "unexpected character '$'")
 
 
 def test_auto_labels_count_from_one():
@@ -219,6 +238,13 @@ _DIGITS = sys.get_int_max_str_digits() + 1
          (6, 17, f"integer literal has {_DIGITS} digits, more than the interpreter's limit"
                  f" of {_DIGITS - 1}")),
         ('scenario "ok" {}', (5, 1, "duplicate scenario name 'ok'")),
+        # one of each setup statement per scenario, and unique labels, generated ones included
+        (_OPEN + "\tgrassmannian 2 5\r\n\tgrassmannian 2 6 }",
+         (7, 2, "duplicate grassmannian statement")),
+        (_OPEN + '\tassert 1 == 1 cite "x" label "same"\r\n\tassert 2 == 2 cite "y" label "same" }',
+         (7, 2, "duplicate assertion label 'same'")),
+        (_OPEN + '\tassert 1 == 1 cite "x" label "a02"\r\n\tassert 2 == 2 cite "y" }',
+         (7, 2, "duplicate assertion label 'a02'")),
         # a surface center's Schubert class
         (_OPEN + _SURFACE + "sigma[2, }", (6, 60, "expected an integer, found '}'")),
         (_OPEN + _SURFACE + "sigma[] }", (6, 57, "expected an integer, found ']'")),
@@ -263,14 +289,13 @@ def _reference_tokens(source):
 
     A WORD is a name when its first character is a letter; any other WORD,
     and a BAD, is the first lexical error."""
-    newlines = [m.start() for m in re.finditer("\n", source)]
     tokens = []
     for m in _BACKTRACKING_TOKEN.finditer(source, _BACKTRACKING_LEADING.match(source).end()):
         kind, text = m.lastgroup, m[m.lastgroup]
         if kind == "BAD" or kind == "WORD" and not text[0].isalpha():
             with mock.patch.object(dsl, "_OPEN_STRING", _BACKTRACKING_OPEN_STRING):
                 try:
-                    dsl._lex_error(source, newlines, m.start())
+                    dsl._lex_error(source, m.start())
                 except ParseError as exc:
                     return _error(exc)
         tokens.append(("IDENT" if kind == "WORD" else kind, text, m.start()))
@@ -281,7 +306,7 @@ def _streamed_tokens(source):
     """(kind, text, offset) of each token through EOF as the parser reads them, or the lexical error."""
     parser = dsl._Parser(source)
     try:
-        dsl._validate(source, parser.newlines)
+        dsl._validate(source)
     except ParseError as exc:
         return _error(exc)
     tokens = [(parser.kind, parser.value, parser.start)]
@@ -707,6 +732,78 @@ def test_check_is_total_on_generated_documents(setup, rows):
     except ParseError:
         return
     assert report.total == len(rows)
+    report.to_text()
+    report.to_json()
+
+
+# Scenarios of drawn statements, each well formed, whose setup statements
+# and labels may repeat; a label of None is generated.
+_STATEMENT_POOL = (
+    "profile P4 h4 1 index 5 c2h2 10 chi 1 euler 5",
+    "profile W5 h4 5 index 3 ambient gr25 codim 2 chi 1 euler 6",
+    "profile X h4 1 index 1 ambient nowhere codim 0 chi 1 euler 1",
+    "center curve genus 0 hc 1",
+    "center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5 sigma[2, 2]",
+    "grassmannian 2 5",
+    "grassmannian 2 6",
+)
+_ROWS = ("1 == 1", "quartic(H, H, H, H) == 1", "degree(sigma[1]^6) == 5", "euler() != 0")
+_STATEMENTS = st.one_of(
+    st.sampled_from(_STATEMENT_POOL),
+    st.tuples(st.sampled_from(_ROWS), st.sampled_from([None, "a01", "a02", "x"])),
+)
+
+
+def _statement_text(stmt):
+    if isinstance(stmt, str):
+        return stmt
+    row, label = stmt
+    return f'assert {row} cite "c"' + (f' label "{label}"' if label else "")
+
+
+def _first_broken_rule(scenarios):
+    """The message of the first repeat in the drawn scenarios, or None."""
+    names = set()
+    for name, statements in scenarios:
+        keywords, labels = set(), set()
+        for stmt in statements:
+            if isinstance(stmt, str):
+                keyword = stmt.split()[0]
+                if keyword in keywords:
+                    return f"duplicate {keyword} statement"
+                keywords.add(keyword)
+            else:
+                label = stmt[1] or f"a{len(labels) + 1:02d}"
+                if label in labels:
+                    return f"duplicate assertion label {label!r}"
+                labels.add(label)
+        if name in names:
+            return f"duplicate scenario name {name!r}"
+        names.add(name)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@example([("s", ["grassmannian 2 5", "grassmannian 2 5"])])
+@example([("s", [("1 == 1", "a02"), ("1 == 1", None)])])
+@given(st.lists(st.tuples(st.sampled_from("st"), st.lists(_STATEMENTS, max_size=6)),
+                min_size=1, max_size=2))
+def test_a_parsed_document_always_builds_and_runs(scenarios):
+    # parse raises the first broken document rule, or build and run raise
+    # nothing and report every assertion
+    source = "".join(
+        f'scenario "{name}" {{\n' + "".join(f"  {_statement_text(s)}\n" for s in statements) + "}\n"
+        for name, statements in scenarios
+    )
+    broken = _first_broken_rule(scenarios)
+    try:
+        document = parse(source)
+    except ParseError as exc:
+        assert exc.message == broken
+        return
+    assert broken is None
+    report = run(document.build())
+    assert report.total == sum(not isinstance(s, str) for _, statements in scenarios for s in statements)
     report.to_text()
     report.to_json()
 

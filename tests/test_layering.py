@@ -162,6 +162,35 @@ def test_the_syntax_tree_compares_and_hashes_by_identity():
     ] == []
 
 
+def test_only_dsl_fail_makes_a_parse_error():
+    # every document rule is enforced while parsing, and a line and column are
+    # worked out of the source in one place, for an error
+    def functions(body, prefix):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}.{stmt.name}", stmt
+            elif isinstance(stmt, ast.ClassDef):
+                yield from functions(stmt.body, f"{prefix}.{stmt.name}")
+
+    makers = sorted(
+        path
+        for name, tree in MODULES.items()
+        for path, function in functions(tree.body, name)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ParseError"
+    )
+    assert makers == ["dsl._fail"]
+
+
+def test_no_syntax_tree_class_keeps_a_position():
+    positioned = [
+        value.__name__ for value in vars(dsl).values()
+        if isinstance(value, type) and value.__module__ == dsl.__name__
+        and {"line", "column"} & set(getattr(value, "__slots__", ()))
+    ]
+    assert positioned == []
+
+
 # The caches keyed by user input that ROADMAP item 6 is to bound; bounding one
 # takes it off this list, and no name may join it.
 UNBOUNDED_CACHES = {
