@@ -6,6 +6,13 @@ Newton's identities turn each factor's Chern classes into power sums of its
 roots, the power sums of the product follow by the binomial rule, and
 Newton's identities turn them back.  Every division on the way back is exact,
 so every coefficient stays an integer.
+
+Each component is summed on one plain term table ``{partition:
+coefficient}``: every signed or binomial-scaled product is added straight
+into the table of its component, and the table is wrapped in a cycle once,
+through ``SchubertCycle._trusted``.  A component above a factor's limit is
+zero, so its products are skipped, not computed.  Every product is
+``schubert.multiply``, the one kernel.
 """
 
 from __future__ import annotations
@@ -18,10 +25,17 @@ from .schubert import (
     ContextMismatchError,
     Grassmannian,
     SchubertCycle,
+    multiply,
     sigma,
     unit,
     zero,
 )
+
+
+def _add_product(table: dict, coeff: int, a: SchubertCycle, b: SchubertCycle) -> None:
+    """Add coeff * a * b into the term table ``table``."""
+    for parts, c in multiply(a, b)._terms.items():
+        table[parts] = table.get(parts, 0) + coeff * c
 
 
 class TotalChernClass(FrozenRecord):
@@ -58,14 +72,15 @@ class TotalChernClass(FrozenRecord):
             return NotImplemented
         if self.context != other.context:
             raise ContextMismatchError("total classes from different contexts")
-        limit = min(self.context.dim, self.limit + other.limit)
+        ctx = self.context
+        limit = min(ctx.dim, self.limit + other.limit)
         comps = []
         for m in range(limit + 1):
-            acc = zero(self.context, m)
-            for j in range(m + 1):
-                acc = acc + self.component(j) * other.component(m - j)
-            comps.append(acc)
-        return TotalChernClass(self.context, comps)
+            acc = {}
+            for j in range(max(0, m - other.limit), min(m, self.limit) + 1):
+                _add_product(acc, 1, self.components[j], other.components[m - j])
+            comps.append(SchubertCycle._trusted(ctx, m, acc))
+        return TotalChernClass(ctx, comps)
 
     def __eq__(self, other):
         if not isinstance(other, TotalChernClass):
@@ -120,27 +135,29 @@ def tangent_bundle(ctx: Grassmannian) -> BundleModel:
 def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
     """p_0 = rank, p_1, ..., p_limit of the Chern roots, by Newton's identities.
 
-    p_m = sum_{i<m} (-1)^(i-1) c_i p_(m-i) + (-1)^(m-1) m c_m.
+    p_m = sum_{i<m} (-1)^(i-1) c_i p_(m-i) + (-1)^(m-1) m c_m; c_i is zero
+    above the class's limit, so those terms are skipped.
     """
-    c = bundle.total.component
-    sums = [bundle.rank * unit(bundle.total.context)]
+    ctx = bundle.total.context
+    c, top = bundle.total.components, bundle.total.limit
+    sums = [SchubertCycle._trusted(ctx, 0, {(): bundle.rank})]
     for m in range(1, limit + 1):
-        acc = (-1) ** (m - 1) * m * c(m)
-        for i in range(1, m):
-            acc = acc + (-1) ** (i - 1) * (c(i) * sums[m - i])
-        sums.append(acc)
+        acc = {p: (-1) ** (m - 1) * m * v for p, v in c[m]._terms.items()} if m <= top else {}
+        for i in range(1, min(m - 1, top) + 1):
+            _add_product(acc, (-1) ** (i - 1), c[i], sums[m - i])
+        sums.append(SchubertCycle._trusted(ctx, m, acc))
     return sums
 
 
-def _divide_exactly(cycle: SchubertCycle, m: int) -> SchubertCycle:
+def _divide_exactly(table: dict, m: int) -> dict:
+    """The term table divided by m, which must divide every coefficient."""
     quotient = {}
-    for parts, coeff in cycle._terms.items():
+    for parts, coeff in table.items():
         q, r = divmod(coeff, m)
         if r:
             raise ValueError(f"coefficient {coeff} of {parts} is not divisible by {m}")
         quotient[parts] = q
-    # the dividend's keys, so the kernel's invariant holds without re-validation
-    return SchubertCycle._trusted(cycle.context, cycle.codim, quotient)
+    return quotient
 
 
 def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
@@ -156,16 +173,18 @@ def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
     ctx = a.total.context
     limit = min(ctx.dim, a.rank * b.rank)
     pa, pb = _power_sums(a, limit), _power_sums(b, limit)
-    sums = [
-        sum((math.comb(m, t) * (pa[t] * pb[m - t]) for t in range(m + 1)), zero(ctx, m))
-        for m in range(limit + 1)
-    ]
+    sums = []
+    for m in range(limit + 1):
+        acc = {}
+        for t in range(m + 1):
+            _add_product(acc, math.comb(m, t), pa[t], pb[m - t])
+        sums.append(SchubertCycle._trusted(ctx, m, acc))
     comps = [unit(ctx)]
     for m in range(1, limit + 1):
-        acc = zero(ctx, m)
+        acc = {}
         for i in range(1, m + 1):
-            acc = acc + (-1) ** (i - 1) * (sums[i] * comps[m - i])
-        comps.append(_divide_exactly(acc, m))
+            _add_product(acc, (-1) ** (i - 1), sums[i], comps[m - i])
+        comps.append(SchubertCycle._trusted(ctx, m, _divide_exactly(acc, m)))
     return TotalChernClass(ctx, comps)
 
 
@@ -211,10 +230,12 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> Section
     if any(d < 1 for d in degrees):
         raise ValueError("hypersurface degrees must be positive")
     comps = [ambient.component(m) for m in range(ctx.dim - len(degrees) + 1)]
+    s1 = sigma(ctx, 1)
     for d in degrees:
-        normal = d * sigma(ctx, 1)
         for m in range(1, len(comps)):
-            comps[m] = comps[m] - normal * comps[m - 1]
+            acc = dict(comps[m]._terms)
+            _add_product(acc, -d, s1, comps[m - 1])
+            comps[m] = SchubertCycle._trusted(ctx, m, acc)
     return SectionModel(ctx, degrees, TotalChernClass(ctx, comps))
 
 

@@ -231,8 +231,10 @@ class SchubertCycle:
             return SchubertCycle._trusted(self.context, 0, {(): self._terms.get((), 0) ** exponent})
         if self.codim * exponent > self.context.dim:
             return zero(self.context, self.codim * exponent)  # past the top degree
-        out = unit(self.context)
-        for _ in range(exponent):
+        if not exponent:
+            return unit(self.context)
+        out = self  # e - 1 products, none with the unit
+        for _ in range(exponent - 1):
             out = out * self
         return out
 

@@ -67,10 +67,10 @@ def test_tensor_chern_fixed_split_example():
 
 
 def test_inexact_division_raises_instead_of_rounding():
-    cycle = 6 * sigma(GR25, 2) + 3 * sigma(GR25, 1, 1)
-    assert _divide_exactly(cycle, 3) == 2 * sigma(GR25, 2) + sigma(GR25, 1, 1)
-    with pytest.raises(ValueError):
-        _divide_exactly(cycle, 2)
+    table = (6 * sigma(GR25, 2) + 3 * sigma(GR25, 1, 1)).terms
+    assert _divide_exactly(table, 3) == {(2,): 2, (1, 1): 1}
+    with pytest.raises(ValueError, match="^coefficient 3 of \\(1, 1\\) is not divisible by 2$"):
+        _divide_exactly(table, 2)
 
 
 def test_tensor_degree_one_is_mixed_first_chern():
@@ -99,6 +99,25 @@ def test_whitney_identity(ctx):
 def test_top_chern_integrates_to_euler_number(ctx):
     top = tangent_bundle(ctx).total.component(ctx.dim)
     assert top.integral() == math.comb(ctx.n, ctx.k)
+
+
+def _transposed(lam):
+    return tuple(sum(part > i for part in lam) for i in range(lam[0] if lam else 0))
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    # the grass-ladder's tensor rungs, then its two product rungs
+    [(2, 5), (2, 6), (3, 6), (2, 7), (2, 8), (3, 7), (3, 8), (4, 8)],
+)
+def test_tangent_class_is_carried_by_the_duality_route(k, n):
+    # Gr(k, n) = Gr(n-k, n) sends sigma_lam to sigma_lam' and the tangent bundle to itself
+    ctx, dual = Grassmannian(k, n), Grassmannian(n - k, n)
+    ours = tensor_chern(*universal_bundles(ctx))
+    theirs = tensor_chern(*universal_bundles(dual))
+    assert ours.limit == theirs.limit == ctx.dim
+    for c, d in zip(ours.components, theirs.components):
+        assert {_transposed(lam): coeff for lam, coeff in c.terms.items()} == d.terms
 
 
 def test_tangent_chern_classes_of_gr25():

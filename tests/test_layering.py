@@ -82,13 +82,14 @@ def test_no_module_imports_dataclasses():
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
     # -I -S: no environment variables, user site or site hooks, so only the
-    # interpreter's own start and the package's imports are in sys.modules
+    # interpreter's own start and the package's imports are in sys.modules;
+    # -B, as -I ignores PYTHONDONTWRITEBYTECODE: the test writes no bytecode
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fanocalc.cli;"
         " print(' '.join(sorted(sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
+        [sys.executable, "-B", "-I", "-S", "-c", code, str(PACKAGE.parent)],
         capture_output=True, text=True, check=True,
     )
     loaded = set(proc.stdout.split())

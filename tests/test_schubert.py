@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import schubert
+from fanocalc import chern, schubert
 from fanocalc.chern import tensor_chern, universal_bundles
 from fanocalc.schubert import (
     ContextMismatchError,
@@ -313,8 +313,27 @@ def _strip_lookups(work):
     return info.hits + info.misses
 
 
-def test_kernel_work_counts():
+def _products(work, monkeypatch):
+    """Calls of the product kernel, wherever the package looks it up."""
+    calls = []
+    original = schubert.multiply
+
+    def counted(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schubert, "multiply", counted)
+        patch.setattr(chern, "multiply", counted)
+        work()
+    return len(calls)
+
+
+def test_kernel_work_counts(monkeypatch):
     gr48 = Grassmannian(4, 8)
+    # products of the tangent bundle's class: none with a component above a factor's limit
+    for ctx, products in ((GR25, 70), (gr48, 397)):
+        assert _products(lambda: tensor_chern(*universal_bundles(ctx)), monkeypatch) == products, ctx
     # strip-table lookups of the tangent bundle's class
     assert _strip_lookups(lambda: tensor_chern(*universal_bundles(gr48))) == 4904
     # ... and of the products of all pairs of basis classes, each unordered pair once
@@ -413,10 +432,10 @@ def test_power_past_the_top_degree_or_of_codim_0_does_not_loop(monkeypatch):
     assert len(calls) <= GR25.dim + 1
     assert power.is_zero() and power.codim == 10**5
     assert power != zero(GR25, GR25.dim + 1)  # zero cycles differ by codimension
-    # up to the top degree the power multiplies once per factor
+    # up to the top degree the power multiplies once per factor after the first
     calls.clear()
     assert (sigma(GR25, 1) ** GR25.dim).integral() == 5
-    assert len(calls) == GR25.dim
+    assert len(calls) == GR25.dim - 1
     # a codimension-0 cycle is a multiple of the unit class: one integer power
     calls.clear()
     assert unit(GR25) ** 10**9 == unit(GR25)
