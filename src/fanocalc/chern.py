@@ -41,8 +41,9 @@ def _add_product(table: dict, coeff: int, a: SchubertCycle, b: SchubertCycle) ->
 class TotalChernClass(FrozenRecord):
     """Graded total class c_0 + c_1 + ... + c_limit with c_0 = 1 implied.
 
-    Components above ``limit`` are zero, so equality pads the shorter class
-    with zeros.  Immutable, with no hash.
+    Components above ``limit`` are zero, and ``component`` reads them so;
+    no class has a negative index.  Two classes are equal when their
+    contexts and component tuples are.  Immutable, with no hash.
     """
 
     __slots__ = ("context", "components")
@@ -58,37 +59,18 @@ class TotalChernClass(FrozenRecord):
                 raise ValueError(f"component {i} has codimension {c.codim}")
         self._store(context, comps)
 
+    __hash__ = None
+
     @property
     def limit(self) -> int:
         return len(self.components) - 1
 
     def component(self, i: int) -> SchubertCycle:
-        if 0 <= i <= self.limit:
+        if i < 0:
+            raise ValueError(f"a Chern class index must be non-negative, got {i}")
+        if i <= self.limit:
             return self.components[i]
-        return zero(self.context, max(i, 0))
-
-    def __mul__(self, other):
-        if not isinstance(other, TotalChernClass):
-            return NotImplemented
-        if self.context != other.context:
-            raise ContextMismatchError("total classes from different contexts")
-        ctx = self.context
-        limit = min(ctx.dim, self.limit + other.limit)
-        comps = []
-        for m in range(limit + 1):
-            acc = {}
-            for j in range(max(0, m - other.limit), min(m, self.limit) + 1):
-                _add_product(acc, 1, self.components[j], other.components[m - j])
-            comps.append(SchubertCycle._trusted(ctx, m, acc))
-        return TotalChernClass(ctx, comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, TotalChernClass):
-            return NotImplemented
-        if self.context != other.context:
-            return False
-        top = max(self.limit, other.limit)
-        return all(self.component(i) == other.component(i) for i in range(top + 1))
+        return zero(self.context, i)
 
 
 class BundleModel(FrozenRecord):
@@ -237,11 +219,3 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> Section
             _add_product(acc, -d, s1, comps[m - 1])
             comps[m] = SchubertCycle._trusted(ctx, m, acc)
     return SectionModel(ctx, degrees, TotalChernClass(ctx, comps))
-
-
-def section_degree(model: SectionModel, cycle: SchubertCycle) -> int:
-    """Degree on the section of an ambient cycle: integrate against the product of the d sigma_1."""
-    if cycle.context != model.context:
-        raise ContextMismatchError("cycle from a different context")
-    hypersurfaces = sigma(model.context, 1) ** len(model.degrees)
-    return math.prod(model.degrees) * (cycle * hypersurfaces).integral()

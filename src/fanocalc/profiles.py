@@ -3,20 +3,25 @@
 A profile comes from the Chern engine by adjunction: the fourfold is cut
 from Gr(k, n) by hypersurfaces of given degrees in the Pluecker embedding.
 P^N is Gr(1, N+1), so a complete intersection in projective space takes the
-same path as a linear section of a Grassmannian.  A surface of known
-Schubert class in a Grassmannian gets its ambient pairings H^2 . S and
-c_2 . S from the same engine; the scenario language checks a surface
-center's stated pairings against them.  A center's intrinsic numbers (hkc,
-kc2, euler) stay literals of the scenario.
+same path as a linear section of a Grassmannian.  The section's class in
+the Grassmannian is prod(d) sigma_1^codim, so a number on it is the
+Poincare pairing of a degree-4 class with that one class: sum over lam of
+a_lam times the coefficient of the dual partition lam^vee, read off the
+two term tables with no product.  A surface of known Schubert class in a
+Grassmannian gets its ambient pairings H^2 . S and c_2 . S from the same
+engine; the scenario language checks a surface center's stated pairings
+against them.  A center's intrinsic numbers (hkc, kc2, euler) stay
+literals of the scenario.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .blowup import FourfoldProfile
-from .chern import SectionModel, section_chern, section_degree, tangent_bundle
-from .schubert import Grassmannian, sigma
+from .chern import SectionModel, section_chern, tangent_bundle
+from .schubert import Grassmannian, SchubertCycle, dual_partition, sigma
 
 _TD4_DENOMINATOR = 720
 
@@ -29,29 +34,42 @@ def _chi_from_pairings(c14: int, c12c2: int, c2c2: int, c1c3: int, c4: int) -> i
     return numerator // _TD4_DENOMINATOR
 
 
+def _pairing(a: SchubertCycle, b: SchubertCycle) -> int:
+    """The integral of a * b over the Grassmannian, by Poincare duality: sum of a_lam * b_(lam^vee).
+
+    sigma_lam * sigma_mu integrates to 1 when mu is the dual partition of
+    lam and to 0 otherwise, so no product is computed; cycles whose
+    codimensions do not add up to the dimension pair to 0.
+    """
+    ctx = a.context
+    return sum(c * b.coefficient(dual_partition(ctx, lam)) for lam, c in a.terms.items())
+
+
 @lru_cache(maxsize=None)
 def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile:
-    """Profile of a smooth fourfold cut from Gr(k, n) by hypersurfaces of the given degrees."""
+    """Profile of a smooth fourfold cut from Gr(k, n) by hypersurfaces of the given degrees.
+
+    Each number is the pairing of a degree-4 monomial with the section's
+    class prod(d) sigma_1^codim, built once.
+    """
     ctx = Grassmannian(k, n)
     if ctx.dim - len(degrees) != 4:
         raise ValueError(f"codim {len(degrees)} does not cut Gr({k},{n}) down to a fourfold")
     model = section_model(k, n, degrees)
     s1 = sigma(ctx, 1)
+    section_class = math.prod(degrees) * s1 ** len(degrees)
     c1, c2, c3, c4 = (model.chern.component(i) for i in range(1, 5))
-    h4 = section_degree(model, s1 ** 4)
-    chi = _chi_from_pairings(
-        section_degree(model, c1 ** 4),
-        section_degree(model, c1 ** 2 * c2),
-        section_degree(model, c2 * c2),
-        section_degree(model, c1 * c3),
-        section_degree(model, c4),
+    h2, c1c1 = s1 * s1, c1 * c1
+    h4, c14, c12c2, c2c2, c1c3, euler, c2h2 = (
+        _pairing(monomial, section_class)
+        for monomial in (h2 * h2, c1c1 * c1c1, c1c1 * c2, c2 * c2, c1 * c3, c4, c2 * h2)
     )
     return FourfoldProfile(
         h4=h4,
         index=model.index,
-        c2h2=section_degree(model, c2 * s1 ** 2),
-        chi=chi,
-        euler=section_degree(model, c4),
+        c2h2=c2h2,
+        chi=_chi_from_pairings(c14, c12c2, c2c2, c1c3, euler),
+        euler=euler,
     )
 
 
@@ -65,7 +83,8 @@ def surface_pairings(k: int, n: int, degrees: tuple[int, ...], parts: tuple[int,
     """(H^2 . S, c_2 . S) for a surface S of class sigma[parts] in Gr(k, n).
 
     H is sigma_1 and c_2 that of the fourfold cut out by hypersurfaces of the given degrees;
-    the class lives in the Grassmannian, so both are Schubert integrals there.
+    the class lives in the Grassmannian, so both are Schubert integrals there,
+    and c_2 . S is the pairing of the two classes.
     A class outside the Grassmannian's box is zero, so it is no surface class.
     """
     ctx = Grassmannian(k, n)
@@ -73,4 +92,4 @@ def surface_pairings(k: int, n: int, degrees: tuple[int, ...], parts: tuple[int,
     if cycle.codim != ctx.dim - 2 or cycle.is_zero():
         raise ValueError(f"{parts} is not a surface class in Gr({k},{n})")
     c2 = section_model(k, n, degrees).chern.component(2)
-    return cycle.pieri(1).pieri(1).integral(), (c2 * cycle).integral()
+    return cycle.pieri(1).pieri(1).integral(), _pairing(c2, cycle)

@@ -188,9 +188,6 @@ class SchubertCycle:
         # two zero cycles of different codimension are still distinct
         return bool(self._terms) or self.codim == other.codim
 
-    def __hash__(self):
-        return hash((self.context, self.codim, tuple(sorted(self._terms.items()))))
-
     def __add__(self, other):
         if not isinstance(other, SchubertCycle):
             return NotImplemented

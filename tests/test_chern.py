@@ -13,13 +13,13 @@ from fanocalc.chern import (
     TotalChernClass,
     _divide_exactly,
     section_chern,
-    section_degree,
     tangent_bundle,
     tensor_chern,
     universal_bundles,
 )
 from fanocalc.profiles import section_profile
 from fanocalc.schubert import Grassmannian, sigma, unit, zero
+from whitney import whitney_product
 
 GR24 = Grassmannian(2, 4)
 GR25 = Grassmannian(2, 5)
@@ -40,11 +40,7 @@ def split_bundle(ctx, roots):
 def direct_tensor_total(ctx, xs, ys):
     """prod over all root pairs of (1 + (x + y) sigma_1), multiplied out."""
     s1 = sigma(ctx, 1)
-    total = TotalChernClass(ctx, [unit(ctx)])
-    for x in xs:
-        for y in ys:
-            total = total * TotalChernClass(ctx, [unit(ctx), (x + y) * s1])
-    return total
+    return TotalChernClass(ctx, whitney_product(*([unit(ctx), (x + y) * s1] for x in xs for y in ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +83,9 @@ def test_tensor_degree_one_is_mixed_first_chern():
 def test_whitney_identity(ctx):
     sub, quot = universal_bundles(ctx)
     # sub is the dual of the tautological subbundle S, so c_i(S) = (-1)^i c_i(sub)
-    c_s = TotalChernClass(ctx, [-c if i % 2 else c for i, c in enumerate(sub.total.components)])
-    assert c_s * quot.total == TotalChernClass(ctx, [unit(ctx)])
+    c_s = [-c if i % 2 else c for i, c in enumerate(sub.total.components)]
+    one, *rest = whitney_product(c_s, quot.total.components)
+    assert one == unit(ctx) and all(c.is_zero() for c in rest)
 
 
 @pytest.mark.parametrize(
@@ -137,19 +134,12 @@ def test_bundle_rank_constrains_total_class():
         BundleModel(1, total)
 
 
-def test_total_class_equality_pads_with_zero_components():
-    # the one record equality that is not field equality: components above
-    # the limit are zero, so a written-out zero does not change the class
-    one, s1 = unit(GR25), sigma(GR25, 1)
-    short = TotalChernClass(GR25, [one, s1])
-    padded = TotalChernClass(GR25, [one, s1, zero(GR25, 2)])
-    longer = TotalChernClass(GR25, [one, s1, sigma(GR25, 2)])
-    assert short == padded and padded == short and not short != padded
-    assert short != longer and longer != short and not short == longer
-    assert BundleModel(1, short) == BundleModel(1, padded)
-    assert BundleModel(2, short) != BundleModel(2, longer)
-    assert SectionModel(GR25, (1,), short) == SectionModel(GR25, (1,), padded)
-    assert SectionModel(GR25, (1,), short) != SectionModel(GR25, (1,), longer)
+def test_chern_classes_above_the_limit_are_zero_and_below_zero_raise():
+    # c_7 of Gr(2,5) is the zero class of codimension 7; there is no c_-1
+    total = tangent_bundle(GR25).total
+    assert total.component(7) == zero(GR25, 7) and total.component(7) != zero(GR25, 0)
+    with pytest.raises(ValueError, match="^a Chern class index must be non-negative, got -1$"):
+        total.component(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +159,8 @@ def test_w5_section_invariants():
     assert model.index == 3
     assert model.chern.component(1).terms == {(1,): 3}
     assert model.chern.component(2).terms == {(2,): 4, (1, 1): 5}
-    assert section_degree(model, sigma(GR25, 1) ** 4) == 5
-    assert section_degree(model, model.chern.component(2) * sigma(GR25, 1) ** 2) == 22
-    assert section_degree(model, model.chern.component(model.dim)) == 6
+    w5 = section_profile(2, 5, (1, 1))
+    assert (w5.h4, w5.c2h2, w5.euler) == (5, 22, 6)
 
 
 def test_v14_section_invariants():
@@ -180,9 +169,8 @@ def test_v14_section_invariants():
     assert model.index == 2
     assert model.chern.component(1).terms == {(1,): 2}
     assert model.chern.component(2).terms == {(2,): 2, (1, 1): 4}
-    assert section_degree(model, sigma(GR26, 1) ** 4) == 14
-    assert section_degree(model, model.chern.component(2) * sigma(GR26, 1) ** 2) == 38
-    assert section_degree(model, model.chern.component(model.dim)) == 12
+    v14 = section_profile(2, 6, (1, 1, 1, 1))
+    assert (v14.h4, v14.c2h2, v14.euler) == (14, 38, 12)
 
 
 @pytest.mark.parametrize(
@@ -199,20 +187,18 @@ def test_section_times_normal_class_is_the_ambient_class(ctx):
     hyperplanes = [(1,) * codim for codim in range(ctx.dim)]
     mixed = [(2,), (1, 2), (2, 3)] if ctx in (GR25, GR26, GR36) else []
     for degrees in hyperplanes + mixed:
-        normal = TotalChernClass(ctx, [unit(ctx)])
-        for d in degrees:
-            normal = normal * TotalChernClass(ctx, [unit(ctx), d * s1])
-        back = section_chern(ambient, degrees).chern * normal
+        section = section_chern(ambient, degrees).chern.components
+        back = whitney_product(section, *([unit(ctx), d * s1] for d in degrees))
         top = ctx.dim - len(degrees)
-        assert [back.component(m) for m in range(top + 1)] == [ambient.component(m) for m in range(top + 1)], degrees
+        assert back[:top + 1] == list(ambient.components[:top + 1]), degrees
 
 
 def test_codim_zero_section_is_the_ambient_space():
     model = section_chern(tangent_bundle(GR24).total, ())
     assert model.dim == 4
     assert model.index == 4
-    assert section_degree(model, sigma(GR24, 1) ** 4) == 2
-    assert section_degree(model, model.chern.component(model.dim)) == 6
+    gr24 = section_profile(2, 4, ())
+    assert (gr24.h4, gr24.euler) == (2, 6)
 
 
 def test_section_codim_bounds():

@@ -181,6 +181,26 @@ def test_check_fails_a_sum_of_zero_cycles_of_two_codimensions(tmp_path):
     ]
 
 
+def test_check_fails_a_negative_chern_class_index(tmp_path):
+    # there is no c_-1, so each row that asks for one fails with that
+    # error, not with a value or error of a zero class standing in for it
+    path = tmp_path / "negative.scn"
+    path.write_text(
+        'scenario "c" { grassmannian 2 5\n'
+        '  assert degree(chern(2, 5, 0, -1) * sigma[3, 3]) == 0 cite "x" label "degree"\n'
+        '  assert chern(2, 5, 0, -1) + sigma[1] == sigma[1] cite "x" label "sum" }\n',
+        encoding="utf-8",
+    )
+    code, out, _ = invoke("check", str(path))
+    assert code == 1
+    error = "error: ValueError: a Chern class index must be non-negative, got -1"
+    assert out.splitlines() == [
+        f"FAIL c/degree expected=0 actual={error} cite: x",
+        f"FAIL c/sum expected=sigma[1] actual={error} cite: x",
+        "2 assertions, 2 failed",
+    ]
+
+
 def test_check_has_no_verbose_option(tmp_path):
     # scenario files carry no notes, so check has nothing for --verbose to add
     path = tmp_path / "ok.scn"

@@ -1,4 +1,4 @@
-"""Package layering, read from the sources: imports at module top, no cycles, no test-only API, one record base, bounded caches.
+"""Package layering, read from the sources: imports at module top, no cycles, no test-only API or operator, one record base, bounded caches.
 
 One test also starts a fresh interpreter to see which modules importing the package loads.
 """
@@ -115,8 +115,7 @@ def test_only_the_frozen_base_defines_the_record_guards():
 def test_records_store_and_compare_through_the_bases():
     # a frozen record sets its fields through FrozenRecord._store and compares
     # through FrozenRecord.__eq__, both read from __slots__; what else writes an
-    # equality out is the hot Gr(k, n), the padded total class or the
-    # Schubert kernel
+    # equality out is the hot Gr(k, n) or the Schubert kernel
     methods = [
         (f"{name}.{cls.name}.{stmt.name}", stmt)
         for name, tree in MODULES.items()
@@ -135,9 +134,60 @@ def test_records_store_and_compare_through_the_bases():
     assert stores == ["record.FrozenRecord._store"]
     equalities = sorted(path for path, method in methods if method.name == "__eq__")
     assert equalities == [
-        "chern.TotalChernClass.__eq__", "record.FrozenRecord.__eq__",
-        "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",
+        "record.FrozenRecord.__eq__", "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",
     ]
+
+
+# Every special method but __init__, __init_subclass__ and __repr__, with the
+# README contract or the package caller it serves.  An operator that only
+# tests reach is API that no caller needs: adding one means naming its
+# contract or caller here, and a name whose caller goes leaves the list.
+DUNDERS = {
+    "record.FrozenRecord.__eq__": "README: records compare by value",
+    "record.FrozenRecord.__hash__": "README: records hash by their fields",
+    "record.FrozenRecord.__reduce__": "README: records copy and pickle through __init__",
+    "record.FrozenRecord.__setattr__": "README: records refuse assignment",
+    "record.FrozenRecord.__delattr__": "README: records refuse deletion",
+    "schubert.Grassmannian.__eq__": "README: Gr(k, n) compares on hot paths, the context checks",
+    "schubert.Grassmannian.__hash__": "README: Gr(k, n) keys the caches",
+    "schubert.SchubertCycle.__eq__": "README: two Schubert cycles compare in an assertion",
+    "schubert.SchubertCycle.__add__": "README: + on cycles (dsl._additive)",
+    "schubert.SchubertCycle.__sub__": "README: - on cycles (dsl._additive)",
+    "schubert.SchubertCycle.__neg__": "README: unary - on cycles (dsl._value); SchubertCycle.__sub__",
+    "schubert.SchubertCycle.__mul__": "README: * on cycles (dsl._times); profiles.section_profile",
+    "schubert.SchubertCycle.__rmul__": "README: an int scales a cycle (dsl._times); profiles.section_profile",
+    "schubert.SchubertCycle.__pow__": "README: ^ on cycles (dsl._power); profiles.section_profile",
+    "blowup.Divisor.__hash__": "README: the parser's sharing keys hash the leaves H and E",
+    "blowup.Divisor.__add__": "README: + on divisors (dsl._additive)",
+    "blowup.Divisor.__sub__": "README: - on divisors (dsl._additive)",
+    "blowup.Divisor.__neg__": "README: unary - on divisors (dsl._value)",
+    "blowup.Divisor.__mul__": "README: an int scales a divisor (dsl._times)",
+    "blowup.Divisor.__rmul__": "README: an int scales a divisor, 2*H (dsl._times)",
+}
+
+
+def test_every_special_method_names_its_contract_or_caller():
+    # a method, or a class-level alias of one such as __rmul__ = __mul__;
+    # __hash__ = None takes an operator away and defines none
+    found = set()
+    for name, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined = [stmt.name]
+                elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name):
+                    defined = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                else:
+                    defined = []
+                found.update(
+                    f"{name}.{cls.name}.{method}"
+                    for method in defined
+                    if method.startswith("__") and method.endswith("__")
+                    and method not in {"__init__", "__init_subclass__", "__repr__"}
+                )
+    assert found == set(DUNDERS)
 
 
 def test_the_syntax_tree_compares_and_hashes_by_identity():

@@ -1,13 +1,19 @@
 """Derived numerical profiles and the built-in blowup models."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilbert_oracle
 from builtin_models import scenario_model
+from fanocalc import schubert
 from fanocalc.blowup import CurveCenter, SurfaceCenter
 from fanocalc.dsl import _AMBIENTS
-from fanocalc.profiles import section_model, section_profile
-from fanocalc.schubert import grass_dim
+from fanocalc.profiles import _pairing, section_model, section_profile
+from fanocalc.schubert import Grassmannian, SchubertCycle, grass_dim, sigma
+from lr_oracle import box_partitions
 
 
 def as_tuple(profile):
@@ -166,6 +172,59 @@ _W22_QUINTIC = (
     'scenario "quintic" {{ profile W22 h4 4 index 3 ambient w22 codim 0 chi 1 euler 12'
     " center surface hhc 5 hkc -5 kc2 5 euler 7 c2xc {} }}"
 )
+
+
+# ---------------------------------------------------------------------------
+# the duality pairing that integrates over a section
+
+CONTEXTS = [Grassmannian(2, 5), Grassmannian(2, 6), Grassmannian(3, 6)]
+
+
+def random_cycle(draw, ctx, codim):
+    """A cycle of the given codimension with small random coefficients on every basis class."""
+    basis = [lam for lam in box_partitions(ctx.k, ctx.n) if sum(lam) == codim]
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
+    return SchubertCycle(ctx, codim, dict(zip(basis, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pairing_is_the_integral_of_the_product(data):
+    ctx = data.draw(st.sampled_from(CONTEXTS), label="ctx")
+    codim = data.draw(st.integers(0, ctx.dim), label="codim")
+    a = random_cycle(data.draw, ctx, codim)
+    b = random_cycle(data.draw, ctx, ctx.dim - codim)
+    assert _pairing(a, b) == (a * b).integral() == _pairing(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pairing_with_the_section_class_is_the_integral_over_the_section(data):
+    # the section of degrees d has class prod(d) sigma_1^codim in the Grassmannian
+    ctx = data.draw(st.sampled_from(CONTEXTS), label="ctx")
+    degrees = data.draw(st.lists(st.integers(1, 4), max_size=ctx.dim - 1), label="degrees")
+    alpha = random_cycle(data.draw, ctx, ctx.dim - len(degrees))
+    hypersurfaces = sigma(ctx, 1) ** len(degrees)
+    section_class = math.prod(degrees) * hypersurfaces
+    assert _pairing(alpha, section_class) == math.prod(degrees) * (alpha * hypersurfaces).integral()
+
+
+@pytest.mark.parametrize("k, n, degrees, products", [
+    (1, 5, (), 8),  # P^4
+    (1, 7, (2, 2), 9),  # W2.2
+    (2, 5, (1, 1), 9),  # W5
+    (2, 6, (1, 1, 1, 1), 11),  # V14
+])
+def test_section_profile_work_counts(k, n, degrees, products, monkeypatch):
+    # with the section's Chern classes built, a profile takes the products of
+    # its monomials and builds sigma_1^codim once; its integrals take none
+    section_model(k, n, degrees)
+    calls, powers = [], []
+    multiply, power = schubert.multiply, SchubertCycle.__pow__
+    monkeypatch.setattr(schubert, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    monkeypatch.setattr(SchubertCycle, "__pow__", lambda c, e: powers.append(e) or power(c, e))
+    section_profile.__wrapped__(k, n, degrees)
+    assert (len(calls), powers) == (products, [len(degrees)])
 
 
 def test_section_model_shape():

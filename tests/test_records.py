@@ -23,7 +23,7 @@ from fanocalc.dsl import (
     SigmaAtom,
 )
 from fanocalc.scenarios import AssertionResult, Report, ScenarioResult
-from fanocalc.schubert import Grassmannian, sigma, unit
+from fanocalc.schubert import Grassmannian, sigma, unit, zero
 
 GR25 = Grassmannian(2, 5)
 GR26 = Grassmannian(2, 6)
@@ -108,12 +108,15 @@ def test_equal_values_compare_and_hash_equal(make, other, fields):
 
 
 def test_bundle_and_section_models_compare_by_value_and_have_no_hash():
+    # a total class compares by its fields too: a written-out zero component makes another class
+    assert TOTAL == TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)])
+    assert TOTAL != TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1), zero(GR25, 2)])
     assert BundleModel(1, TOTAL) == BundleModel(1, TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)]))
     assert BundleModel(1, TOTAL) != BundleModel(1, TotalChernClass(GR25, [unit(GR25)]))
     assert SectionModel(GR25, (1, 1), TOTAL) == SectionModel(Grassmannian(2, 5), (1, 1), TOTAL)
     assert SectionModel(GR25, (1, 1), TOTAL) != SectionModel(GR25, (1,), TOTAL)
     assert SectionModel(GR25, (1, 2), TOTAL) != SectionModel(GR25, (2, 1), TOTAL)
-    for model in (BundleModel(1, TOTAL), SectionModel(GR25, (1, 1), TOTAL)):
+    for model in (TOTAL, BundleModel(1, TOTAL), SectionModel(GR25, (1, 1), TOTAL)):
         with pytest.raises(TypeError):
             hash(model)
 
