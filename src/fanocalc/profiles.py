@@ -7,10 +7,11 @@ same path as a linear section of a Grassmannian.  The section's class in
 the Grassmannian is prod(d) sigma_1^codim, so a number on it is the
 Poincare pairing of a degree-4 class with that one class: sum over lam of
 a_lam times the coefficient of the dual partition lam^vee, read off the
-two term tables with no product.  A surface of known Schubert class in a
-Grassmannian gets its ambient pairings H^2 . S and c_2 . S from the same
-engine; the scenario language checks a surface center's stated pairings
-against them.  A center's intrinsic numbers (hkc, kc2, euler) stay
+two term tables with no product by ``schubert._pairing``, the helper the
+Schubert product's top-degree branch uses.  A surface of known Schubert
+class in a Grassmannian gets its ambient pairings H^2 . S and c_2 . S from
+the same engine; the scenario language checks a surface center's stated
+pairings against them.  A center's intrinsic numbers (hkc, kc2, euler) stay
 literals of the scenario.
 """
 
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 from .blowup import FourfoldProfile
 from .chern import SectionModel, section_chern, tangent_bundle
-from .schubert import Grassmannian, SchubertCycle, dual_partition, sigma
+from .schubert import Grassmannian, _pairing, sigma
 
 _TD4_DENOMINATOR = 720
 
@@ -34,41 +35,32 @@ def _chi_from_pairings(c14: int, c12c2: int, c2c2: int, c1c3: int, c4: int) -> i
     return numerator // _TD4_DENOMINATOR
 
 
-def _pairing(a: SchubertCycle, b: SchubertCycle) -> int:
-    """The integral of a * b over the Grassmannian, by Poincare duality: sum of a_lam * b_(lam^vee).
-
-    sigma_lam * sigma_mu integrates to 1 when mu is the dual partition of
-    lam and to 0 otherwise, so no product is computed; cycles whose
-    codimensions do not add up to the dimension pair to 0.
-    """
-    ctx = a.context
-    return sum(c * b.coefficient(dual_partition(ctx, lam)) for lam, c in a.terms.items())
-
-
 @lru_cache(maxsize=None)
 def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile:
     """Profile of a smooth fourfold cut from Gr(k, n) by hypersurfaces of the given degrees.
 
     Each number is the pairing of a degree-4 monomial with the section's
-    class prod(d) sigma_1^codim, built once.
+    class prod(d) sigma_1^codim, built once.  c_1 = r sigma_1 with r the
+    index, so c_1^4, c_1^2 c_2 and c_1 c_3 are r^4 h4, r^2 c2h2 and r times
+    the pairing of sigma_1 c_3, and c_1 is never multiplied out.
     """
     ctx = Grassmannian(k, n)
     if ctx.dim - len(degrees) != 4:
         raise ValueError(f"codim {len(degrees)} does not cut Gr({k},{n}) down to a fourfold")
     model = section_model(k, n, degrees)
+    r = model.index
     s1 = sigma(ctx, 1)
     section_class = math.prod(degrees) * s1 ** len(degrees)
-    c1, c2, c3, c4 = (model.chern.component(i) for i in range(1, 5))
-    h2, c1c1 = s1 * s1, c1 * c1
-    h4, c14, c12c2, c2c2, c1c3, euler, c2h2 = (
-        _pairing(monomial, section_class)
-        for monomial in (h2 * h2, c1c1 * c1c1, c1c1 * c2, c2 * c2, c1 * c3, c4, c2 * h2)
+    c2, c3, c4 = (model.chern.component(i) for i in range(2, 5))
+    h2 = s1 * s1
+    h4, c2h2, c2c2, s1c3, euler = (
+        _pairing(monomial, section_class) for monomial in (h2 * h2, c2 * h2, c2 * c2, s1 * c3, c4)
     )
     return FourfoldProfile(
         h4=h4,
-        index=model.index,
+        index=r,
         c2h2=c2h2,
-        chi=_chi_from_pairings(c14, c12c2, c2c2, c1c3, euler),
+        chi=_chi_from_pairings(r**4 * h4, r**2 * c2h2, c2c2, r * s1c3, euler),
         euler=euler,
     )
 

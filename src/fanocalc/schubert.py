@@ -18,10 +18,11 @@ kernel works on plain term tables ``{partition: coefficient}`` and wraps
 each result in a cycle once, through ``SchubertCycle._trusted``, which
 relies on an invariant instead: every key it is given is already a box
 partition, without trailing zeros, of weight ``codim``; it drops the
-coefficients that cancel.  The Pieri rule is applied in one loop, inside
-``multiply``, and ``SchubertCycle.pieri`` is the product with sigma_p.
-Giambelli determinants are expanded by Laplace down the rows, one minor per
-set of used columns.  The special classes commute, so a Giambelli word is a
+coefficients that cancel and otherwise keeps the table it is handed.  The
+Pieri rule is applied in one loop, inside ``multiply``, and
+``SchubertCycle.pieri`` is the product with sigma_p.  Giambelli
+determinants are expanded by Laplace down the rows, one minor per set of
+used columns.  The special classes commute, so a Giambelli word is a
 sorted multiset of letters, and equal words of one partition are merged
 into one word whose weight is the sum of their signs.  ``multiply`` sums
 the expanded factor into one table of words, each weighted by coefficient
@@ -29,12 +30,25 @@ times weight over all of its terms, and carries the other factor's terms
 through each word's Pieri steps once.  The Pieri rule reads its horizontal
 strips from a cached table, ``_row_strips``, keyed by the partition, the
 strip size and the box, so no strip is enumerated twice.
+
+Two kinds of product are read off before any word is expanded, by the
+duality theorem (Fulton, *Young Tableaux*, 9.4).  In the top degree
+sigma_lam * sigma_mu is the point class when mu is the dual partition
+lam^vee and 0 otherwise, so a product whose codimensions add up to the
+dimension is sum_lam a_lam * b_(lam^vee) times the point class, for
+cycles with any number of terms.  Below it, sigma_lam * sigma_mu = 0
+unless lam_i + mu_(k+1-i) <= n-k for every i, that is unless lam fits in
+mu^vee, so a product of two single classes that fails this test is the
+zero cycle.  Every other product below the top degree, so every nonzero
+one, still runs the Pieri loop.  The dual partitions and the shape bounds
+are read from one bounded per-partition table, ``_shape``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import le
 
 from .record import FrozenRecord
 
@@ -81,8 +95,7 @@ def dual_partition(ctx: "Grassmannian", parts) -> tuple[int, ...]:
     parts = normalize_partition(parts)
     if not ctx.contains(parts):
         raise ValueError(f"{parts} does not fit in the box of {ctx}")
-    padded = parts + (0,) * (ctx.k - len(parts))
-    return normalize_partition(ctx.width - p for p in reversed(padded))
+    return _shape(parts, ctx.k, ctx.width)[0]
 
 
 class Grassmannian(FrozenRecord):
@@ -156,12 +169,14 @@ class SchubertCycle:
     def _trusted(cls, context: Grassmannian, codim: int, terms: dict) -> "SchubertCycle":
         """A cycle from keys that are already box partitions of weight ``codim``.
 
-        Only zero coefficients are dropped; nothing is re-validated.
+        Only zero coefficients are dropped; nothing is re-validated.  A table
+        with no zero is kept as it is, not copied, so every caller hands over
+        a table of its own and does not change it afterwards.
         """
         cycle = object.__new__(cls)
         cycle.context = context
         cycle.codim = codim
-        cycle._terms = {p: c for p, c in terms.items() if c}
+        cycle._terms = {p: c for p, c in terms.items() if c} if 0 in terms.values() else terms
         return cycle
 
     @property
@@ -208,12 +223,12 @@ class SchubertCycle:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, SchubertCycle):
+            return multiply(self, other)
         if isinstance(other, int):
             return SchubertCycle._trusted(
                 self.context, self.codim, {p: c * other for p, c in self._terms.items()}
             )
-        if isinstance(other, SchubertCycle):
-            return multiply(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -367,42 +382,89 @@ def _giambelli_monomials(lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ..
     return tuple((weight, word) for word, weight in minor(0).items())
 
 
-def _shape_bounds(terms: dict) -> tuple[int, int]:
-    """Sums over the terms of r!, for r the rows and for r the columns of each partition.
+@lru_cache(maxsize=4096)
+def _shape(lam: tuple[int, ...], k: int, width: int) -> tuple[tuple[int, ...], int, int]:
+    """(lam^vee, r!, c!) for a partition lam of r rows and c columns in the k x width box.
 
-    An r-row partition has at most r! Giambelli words, so the bounds come
-    from the shapes alone; nothing is expanded to count them.
+    lam^vee, the complement of lam in the box turned by a half turn, is the
+    Poincare-dual basis label.  An r-row partition has at most r! Giambelli
+    words, so r! and c! bound its words by rows and by columns, from the
+    shape alone.  The table holds one entry per box partition and box in
+    use: 4,096 hold every label of Gr(6, 12) (924) with room to spare, and
+    a label pushed out is only computed again.
     """
+    dual = tuple(width - p for p in reversed(lam + (0,) * (k - len(lam))) if p != width)
+    return dual, math.factorial(len(lam)), math.factorial(lam[0] if lam else 0)
+
+
+def _pairing(a: SchubertCycle, b: SchubertCycle) -> int:
+    """The integral of a * b over the Grassmannian, by Poincare duality: sum of a_lam * b_(lam^vee).
+
+    sigma_lam * sigma_mu integrates to 1 when mu is the dual partition of
+    lam and to 0 otherwise, so no product is computed; cycles whose
+    codimensions do not add up to the dimension pair to 0.
+    """
+    ctx = a.context
+    k = ctx.k
+    width = ctx.n - k
+    ta, tb = a._terms, b._terms
+    if len(tb) < len(ta):
+        ta, tb = tb, ta
+    total = 0
+    for lam, c in ta.items():
+        total += c * tb.get(_shape(lam, k, width)[0], 0)
+    return total
+
+
+def _shape_bounds(terms: dict, k: int, width: int) -> tuple[int, int]:
+    """Sums over the terms of r!, for r the rows and for r the columns of each partition."""
     rows = cols = 0
     for lam in terms:
-        rows += math.factorial(len(lam))
-        cols += math.factorial(lam[0] if lam else 0)
+        _, r, c = _shape(lam, k, width)
+        rows += r
+        cols += c
     return rows, cols
 
 
 def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
     """Chow-ring product, via Giambelli expansion of one factor and iterated Pieri.
 
-    sigma_lam -> sigma_lam' is a ring isomorphism from H*(Gr(k, n)) onto
-    H*(Gr(n-k, n)), so a factor can be expanded by its rows in the k x (n-k)
-    box or by its columns in the transposed box.  The factor and side with
-    the smallest shape bound are expanded into one table of words, each
-    weighted by the sum over its terms of coefficient times the word's
-    weight there.  The other factor's terms are carried through each word's
-    Pieri steps once, and the result is transposed back if the columns were
-    expanded.
+    A product in the top degree is the Poincare pairing times the point
+    class, and a product of single classes sigma_lam * sigma_mu is zero
+    when lam does not fit in mu^vee; neither expands a word.  Every other
+    product runs the Pieri loop.  sigma_lam -> sigma_lam' is a ring
+    isomorphism from H*(Gr(k, n)) onto H*(Gr(n-k, n)), so a factor can be
+    expanded by its rows in the k x (n-k) box or by its columns in the
+    transposed box.  The factor and side with the smallest shape bound are
+    expanded into one table of words, each weighted by the sum over its
+    terms of coefficient times the word's weight there.  The other factor's
+    terms are carried through each word's Pieri steps once, and the result
+    is transposed back if the columns were expanded.
     """
-    a._require_same_context(b)
     ctx = a.context
+    if b.context is not ctx:
+        a._require_same_context(b)
+    k = ctx.k
+    width = ctx.n - k
+    dim = k * width
     codim = a.codim + b.codim
-    if codim > ctx.dim or not a._terms or not b._terms:
-        return SchubertCycle._trusted(ctx, codim, {})
-    bounds_a, bounds_b = _shape_bounds(a._terms), _shape_bounds(b._terms)
-    side = 1 if min(bounds_a[1], bounds_b[1]) < min(bounds_a[0], bounds_b[0]) else 0
-    if bounds_b[side] < bounds_a[side]:
-        a, b = b, a
     expanded, other = a._terms, b._terms
-    k, width = ctx.k, ctx.width
+    if codim > dim or not expanded or not other:
+        return SchubertCycle._trusted(ctx, codim, {})
+    if codim == dim:
+        return SchubertCycle._trusted(ctx, codim, {(width,) * k: _pairing(a, b)})
+    if len(expanded) == 1 == len(other):
+        (lam,), (mu,) = expanded, other
+        _, rows_a, cols_a = _shape(lam, k, width)
+        dual, rows_b, cols_b = _shape(mu, k, width)
+        if len(lam) > len(dual) or not all(map(le, lam, dual)):
+            return SchubertCycle._trusted(ctx, codim, {})  # lam does not fit in mu^vee
+    else:
+        rows_a, cols_a = _shape_bounds(expanded, k, width)
+        rows_b, cols_b = _shape_bounds(other, k, width)
+    side = min(cols_a, cols_b) < min(rows_a, rows_b)
+    if (cols_b < cols_a) if side else (rows_b < rows_a):
+        expanded, other = other, expanded
     if side:
         k, width = width, k
         expanded = {_conjugate(lam): c for lam, c in expanded.items()}
