@@ -20,7 +20,7 @@ from .blowup import (
     euler_blowup,
     quartic_number,
 )
-from .chern import SectionModel, TotalChernClass, section_chern, tangent_bundle, tensor_chern
+from .chern import TotalChernClass, section_chern, tangent_bundle, tensor_chern
 from .dsl import Document, ParseError, parse
 from .scenarios import Report, Scenario, builtin_scenarios, run
 from .schubert import Grassmannian, SchubertCycle, dual_partition, grass_dim, grass_euler, sigma
@@ -39,7 +39,6 @@ __all__ = [
     "Report",
     "Scenario",
     "SchubertCycle",
-    "SectionModel",
     "SurfaceCenter",
     "TotalChernClass",
     "builtin_scenarios",

@@ -173,38 +173,16 @@ def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
 # ---------------------------------------------------------------------------
 # sections by hypersurfaces
 
-class SectionModel(FrozenRecord):
-    """A smooth intersection of hypersurfaces of the given degrees in Gr(k, n).
-
-    Degrees are those of the Pluecker embedding: a hyperplane has degree 1,
-    and P^N is Gr(1, N+1), so a complete intersection is a section too.
-    ``chern`` holds the restriction-valued total class: components live in the
-    ambient ring and stand for their restrictions to the section.  Immutable,
-    and compared by value; like its total class, it has no hash.
-    """
-
-    __slots__ = ("context", "degrees", "chern")
-
-    def __init__(self, context: Grassmannian, degrees: tuple[int, ...], chern: TotalChernClass):
-        self._store(context, degrees, chern)
-
-    __hash__ = None
-
-    @property
-    def dim(self) -> int:
-        return self.context.dim - len(self.degrees)
-
-    @property
-    def index(self) -> int:
-        """r with c_1 = r * sigma_1; sigma_1 spans the classes of codimension 1."""
-        return self.chern.component(1).coefficient((1,))
-
-
-def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> SectionModel:
+def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> TotalChernClass:
     """Adjunction along hypersurfaces of the given degrees: divide by 1 + d sigma_1 for each d.
 
-    One division turns c into c' with c'_m = c_m - d sigma_1 c'_(m-1); only
-    the components up to the dimension of the section are kept.
+    The section is a smooth intersection of hypersurfaces of these degrees
+    in the Pluecker embedding: a hyperplane has degree 1, and P^N is
+    Gr(1, N+1), so a complete intersection is a section too.  Its total
+    class is restriction-valued: components live in the ambient ring and
+    stand for their restrictions to the section.  One division turns c into
+    c' with c'_m = c_m - d sigma_1 c'_(m-1); only the components up to the
+    dimension of the section are kept.
     """
     ctx = ambient.context
     if len(degrees) >= ctx.dim:
@@ -218,4 +196,4 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> Section
             acc = dict(comps[m]._terms)
             _add_product(acc, -d, s1, comps[m - 1])
             comps[m] = SchubertCycle._trusted(ctx, m, acc)
-    return SectionModel(ctx, degrees, TotalChernClass(ctx, comps))
+    return TotalChernClass(ctx, comps)

@@ -6,13 +6,14 @@ name is a letter or '_' followed by letters, digits or '_'; a string is
 double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
 
 The parser reads the tokens as it needs them, each one match of one
-regular expression at a source offset.  A lexical error anywhere in the
-source wins over every other error: when a parse fails, the whole source is
-lexed once more for one.  Otherwise the first error in the source is the
-one reported; a scenario name counts as read once its '}' is.  A (line,
-column) is worked out from an offset only for an error, and the syntax tree
-stores none.  Both count from 1; only LF ends a line, and a column counts
-characters, so a tab or a lone CR is one column.
+regular expression at a source offset.  The first error in the source is
+the one reported, lexical or not: a character that starts no token, or a
+string that does not close, is reported when the parser reaches it.  A
+scenario name counts as read once its '}' is, an assertion label once its
+assertion is, and a tree too tall once the operand that makes it so is.  A
+(line, column) is worked out from an offset only for an error, and the
+syntax tree stores none.  Both count from 1; only LF ends a line, and a
+column counts characters, so a tab or a lone CR is one column.
 
 The parser enforces every rule of a document, so a document it returns
 always builds: a scenario has at most one each of profile, center and
@@ -160,14 +161,6 @@ def _fail(source: str, offset: int, message: str):
                      message)
 
 
-def _validate(source: str) -> None:
-    """Raise the ParseError for the first character of ``source`` that starts no token, if any."""
-    for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
-        kind = m.lastgroup
-        if kind == "BAD" or kind == "WORD" and not m[kind][0].isalpha():
-            _lex_error(source, m.start())
-
-
 def _lex_error(source: str, offset: int):
     """Raise the ParseError for the character at ``offset`` that starts no token."""
     if source[offset] == '"':
@@ -306,7 +299,8 @@ class _Parser:
     next one starts at ``end``.  A STRING's value keeps its quotes and
     escapes, so no string value equals a keyword or a symbol.  A BAD token,
     or a WORD that is no name, meets no rule of the grammar, so the parser
-    fails at it at the latest."""
+    fails at it at the latest, and an error at such a token is its lexical
+    error."""
 
     def __init__(self, source: str):
         self.source = source
@@ -329,6 +323,8 @@ class _Parser:
         self.end = m.end()
 
     def fail(self, offset: int, message: str):
+        if offset == self.start and (self.kind == "BAD" or self.kind == "WORD"):
+            _lex_error(self.source, offset)
         _fail(self.source, offset, message)
 
     def describe(self) -> str:
@@ -605,16 +601,8 @@ def parse(source: str, names=None) -> Document:
 
     ``names`` holds scenario names already taken, by earlier files of one
     check; a scenario may reuse none of them, and the set is not changed.
-    A lexical error anywhere in the source wins over every other error.  A
-    document that parses has had each of its tokens read, or skipped as a
-    copy of a text read before, so the source is checked for one only when
-    the parse fails."""
-    parser = _Parser(source)
-    try:
-        return parser.parse_document(set(names or ()))
-    except ParseError:
-        _validate(source)
-        raise
+    The error raised is the first in the source, lexical or not."""
+    return _Parser(source).parse_document(set(names or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +741,8 @@ class _Setup:
                 euler=stmt.euler,
             )
         derived = profiles.section_profile(*_fourfold(stmt))
-        stated = (stmt.h4, stmt.index, stmt.chi, stmt.euler)
-        found = (derived.h4, derived.index, derived.chi, derived.euler)
-        if stated != found:
-            raise ValueError(
-                f"profile literals (h4, index, chi, euler) = {stated}"
-                f" disagree with the derived values {found}"
-            )
+        _check_literals("profile", "h4, index, chi, euler", (stmt.h4, stmt.index, stmt.chi, stmt.euler),
+                        (derived.h4, derived.index, derived.chi, derived.euler))
         return derived
 
     def center(self, profile: blowup.FourfoldProfile):
@@ -780,11 +763,7 @@ class _Setup:
             if stmt.cycle is None:
                 raise ValueError(f"a surface center in ambient {ambient!r} needs its Schubert class")
             found = profiles.surface_pairings(*_fourfold(setting), stmt.cycle.parts)
-        stated = (center.hhc, center.c2xc)
-        if stated != found:
-            raise ValueError(
-                f"center literals (hhc, c2xc) = {stated} disagree with the derived values {found}"
-            )
+        _check_literals("center", "hhc, c2xc", (center.hhc, center.c2xc), found)
         return center
 
     @_once
@@ -796,6 +775,14 @@ class _Setup:
     def grassmannian(self) -> Grassmannian:
         stmt = self.statement("grassmannian")
         return Grassmannian(stmt.k, stmt.n)
+
+
+def _check_literals(keyword: str, fields: str, stated: tuple, found: tuple) -> None:
+    """Raise ValueError when a statement's literals for ``fields`` differ from the derived values."""
+    if stated != found:
+        raise ValueError(
+            f"{keyword} literals ({fields}) = {stated} disagree with the derived values {found}"
+        )
 
 
 def _fourfold(stmt) -> tuple[int, int, tuple[int, ...]]:
@@ -837,7 +824,7 @@ def _chern(setup, *args):
     k, n, codim, i = (_as_int(v, "a chern() argument") for v in args)
     if not 0 <= codim < grass_dim(k, n):  # before the tuple is built
         raise ValueError("section codimension must satisfy 0 <= codim < dim")
-    return profiles.section_model(k, n, (1,) * codim).chern.component(i)
+    return profiles.section_model(k, n, (1,) * codim).component(i)
 
 
 # Function name -> (arity, rule of the scenario setup and the argument

@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 
 from .blowup import FourfoldProfile
-from .chern import SectionModel, section_chern, tangent_bundle
+from .chern import TotalChernClass, section_chern, tangent_bundle
 from .schubert import Grassmannian, _pairing, sigma
 
 _TD4_DENOMINATOR = 720
@@ -40,18 +40,19 @@ def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile
     """Profile of a smooth fourfold cut from Gr(k, n) by hypersurfaces of the given degrees.
 
     Each number is the pairing of a degree-4 monomial with the section's
-    class prod(d) sigma_1^codim, built once.  c_1 = r sigma_1 with r the
-    index, so c_1^4, c_1^2 c_2 and c_1 c_3 are r^4 h4, r^2 c2h2 and r times
-    the pairing of sigma_1 c_3, and c_1 is never multiplied out.
+    class prod(d) sigma_1^codim, built once.  sigma_1 spans the classes of
+    codimension 1, so c_1 = r sigma_1 with r the index, c_1's sigma_1
+    coefficient; c_1^4, c_1^2 c_2 and c_1 c_3 are then r^4 h4, r^2 c2h2 and
+    r times the pairing of sigma_1 c_3, and c_1 is never multiplied out.
     """
     ctx = Grassmannian(k, n)
     if ctx.dim - len(degrees) != 4:
         raise ValueError(f"codim {len(degrees)} does not cut Gr({k},{n}) down to a fourfold")
-    model = section_model(k, n, degrees)
-    r = model.index
+    total = section_model(k, n, degrees)
+    r = total.component(1).coefficient((1,))
     s1 = sigma(ctx, 1)
     section_class = math.prod(degrees) * s1 ** len(degrees)
-    c2, c3, c4 = (model.chern.component(i) for i in range(2, 5))
+    c2, c3, c4 = (total.component(i) for i in range(2, 5))
     h2 = s1 * s1
     h4, c2h2, c2c2, s1c3, euler = (
         _pairing(monomial, section_class) for monomial in (h2 * h2, c2 * h2, c2 * c2, s1 * c3, c4)
@@ -66,7 +67,7 @@ def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile
 
 
 @lru_cache(maxsize=None)
-def section_model(k: int, n: int, degrees: tuple[int, ...]) -> SectionModel:
+def section_model(k: int, n: int, degrees: tuple[int, ...]) -> TotalChernClass:
     ctx = Grassmannian(k, n)
     return section_chern(tangent_bundle(ctx).total, degrees)
 
@@ -83,5 +84,5 @@ def surface_pairings(k: int, n: int, degrees: tuple[int, ...], parts: tuple[int,
     cycle = sigma(ctx, *parts)
     if cycle.codim != ctx.dim - 2 or cycle.is_zero():
         raise ValueError(f"{parts} is not a surface class in Gr({k},{n})")
-    c2 = section_model(k, n, degrees).chern.component(2)
+    c2 = section_model(k, n, degrees).component(2)
     return cycle.pieri(1).pieri(1).integral(), _pairing(c2, cycle)

@@ -115,10 +115,6 @@ class Report(FrozenRecord):
     def failed(self) -> int:
         return sum(1 for s in self.scenarios for r in s.results if not r.passed)
 
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
-
     def to_json(self) -> str:
         flag = ("false", "true")
         blocks = []

@@ -40,11 +40,11 @@ def test_criterion_1_schubert_chern_layer():
     assert total.component(3).terms == {(3,): 15, (2, 1): 30}
     assert total.component(4).terms == {(3, 1): 35, (2, 2): 25}
     w5 = section_model(2, 5, (1, 1))
-    assert w5.chern.component(1).terms == {(1,): 3}
-    assert w5.chern.component(2).terms == {(2,): 4, (1, 1): 5}
+    assert w5.component(1).terms == {(1,): 3}
+    assert w5.component(2).terms == {(2,): 4, (1, 1): 5}
     assert section_profile(2, 5, (1, 1)).euler == 6
     v14 = section_model(2, 6, (1, 1, 1, 1))
-    assert v14.chern.component(2).terms == {(2,): 2, (1, 1): 4}
+    assert v14.component(2).terms == {(2,): 2, (1, 1): 4}
     assert section_profile(2, 6, (1, 1, 1, 1)).euler == 12
     assert (sigma(GR25, 1) ** 6).integral() == 5
     assert (sigma(GR26, 1) ** 8).integral() == 14
@@ -54,7 +54,7 @@ def test_criterion_1_schubert_chern_layer():
 def test_criterion_2_plane_geometry():
     # normal bundles (c_1 on a line, c_2): c_1(N) = c_1(section) - c_1(P^2), and
     # c_2(N) = E^4 + c_1(N)^2 on the blowup of the link scenario
-    w5, v14 = section_model(2, 5, (1, 1)), section_model(2, 6, (1, 1, 1, 1))
+    w5, v14 = section_profile(2, 5, (1, 1)), section_profile(2, 6, (1, 1, 1, 1))
     xi_xi = normal_c2(MODELS["w5-xi"])
     pi_pi = normal_c2(MODELS["w5-pi"])
     assert (w5.index - 3, xi_xi) == (0, 2)

@@ -294,10 +294,9 @@ def test_c2_normal_matches_the_chern_engine(models):
     w5, v14 = (1, 1), (1, 1, 1, 1)
     planes = {"w5-xi": (2, 5, w5, (2, 2)), "w5-pi": (2, 5, w5, (3, 1)), "v14-plane": (2, 6, v14, (4, 2))}
     for name, (k, n, degrees, parts) in planes.items():
-        section = section_model(k, n, degrees)
-        a = section.index - 3
+        a = section_profile(k, n, degrees).index - 3
         plane = sigma(Grassmannian(k, n), *parts)
-        c2_on_plane = (section.chern.component(2) * plane).integral()
+        c2_on_plane = (section_model(k, n, degrees).component(2) * plane).integral()
         assert normal_c2(models[name]) == c2_on_plane - 3 * a - 3, name
 
 

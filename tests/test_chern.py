@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fanocalc.chern import (
     BundleModel,
-    SectionModel,
     TotalChernClass,
     _divide_exactly,
     section_chern,
@@ -145,32 +144,22 @@ def test_chern_classes_above_the_limit_are_zero_and_below_zero_raise():
 # ---------------------------------------------------------------------------
 # sections by hypersurfaces
 
-def w5_model() -> SectionModel:
-    return section_chern(tangent_bundle(GR25).total, (1, 1))
-
-
-def v14_model() -> SectionModel:
-    return section_chern(tangent_bundle(GR26).total, (1, 1, 1, 1))
-
-
 def test_w5_section_invariants():
-    model = w5_model()
-    assert model.dim == 4
-    assert model.index == 3
-    assert model.chern.component(1).terms == {(1,): 3}
-    assert model.chern.component(2).terms == {(2,): 4, (1, 1): 5}
+    total = section_chern(tangent_bundle(GR25).total, (1, 1))
+    assert total.limit == 4  # components up to the section's dimension
+    assert total.component(1).terms == {(1,): 3}
+    assert total.component(2).terms == {(2,): 4, (1, 1): 5}
     w5 = section_profile(2, 5, (1, 1))
-    assert (w5.h4, w5.c2h2, w5.euler) == (5, 22, 6)
+    assert (w5.h4, w5.index, w5.c2h2, w5.euler) == (5, 3, 22, 6)
 
 
 def test_v14_section_invariants():
-    model = v14_model()
-    assert model.dim == 4
-    assert model.index == 2
-    assert model.chern.component(1).terms == {(1,): 2}
-    assert model.chern.component(2).terms == {(2,): 2, (1, 1): 4}
+    total = section_chern(tangent_bundle(GR26).total, (1, 1, 1, 1))
+    assert total.limit == 4
+    assert total.component(1).terms == {(1,): 2}
+    assert total.component(2).terms == {(2,): 2, (1, 1): 4}
     v14 = section_profile(2, 6, (1, 1, 1, 1))
-    assert (v14.h4, v14.c2h2, v14.euler) == (14, 38, 12)
+    assert (v14.h4, v14.index, v14.c2h2, v14.euler) == (14, 2, 38, 12)
 
 
 @pytest.mark.parametrize(
@@ -187,18 +176,18 @@ def test_section_times_normal_class_is_the_ambient_class(ctx):
     hyperplanes = [(1,) * codim for codim in range(ctx.dim)]
     mixed = [(2,), (1, 2), (2, 3)] if ctx in (GR25, GR26, GR36) else []
     for degrees in hyperplanes + mixed:
-        section = section_chern(ambient, degrees).chern.components
+        section = section_chern(ambient, degrees).components
         back = whitney_product(section, *([unit(ctx), d * s1] for d in degrees))
         top = ctx.dim - len(degrees)
         assert back[:top + 1] == list(ambient.components[:top + 1]), degrees
 
 
 def test_codim_zero_section_is_the_ambient_space():
-    model = section_chern(tangent_bundle(GR24).total, ())
-    assert model.dim == 4
-    assert model.index == 4
+    ambient = tangent_bundle(GR24).total
+    assert section_chern(ambient, ()) == ambient
+    assert ambient.limit == 4
     gr24 = section_profile(2, 4, ())
-    assert (gr24.h4, gr24.euler) == (2, 6)
+    assert (gr24.h4, gr24.index, gr24.euler) == (2, 4, 6)
 
 
 def test_section_codim_bounds():
@@ -211,7 +200,10 @@ def test_section_codim_bounds():
 
 
 def test_index_of_a_zero_first_chern_class_is_zero():
-    assert SectionModel(GR25, (), TotalChernClass(GR25, [unit(GR25), zero(GR25, 1)])).index == 0
+    # c_1 of the codim-8 section of Gr(2,8) is the zero cycle, whose sigma_1 coefficient reads 0
+    c1 = section_chern(tangent_bundle(Grassmannian(2, 8)).total, (1,) * 8).component(1)
+    assert c1 == zero(Grassmannian(2, 8), 1)
+    assert c1.coefficient((1,)) == 0
 
 
 def test_sections_of_index_zero_or_below_are_not_fano():

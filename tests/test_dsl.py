@@ -95,23 +95,31 @@ def test_duplicate_labels_rejected_at_parse():
     assert "duplicate assertion label" in info.value.message
 
 
+_DUPLICATE, _BROKEN = "grassmannian 2 6", 'assert (1 == 1 cite "x"'
+
+
+def _first_error(*statements):
+    body = "".join(f"  {s}\n" for s in statements)
+    with pytest.raises(ParseError) as info:
+        parse(f'scenario "a" {{\n  grassmannian 2 5\n{body}}}')
+    return _error(info.value)
+
+
 def test_the_first_error_in_the_source_is_reported():
     # a document rule is checked where its statement is read, so a duplicate
-    # before a syntax error is reported, and one after it is never reached;
-    # a lexical error anywhere still wins
-    duplicate, broken = "grassmannian 2 6", 'assert (1 == 1 cite "x"'
+    # before a syntax or lexical error is reported, and one after it is never
+    # reached; a lexical error after the first error is never reached either
+    assert _first_error(_DUPLICATE, _BROKEN) == (3, 3, "duplicate grassmannian statement")
+    assert _first_error(_BROKEN, _DUPLICATE) == (3, 13, "expected ')', found '=='")
+    assert _first_error(_DUPLICATE, _BROKEN, "$") == (3, 3, "duplicate grassmannian statement")
+    assert _first_error(_DUPLICATE, "$") == (3, 3, "duplicate grassmannian statement")
+    assert _first_error(_BROKEN, "$") == (3, 13, "expected ')', found '=='")
 
-    def outcome(*statements):
-        body = "".join(f"  {s}\n" for s in statements)
-        with pytest.raises(ParseError) as info:
-            parse(f'scenario "a" {{\n  grassmannian 2 5\n{body}}}')
-        return _error(info.value)
 
-    assert outcome(duplicate, broken) == (3, 3, "duplicate grassmannian statement")
-    assert outcome(broken, duplicate) == (3, 13, "expected ')', found '=='")
-    assert outcome(duplicate, broken, "$") == (5, 3, "unexpected character '$'")
-    assert outcome("$", duplicate, broken) == (3, 3, "unexpected character '$'")
-    assert outcome(duplicate, "$") == (4, 3, "unexpected character '$'")
+def test_a_lexical_error_before_a_syntax_error_still_wins():
+    assert _first_error("$", _DUPLICATE, _BROKEN) == (3, 3, "unexpected character '$'")
+    assert _first_error("assert (1 $ == 1", _BROKEN) == (3, 13, "unexpected character '$'")
+    assert _first_error('assert 1 == 1 cite "x', _BROKEN) == (3, 22, "unterminated string literal")
 
 
 def test_auto_labels_count_from_one():
@@ -162,12 +170,14 @@ def test_bad_strings():
         ('scenario "a" {\r\n\tassert \u00e9 == 1 cite "x" }', (2, 9, "unknown name '\u00e9'")),
         ('scenario "a\\', (1, 12, "unsupported escape in string literal")),
         ('scenario "abc', (1, 10, "unterminated string literal")),
-        ("x\xa0", (1, 2, "unexpected character '\\xa0'")),
+        ("x\xa0", (1, 1, "expected 'scenario', found 'x'")),
+        ("\xa0x", (1, 1, "unexpected character '\\xa0'")),
         ("# c", ""),
         ('scenario "a" { profile \u00b2 h4 1 index 1 c2h2 1 chi 1 euler 1 }',
          (1, 24, "unexpected character '\u00b2'")),
-        # a lexical error wins over an earlier syntax error
-        ('scenario "y" { assert 1 == == 1 cite "x" $ }', (1, 42, "unexpected character '$'")),
+        # the first error wins, lexical or not
+        ('scenario "y" { assert 1 == == 1 cite "x" $ }', (1, 28, "expected an expression, found '=='")),
+        ('scenario "y" { assert 1 == $ == 1 cite "x" }', (1, 28, "unexpected character '$'")),
     ],
 )
 def test_lexical_rules(source, outcome):
@@ -305,15 +315,17 @@ def _reference_tokens(source):
 def _streamed_tokens(source):
     """(kind, text, offset) of each token through EOF as the parser reads them, or the lexical error."""
     parser = dsl._Parser(source)
+    tokens = []
     try:
-        dsl._validate(source)
+        while True:
+            if parser.kind == "BAD" or parser.kind == "WORD":  # a WORD that is a name reads as IDENT
+                dsl._lex_error(source, parser.start)
+            tokens.append((parser.kind, parser.value, parser.start))
+            if parser.kind == "EOF":
+                return tokens
+            parser.advance()
     except ParseError as exc:
         return _error(exc)
-    tokens = [(parser.kind, parser.value, parser.start)]
-    while parser.kind != "EOF":
-        parser.advance()
-        tokens.append((parser.kind, parser.value, parser.start))
-    return tokens
 
 
 @settings(max_examples=500, deadline=None)
@@ -330,6 +342,36 @@ def test_lexer_splits_as_the_backtracking_pattern(source):
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse('scenario "a" {} }')
+
+
+def _statement_bounds(source):
+    """Offsets of a valid source's scenario, statement and '}' tokens, and of its end."""
+    parser = dsl._Parser(source)
+    bounds = []
+    while parser.kind != "EOF":
+        if parser.value in ("scenario", "profile", "center", "grassmannian", "assert", "}"):
+            bounds.append(parser.start)
+        parser.advance()
+    return bounds + [len(source)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BUILTIN_SOURCES)), st.data())
+def test_the_earlier_of_a_syntax_and_a_lexical_error_is_reported(name, data):
+    # ')' starts neither a scenario nor a statement nor ends one, so at such a
+    # bound it is a syntax error where it stands; '$' starts no token at all
+    source = BUILTIN_SOURCES[name]
+    bounds = _statement_bounds(source)
+    syntax, lexical = data.draw(st.lists(st.sampled_from(bounds), min_size=2, max_size=2, unique=True))
+    mutated = source
+    for offset, text in sorted([(syntax, ")"), (lexical, "$")], reverse=True):
+        mutated = mutated[:offset] + text + mutated[offset:]
+    with pytest.raises(ParseError) as info:
+        parse(mutated)
+    before = source[:min(syntax, lexical)]
+    line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+    assert (info.value.line, info.value.column) == (line, column)
+    assert (info.value.message == "unexpected character '$'") == (lexical < syntax)
 
 
 # ---------------------------------------------------------------------------

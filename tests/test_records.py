@@ -7,7 +7,7 @@ import re
 import pytest
 
 from fanocalc.blowup import BlowupModel, CurveCenter, Divisor, FourfoldProfile, SurfaceCenter
-from fanocalc.chern import BundleModel, SectionModel, TotalChernClass, tangent_bundle
+from fanocalc.chern import BundleModel, TotalChernClass, tangent_bundle
 from fanocalc.dsl import (
     Assertion,
     AssertStmt,
@@ -38,7 +38,6 @@ def thunk():
 RECORDS = [
     (Grassmannian, {"k": 2, "n": 5}),
     (BundleModel, {"rank": 1, "total": TOTAL}),
-    (SectionModel, {"context": GR25, "degrees": (1, 1), "chern": TOTAL}),
     (FourfoldProfile, {"h4": 5, "index": 3, "c2h2": 22, "chi": 1, "euler": 6}),
     (CurveCenter, {"genus": 0, "hc": 1}),
     (SurfaceCenter, {"hhc": 1, "hkc": -3, "kc2": 9, "euler": 3, "c2xc": 5}),
@@ -64,7 +63,7 @@ RECORDS = [
 ]
 
 FROZEN = [
-    Grassmannian, BundleModel, SectionModel, FourfoldProfile, CurveCenter, SurfaceCenter,
+    Grassmannian, BundleModel, FourfoldProfile, CurveCenter, SurfaceCenter,
     Divisor, BlowupModel, AssertionResult, ScenarioResult, Report, TotalChernClass,
 ]
 
@@ -107,16 +106,13 @@ def test_equal_values_compare_and_hash_equal(make, other, fields):
     assert a != fields  # no other class compares equal, not even a tuple of the same values
 
 
-def test_bundle_and_section_models_compare_by_value_and_have_no_hash():
+def test_total_classes_and_bundle_models_compare_by_value_and_have_no_hash():
     # a total class compares by its fields too: a written-out zero component makes another class
     assert TOTAL == TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)])
     assert TOTAL != TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1), zero(GR25, 2)])
     assert BundleModel(1, TOTAL) == BundleModel(1, TotalChernClass(GR25, [unit(GR25), sigma(GR25, 1)]))
     assert BundleModel(1, TOTAL) != BundleModel(1, TotalChernClass(GR25, [unit(GR25)]))
-    assert SectionModel(GR25, (1, 1), TOTAL) == SectionModel(Grassmannian(2, 5), (1, 1), TOTAL)
-    assert SectionModel(GR25, (1, 1), TOTAL) != SectionModel(GR25, (1,), TOTAL)
-    assert SectionModel(GR25, (1, 2), TOTAL) != SectionModel(GR25, (2, 1), TOTAL)
-    for model in (TOTAL, BundleModel(1, TOTAL), SectionModel(GR25, (1, 1), TOTAL)):
+    for model in (TOTAL, BundleModel(1, TOTAL)):
         with pytest.raises(TypeError):
             hash(model)
 

@@ -47,7 +47,6 @@ def test_all_builtin_scenarios_pass():
     assert report.failed == 0, report.to_text()
     assert report.total == 70
     assert len(report.scenarios) == 10
-    assert report.passed
 
 
 def test_report_is_deterministic():
