@@ -6,7 +6,9 @@ name is a letter or '_' followed by letters, digits or '_'; a string is
 double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
 
 The parser reads the tokens as it needs them, each one match of one
-regular expression at a source offset.  The first error in the source is
+regular expression at a source offset, and keeps only the current token's
+text and offsets; a token's kind is read from its text where a rule or a
+message needs it.  The first error in the source is
 the one reported, lexical or not: a character that starts no token, or a
 string that does not close, is reported when the parser reaches it.  A
 scenario name counts as read once its '}' is, an assertion label once its
@@ -65,8 +67,10 @@ but no call and no sigma[...]) are one node of its tree.  A call argument
 or parenthesised expression whose text, up to the next ',' or ')', holds
 none of '(', '[', '"' and '#' is such a subtree, and the parser reads each
 distinct such text once per document; a later copy takes the first one's
-node.  Running the built scenarios computes each such node once per
-build; an error fails only the assertion it is in.
+node, and one match of a second pattern reads the copy, its ',' or ')'
+and the whitespace and comments after them, with no token lexed.  Running
+the built scenarios computes each such node once per build; an error
+fails only the assertion it is in.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -125,34 +129,51 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # lexer
 
-# One alternative per token kind, each followed by the whitespace and
-# comments after it, so one match is one token.  \d is str.isdecimal and \w
-# is str.isalnum or '_'.  A name starting with an ASCII letter or '_' is an
-# IDENT; any other run of \w that is not an INT is a WORD, which the parser
-# reads as a name only when its first character is a letter ('²' is not).
-# A string that does not close matches BAD at its opening quote.  SYM comes
-# first, as the most frequent kind; no other alternative before BAD can
-# start with a SYM character, so the order changes no match.  Every run is
-# possessive (Python 3.11): no shorter run could let the rest of the
-# pattern match, so the engine keeps no backtracking state.
+# One unnamed group holds the token, and the whitespace and comments after it
+# follow, so one match is one token.  The alternatives, in order: a symbol;
+# an INT, a run of \d (str.isdecimal); a run of \w (str.isalnum or '_')
+# that is not an INT, which is a name when its first character is a letter
+# or '_' ('²' starts none); a STRING; the end (EOF, an empty token); and any
+# other character, BAD.  A string that does not close matches BAD at its
+# opening quote.  The symbols come first, as the most frequent tokens; no
+# other alternative before BAD can start with a symbol character, so the
+# order changes no match.  Every run is possessive (Python 3.11): no shorter
+# run could let the rest of the pattern match, so the engine keeps no
+# backtracking state.  _kind reads a token's kind from its text.
 _STRING = r'"[^"\\\n]*+(?:\\["\\][^"\\\n]*+)*+'
 _SKIP = r"(?:[ \t\r\n]++|#[^\n]*+)*+"
-_TOKEN = re.compile(
-    r"(?:(?P<SYM>[=!]=|[{}()\[\],+\-*^])"
-    r"|(?P<INT>\d++)"
-    r"|(?P<IDENT>[A-Za-z_]\w*+)"
-    r"|(?P<WORD>\w++)"
-    rf'|(?P<STRING>{_STRING}")'
-    r"|(?P<EOF>\Z)"
-    r"|(?P<BAD>.))" + _SKIP
-)
+_TOKEN = re.compile(rf'([=!]=|[{{}}()\[\],+\-*^]|\d++|\w++|{_STRING}"|\Z|.)' + _SKIP)
 _LEADING = re.compile(_SKIP)
 _OPEN_STRING = re.compile(_STRING)
 _ESCAPE = re.compile(r"\\(.)")
+_SYMBOLS = frozenset(("==", "!=", *"{}()[],+-*^"))
 
-# The text from an offset to the next ',' or ')' holds none of '(', '[',
-# '"' and '#' when this pattern's match there ends at that ',' or ')'.
-_PLAIN = re.compile(r'[^,()\["#]*+')
+
+def _kind(text: str) -> str:
+    """The kind of the token whose text is ``text``: SYM, EOF, INT, IDENT, STRING, WORD or BAD.
+
+    A WORD is a run of \\w that is neither an INT nor a name; a STRING
+    keeps its quotes, so a lone '"' is the BAD of a string that does not
+    close."""
+    if text in _SYMBOLS:
+        return "SYM"
+    if not text:
+        return "EOF"
+    first = text[0]
+    if first.isdecimal():
+        return "INT"
+    if first.isalpha() or first == "_":
+        return "IDENT"
+    if first == '"':
+        return "STRING" if len(text) > 1 else "BAD"
+    return "WORD" if first.isalnum() else "BAD"
+
+
+# From an offset, the text up to the next ',' or ')' when it holds none of
+# '(', '[', '"' and '#', then that ',' or ')' and the whitespace and
+# comments after it, so the match ends where _TOKEN's match of the ',' or
+# ')' would.
+_PLAIN = re.compile(r'([^,()\["#]*+)([,)])' + _SKIP)
 
 
 def _fail(source: str, offset: int, message: str):
@@ -295,12 +316,15 @@ _DIVISOR_ATOMS = {"H": blowup.H, "E": blowup.E}
 class _Parser:
     """Recursive descent over tokens read one at a time, as it needs them.
 
-    The current token is ``kind``, ``value`` and ``start``, its offset; the
-    next one starts at ``end``.  A STRING's value keeps its quotes and
-    escapes, so no string value equals a keyword or a symbol.  A BAD token,
-    or a WORD that is no name, meets no rule of the grammar, so the parser
-    fails at it at the latest, and an error at such a token is its lexical
-    error."""
+    The current token is its text, ``value``, and its offset, ``start``; the
+    next one starts at ``end``.  Its kind is ``_kind(value)``, read only
+    where a rule or a message needs it.  A STRING's value keeps its quotes
+    and escapes, so no string value equals a keyword or a symbol, and EOF's
+    is the only empty one.  A BAD token, or a WORD, meets no rule of the
+    grammar, so the parser fails at it at the latest, and an error at such a
+    token is its lexical error."""
+
+    __slots__ = ("source", "value", "start", "end", "depth", "shared", "operands")
 
     def __init__(self, source: str):
         self.source = source
@@ -316,19 +340,16 @@ class _Parser:
 
     def advance(self):
         m = _TOKEN.match(self.source, self.end)
-        kind = m.lastgroup
-        self.value = value = m[kind]
-        self.kind = "IDENT" if kind == "WORD" and value[0].isalpha() else kind
-        self.start = m.start()
-        self.end = m.end()
+        self.value = m[1]
+        self.start, self.end = m.span()
 
     def fail(self, offset: int, message: str):
-        if offset == self.start and (self.kind == "BAD" or self.kind == "WORD"):
+        if offset == self.start and _kind(self.value) in ("BAD", "WORD"):
             _lex_error(self.source, offset)
         _fail(self.source, offset, message)
 
     def describe(self) -> str:
-        kind = self.kind
+        kind = _kind(self.value)
         if kind == "EOF":
             return "end of input"
         if kind == "STRING":
@@ -356,13 +377,14 @@ class _Parser:
 
     def expect_kind(self, kind: str, wanted: str) -> str:
         value = self.value
-        if self.kind != kind:
+        if _kind(value) != kind:
             self.fail(self.start, f"expected {wanted}, found {self.describe()}")
         self.advance()
         return value
 
     def expect_string(self) -> str:
-        return _ESCAPE.sub(r"\1", self.expect_kind("STRING", "a string")[1:-1])
+        text = self.expect_kind("STRING", "a string")[1:-1]
+        return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
     def expect_int(self) -> int:
         sign = 1
@@ -380,7 +402,7 @@ class _Parser:
 
     def parse_document(self, names: set) -> Document:
         doc = Document()
-        while self.kind != "EOF":
+        while self.value:  # EOF's text is empty
             doc.scenarios.append(self.parse_scenario(names))
         return doc
 
@@ -487,11 +509,16 @@ class _Parser:
 
     def expr(self, min_prec: int):
         """The expression at the current token whose binary operators bind at least ``min_prec``."""
-        kind, value, start = self.kind, self.value, self.start
-        if kind == "INT":
+        value, start = self.value, self.start
+        first = value[:1]
+        if first.isdecimal():  # an INT
             self.advance()
-            node, height = self.int_value(value, start), 1
-        elif kind == "IDENT":
+            try:
+                node = int(value)
+            except ValueError:
+                node = self.int_value(value, start)
+            height = 1
+        elif first.isalpha() or first == "_":  # an IDENT
             self.advance()
             follow = self.value
             if follow == "(":
@@ -541,24 +568,25 @@ class _Parser:
         When its text, from its first token to the next ',' or ')', holds
         none of '(', '[', '"' and '#', it has no call, sigma[...], string or
         comment, so its tree is setup-free and shared, and the document
-        reads that text once: a later copy jumps to the ',' or ')' and takes
-        the first one's tree, the very node a re-parse would return.  It
+        reads that text once: a later copy takes the first one's tree, the
+        very node a re-parse would return, and the _PLAIN match that found
+        it is also its ',' or ')', the current token after it.  It
         does so only where the nesting depth leaves as many levels as the
         text has characters, which bounds the levels any parse of it takes;
         elsewhere the copy is parsed, so a depth error fires where it would.
         """
-        source, start = self.source, self.end
-        stop = _PLAIN.match(source, start).end()
-        text = source[start:stop] if source.startswith((",", ")"), stop) else None
-        if text is not None:
+        start = self.end
+        plain = _PLAIN.match(self.source, start)
+        if plain is not None:
+            text = plain[1]
             read = self.operands.get(text)
             if read is not None and self.depth + len(text) <= _MAX_DEPTH:
-                self.end = stop
-                self.advance()
+                self.value = plain[2]
+                self.start, self.end = plain.end(1), plain.end()
                 return read
         self.advance()
         read = self.nested(start)
-        if text is not None:  # a read that stops short of the ',' or ')' fails its caller
+        if plain is not None:  # a read that stops short of the ',' or ')' fails its caller
             self.operands[text] = read
         return read
 
@@ -809,9 +837,11 @@ def _as_divisor(value, what: str) -> Divisor:
     return value
 
 
-def _quartic(setup, *args):
-    divisors = [_as_divisor(a, "a quartic() argument") for a in args]
-    return blowup.quartic_number(setup.model(), *divisors)
+def _quartic(setup, d1, d2, d3, d4):
+    if not (isinstance(d1, Divisor) and isinstance(d2, Divisor) and isinstance(d3, Divisor)
+            and isinstance(d4, Divisor)):  # before the model is built
+        raise TypeError("a quartic() argument must be a divisor expression in H and E")
+    return blowup.quartic_number(setup.model(), d1, d2, d3, d4)
 
 
 def _degree(setup, cycle):
@@ -915,18 +945,25 @@ def _value(node, setup: _Setup, memo: dict):
     ``memo`` (the setup-free nodes, which the parser shares) to its value,
     so each is computed once per build.  A failure is not stored, so each
     row that uses it raises it again.  A call raises in this order:
-    arguments, then unknown name, arity and types."""
-    if isinstance(node, (int, Divisor)):
+    arguments, then unknown name, arity and types.  A leaf is an int, H or
+    E, each of its class exactly, so a class test finds it."""
+    kind = node.__class__
+    if kind is int or kind is Divisor:
         return node
     if (value := memo.get(node)) is not None:
         return value
-    kind = node.__class__
     if kind is SigmaAtom:
         return sigma(setup.grassmannian(), *node.parts)
     if kind is Call:
         values = []
         for arg in node.args:  # a loop, not a comprehension, which would take a frame
-            values.append(_value(arg, setup, memo))
+            cls = arg.__class__
+            if cls is int or cls is Divisor:
+                values.append(arg)
+            elif (value := memo.get(arg)) is not None:
+                values.append(value)
+            else:
+                values.append(_value(arg, setup, memo))
         name, entry = node.name, _FUNCTIONS.get(node.name)
         if entry is None:
             raise ValueError(f"unknown function {name!r}")
@@ -940,7 +977,8 @@ def _value(node, setup: _Setup, memo: dict):
         operands = (node.left, node.right)
         value = _OPERATORS[node.op](_value(node.left, setup, memo), _value(node.right, setup, memo))
     for operand in operands:
-        if not isinstance(operand, (int, Divisor)) and operand not in memo:
+        cls = operand.__class__
+        if cls is not int and cls is not Divisor and operand not in memo:
             return value
     memo[node] = value
     return value

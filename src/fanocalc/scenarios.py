@@ -52,8 +52,9 @@ def _render(value):
     """JSON-safe, deterministic rendering of an assertion value.
 
     Every value is an int, a Fraction, a Divisor or a SchubertCycle (see
-    ``dsl._NUMBER``); an integral Fraction renders as its int."""
-    if isinstance(value, Fraction):
+    ``dsl._NUMBER``); an integral Fraction renders as its int.  The class
+    test spares an int the ABC check of ``isinstance(value, Fraction)``."""
+    if value.__class__ is not int and isinstance(value, Fraction):
         if value.denominator != 1:
             return f"{value.numerator}/{value.denominator}"
         value = int(value)

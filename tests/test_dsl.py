@@ -210,6 +210,8 @@ _DIGITS = sys.get_int_max_str_digits() + 1
     [
         ('scenario "a"\t# no brace\r\n\t[ }', (6, 2, "expected '{', found '['")),
         (_OPEN + '\tassert (1 == 1 cite "x" }', (6, 12, "expected ')', found '=='")),
+        # the ',' after a repeated text, read in the same match as the text
+        (_OPEN + '\tassert dim(H - E, 1) == (H - E, 1) cite "x" }', (6, 32, "expected ')', found ','")),
         (_OPEN + "\tprofile\t7 h4 1", (6, 10, "expected a name, found '7'")),
         ("scenario\r\n  {", (6, 3, "expected a string, found '{'")),
         (_OPEN + "\tgrassmannian 2 -\tx }", (6, 19, "expected an integer, found 'x'")),
@@ -267,8 +269,9 @@ def test_parse_error_positions(source, outcome):
     assert (info.value.line, info.value.column, info.value.message) == outcome
 
 
-# The token pattern before SYM moved first and its runs became possessive,
-# kept as the reference for how the lexer splits a source.
+# The token pattern before SYM moved first, its runs became possessive and
+# its groups became one, kept as the reference for how the lexer splits a
+# source and which kind each token is.
 _BACKTRACKING_STRING = r'"(?:[^"\\\n]|\\["\\])*'
 _BACKTRACKING_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
 _BACKTRACKING_TOKEN = re.compile(
@@ -318,14 +321,32 @@ def _streamed_tokens(source):
     tokens = []
     try:
         while True:
-            if parser.kind == "BAD" or parser.kind == "WORD":  # a WORD that is a name reads as IDENT
+            kind = dsl._kind(parser.value)
+            if kind == "BAD" or kind == "WORD":  # a name is an IDENT, so a WORD is none
                 dsl._lex_error(source, parser.start)
-            tokens.append((parser.kind, parser.value, parser.start))
-            if parser.kind == "EOF":
+            tokens.append((kind, parser.value, parser.start))
+            if kind == "EOF":
                 return tokens
             parser.advance()
     except ParseError as exc:
         return _error(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "==", "!=", "{", ")", "]", ",", "-", "^",  # SYM
+    "0", "٣", "1٣2",  # INT
+    "H", "_x1", "quartic", "é", "éa٣",  # IDENT; a letter starts a name, ASCII or not
+    '"x"', '""', '"a\\"b"', '"a\\\\"',  # STRING
+    "²", "²1",  # WORD
+    '"', "=", "!", "$", "\xa0",  # BAD
+    "",  # EOF
+])
+def test_kind_is_the_backtracking_patterns_group(text):
+    # a WORD whose first character is a letter is a name, as the parser reads it
+    m = _BACKTRACKING_TOKEN.match(text)
+    assert m[m.lastgroup] == text
+    name = m.lastgroup
+    assert dsl._kind(text) == ("IDENT" if name == "WORD" and text[0].isalpha() else name)
 
 
 @settings(max_examples=500, deadline=None)
@@ -348,7 +369,7 @@ def _statement_bounds(source):
     """Offsets of a valid source's scenario, statement and '}' tokens, and of its end."""
     parser = dsl._Parser(source)
     bounds = []
-    while parser.kind != "EOF":
+    while dsl._kind(parser.value) != "EOF":
         if parser.value in ("scenario", "profile", "center", "grassmannian", "assert", "}"):
             bounds.append(parser.start)
         parser.advance()
@@ -864,20 +885,60 @@ def test_a_repeated_plain_text_is_one_node():
         assert left.args[1] is dsl._DIVISOR_ATOMS["H"]
 
 
+class _Counting:
+    """A stand-in for a compiled pattern that keeps every match it makes."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, []
+
+    def match(self, source, offset):
+        m = self.pattern.match(source, offset)
+        self.matches.append(m)
+        return m
+
+
+def _counted_parse(monkeypatch, source):
+    """The document ``source`` parses to, and the _TOKEN and _PLAIN matches made."""
+    token, plain = _Counting(dsl._TOKEN), _Counting(dsl._PLAIN)
+    monkeypatch.setattr(dsl, "_TOKEN", token)
+    monkeypatch.setattr(dsl, "_PLAIN", plain)
+    return parse(source), token.matches, plain.matches
+
+
 def test_a_repeated_plain_text_is_read_once(monkeypatch):
-    token, read = dsl._TOKEN, []
-
-    class Counting:
-        def match(self, source, offset):
-            m = token.match(source, offset)
-            read.append(m[m.lastgroup])
-            return m
-
-    monkeypatch.setattr(dsl, "_TOKEN", Counting())
     rows = '  assert quartic(H - E, H - E, H - E, H - E) == 1 cite "x"\n' * 50
-    document = parse(f'scenario "w" {{\n{rows}}}\n')
-    assert [read.count(text) for text in ("H", "-", "E", ",", ")")] == [1, 1, 1, 150, 50]
+    document, tokens, plains = _counted_parse(monkeypatch, f'scenario "w" {{\n{rows}}}\n')
     assert len(document.scenarios[0].statements) == 50
+    # the first copy's tokens and the ',' after it are read once, through _TOKEN
+    read = [m[1] for m in tokens]
+    assert [read.count(text) for text in ("H", "-", "E", ",", ")")] == [1, 1, 1, 1, 0]
+    # each copy's text is matched once by _PLAIN, and the ',' or ')' that
+    # ends each later copy is read in that match
+    delimiters = [m[2] for m in plains]
+    assert len(delimiters) == 200
+    assert (delimiters[1:].count(","), delimiters[1:].count(")")) == (149, 50)
+
+
+# Matches of _TOKEN and _PLAIN made to parse each built-in source, a
+# deterministic count of the parser's work.
+_BUILTIN_READS = {
+    "gr25-chern": (221, 39),
+    "gr26-v14-plane": (192, 39),
+    "moduli-counts": (88, 11),
+    "sanity-p4-line": (58, 9),
+    "v12-link": (112, 23),
+    "v14-link": (202, 49),
+    "w22-line-link": (74, 13),
+    "w5-invariants": (294, 55),
+    "w5-pi-link": (151, 24),
+    "w5-xi-link": (79, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SOURCES))
+def test_builtin_sources_are_read_in_a_fixed_number_of_matches(monkeypatch, name):
+    _, tokens, plains = _counted_parse(monkeypatch, BUILTIN_SOURCES[name])
+    assert (len(tokens), len(plains)) == _BUILTIN_READS[name]
 
 
 def test_a_repeated_text_without_room_to_nest_is_parsed_again():
@@ -899,16 +960,18 @@ def test_a_repeated_text_without_room_to_nest_is_parsed_again():
 # the whitespace before their ',' or ')', filled alike in every copy, so
 # the texts repeat, or differently in each, so none does.  Tab and CR are
 # one column each, like a space, so both fillings put every token at the
-# same line and column.
-_SLOT = "\0"
+# same line and column.  A second slot, after each ',' and ')', takes the
+# same whitespace or comment in both fillings; a repeated text's match
+# reads it along with its ',' or ')'.
+_SLOT, _AFTER = "\0", "\1"
 
 
 def _slotted(inner):
     binary = st.tuples(inner, st.sampled_from("+-*^"), inner).map(" ".join)
-    group = inner.map(lambda e: f"({e}{_SLOT})")
+    group = inner.map(lambda e: f"({e}{_SLOT}){_AFTER}")
     call = st.sampled_from(sorted(_ARITY)).flatmap(
         lambda name: st.lists(inner, min_size=_ARITY[name], max_size=_ARITY[name]).map(
-            lambda args: f"{name}({', '.join(a + _SLOT for a in args)})"))
+            lambda args: f"{name}({f',{_AFTER}'.join(a + _SLOT for a in args)}){_AFTER}"))
     return st.one_of(binary, inner.map(lambda e: f"-{e}"), group, call)
 
 
@@ -917,8 +980,8 @@ _SLOTTED = st.recursive(
     max_leaves=8)
 
 
-def _fill(source, fillers):
-    pieces = source.split(_SLOT)
+def _fill(source, slot, fillers):
+    pieces = source.split(slot)
     return "".join(piece + next(fillers) for piece in pieces[:-1]) + pieces[-1]
 
 
@@ -936,18 +999,20 @@ def _outcome(source):
     st.lists(_SLOTTED, min_size=1, max_size=3),
     st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["==", "!="]), st.integers(0, 2)),
              min_size=1, max_size=6),
+    st.lists(st.sampled_from([" ", "\t", "\r", "# comment\n"]), min_size=1, max_size=5),
 )
-def test_reading_a_text_once_changes_no_outcome(setup, pool, rows):
+def test_reading_a_text_once_changes_no_outcome(setup, pool, rows, skips):
     # the tree, the printout, the report or the ParseError is the same
     def side(i):
-        return f"({pool[i % len(pool)]}{_SLOT})"
+        return f"({pool[i % len(pool)]}{_SLOT}){_AFTER}"
 
     body = [f'  assert {side(i)} {op} {side(j)} cite "x"\n' for i, op, j in rows]
     scenarios = (f'scenario "{name}" {{\n  {setup}\n  grassmannian 2 5\n{"".join(body[k::2])}}}\n'
                  for k, name in enumerate("ab"))
-    source = "".join(scenarios)
+    source = _fill("".join(scenarios), _AFTER, itertools.cycle(skips))
     distinct = ("".join(ws) for ws in itertools.product(" \t\r", repeat=6))
-    assert _outcome(_fill(source, itertools.repeat(" " * 6))) == _outcome(_fill(source, distinct))
+    assert (_outcome(_fill(source, _SLOT, itertools.repeat(" " * 6)))
+            == _outcome(_fill(source, _SLOT, distinct)))
 
 
 def test_parse_error_exposes_position_fields():
