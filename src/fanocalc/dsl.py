@@ -61,16 +61,21 @@ is (c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
 
 The leaves of an expression tree are values: an integer literal is its
 int, and H and E are the engine's divisors blowup.H and blowup.E; every
-other node compares and hashes by identity.  Equal setup-free
-subexpressions of a document (integers, H, E and the operators over them,
-but no call and no sigma[...]) are one node of its tree.  A call argument
+other node compares and hashes by identity.  Each distinct expression of a
+scenario is one node of its tree: equal setup-free subexpressions
+(integers, H, E and the operators over them) are one node of the whole
+document, and equal calls and sigma[...] atoms, and the operators over
+them, one node of their scenario, as their values depend on its setup
+statements.  A call argument
 or parenthesised expression whose text, up to the next ',' or ')', holds
 none of '(', '[', '"' and '#' is such a subtree, and the parser reads each
 distinct such text once per document; a later copy takes the first one's
 node, and one match of a second pattern reads the copy, its ',' or ')'
-and the whitespace and comments after them, with no token lexed.  Running
-the built scenarios computes each such node once per build; an error
-fails only the assertion it is in.
+and the whitespace and comments after them, with no token lexed.  Each
+distinct expression of a scenario is evaluated once per build: running the
+built scenarios, again or not, computes each node once, when the first
+assertion that uses it runs.  An error is not kept: it fails each
+assertion that uses its node, with the same message.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -196,11 +201,12 @@ def _lex_error(source: str, offset: int):
 # syntax tree.  A leaf is its value: an int, blowup.H or blowup.E.  The
 # other nodes are slotted classes that store their fields directly and
 # have no assignment guard: a pass builds one node per few tokens, and a
-# guarded node, whose fields go through object.__setattr__, costs about
-# three times as much to build.  Nothing mutates them, so a document holds
-# each setup-free subtree once, however often it occurs.  Every node
-# compares and hashes by identity, so a node is a key of the parser's
-# sharing table and of the evaluator's memo.
+# guarded node, a FrozenRecord whose fields go through its _store, costs
+# about four times as much to build.  Nothing mutates them, so a document
+# holds each setup-free subtree once, and a scenario each of its other
+# expressions once, however often they occur.  Every node compares and
+# hashes by identity, so a node is a key of the parser's sharing table and
+# of the evaluator's memo.
 
 class SigmaAtom:
     __slots__ = ("parts",)
@@ -294,8 +300,12 @@ class Document:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
 
     def build(self) -> list:
-        """The document's scenarios; raises no ParseError, as the parser checked every rule."""
-        memo = {}  # node -> value, shared by the scenarios built; see _value
+        """The document's scenarios; raises no ParseError, as the parser checked every rule.
+
+        Each distinct expression of a scenario is evaluated once per build:
+        the scenarios share one memo, which every run of them fills and
+        reads, and a second build starts from an empty one."""
+        memo = {}  # node -> value; see _value
         return [_build_scenario(node, memo) for node in self.scenarios]
 
 
@@ -324,16 +334,20 @@ class _Parser:
     grammar, so the parser fails at it at the latest, and an error at such a
     token is its lexical error."""
 
-    __slots__ = ("source", "value", "start", "end", "depth", "shared", "operands")
+    __slots__ = ("source", "value", "start", "end", "depth", "scope", "shared", "operands")
 
     def __init__(self, source: str):
         self.source = source
         self.end = _LEADING.match(source).end()
         self.advance()
         self.depth = 0
-        # (operator, operand, ...) -> its Neg or BinOp, so operators over equal
-        # leaves or the same nodes are one node of the document.  No call and
-        # no sigma[...] is shared, so only setup-free subtrees repeat.
+        self.scope = None  # the offset of the current scenario's keyword
+        # Key -> the document's one node for it, so each distinct expression
+        # of a scenario is one node: (operator, operand, ...) -> its Neg or
+        # BinOp; (scope, name, arguments) -> a Call and (scope, parts) -> a
+        # SigmaAtom of the scenario at that scope.  An operator over the same
+        # nodes is one node, so setup-free subtrees are shared by the whole
+        # document and the others only within their scenario.
         self.shared = {}
         # Source text -> (tree, height) of each plain operand read; see operand.
         self.operands = {}
@@ -408,7 +422,7 @@ class _Parser:
 
     def parse_scenario(self, names: set) -> ScenarioNode:
         """A scenario whose name is not in ``names``, which it joins."""
-        kw = self.expect("scenario")
+        kw = self.scope = self.expect("scenario")
         name = self.expect_string()
         self.expect("{")
         statements, setups, labels = [], set(), set()
@@ -606,7 +620,9 @@ class _Parser:
         self.expect(")")
         if height >= _MAX_DEPTH:
             self.fail(start, "expression nesting too deep")
-        return Call(name, tuple(args)), height + 1
+        args = tuple(args)
+        key = (self.scope, name, args)
+        return self.shared.get(key) or self.share(key, Call(name, args)), height + 1
 
     def sigma(self) -> SigmaAtom:
         """The atom ``sigma[...]``, from the token after ``sigma``."""
@@ -616,7 +632,9 @@ class _Parser:
             self.advance()
             parts.append(self.expect_int())
         self.expect("]", "',' or ']'")
-        return SigmaAtom(tuple(parts))
+        parts = tuple(parts)
+        key = (self.scope, parts)
+        return self.shared.get(key) or self.share(key, SigmaAtom(parts))
 
 
 def _label(stmt: AssertStmt, counter: int) -> str:
@@ -941,20 +959,20 @@ _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.su
 def _value(node, setup: _Setup, memo: dict):
     """The value of ``node`` under ``setup``, computed when its assertion runs.
 
-    ``memo`` maps each operator node whose operands are leaves or in
-    ``memo`` (the setup-free nodes, which the parser shares) to its value,
-    so each is computed once per build.  A failure is not stored, so each
-    row that uses it raises it again.  A call raises in this order:
-    arguments, then unknown name, arity and types.  A leaf is an int, H or
-    E, each of its class exactly, so a class test finds it."""
+    ``memo`` maps each node computed to its value, so each distinct
+    expression of a scenario, which the parser makes one node, is computed
+    once per build.  A failure is not stored, so each row that uses it
+    raises it again.  A call raises in this order: arguments, then unknown
+    name, arity and types.  A leaf is an int, H or E, each of its class
+    exactly, so a class test finds it."""
     kind = node.__class__
     if kind is int or kind is Divisor:
         return node
     if (value := memo.get(node)) is not None:
         return value
     if kind is SigmaAtom:
-        return sigma(setup.grassmannian(), *node.parts)
-    if kind is Call:
+        value = sigma(setup.grassmannian(), *node.parts)
+    elif kind is Call:
         values = []
         for arg in node.args:  # a loop, not a comprehension, which would take a frame
             cls = arg.__class__
@@ -969,17 +987,11 @@ def _value(node, setup: _Setup, memo: dict):
             raise ValueError(f"unknown function {name!r}")
         if len(values) != entry[0]:
             raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(values)}")
-        return entry[1](setup, *values)
-    if kind is Neg:
-        operands = (node.operand,)
+        value = entry[1](setup, *values)
+    elif kind is Neg:
         value = -_value(node.operand, setup, memo)
     else:
-        operands = (node.left, node.right)
         value = _OPERATORS[node.op](_value(node.left, setup, memo), _value(node.right, setup, memo))
-    for operand in operands:
-        cls = operand.__class__
-        if cls is not int and cls is not Divisor and operand not in memo:
-            return value
     memo[node] = value
     return value
 

@@ -24,12 +24,15 @@ class FrozenRecord:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # a class's own __slots__ name only its own fields: read the bases' too, bases first
-        cls._names = tuple(
-            name
+        slots = [
+            (name, klass.__dict__[name])
             for klass in reversed(cls.__mro__)
             for name in klass.__dict__.get("__slots__", ())
             if name != "__dict__"
-        )
+        ]
+        cls._names = tuple(name for name, _ in slots)
+        # each field's slot setter, bound once per class; it writes past __setattr__
+        cls._setters = tuple(slot.__set__ for _, slot in slots)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._names])
@@ -41,8 +44,11 @@ class FrozenRecord:
 
     def _store(self, *values) -> None:
         """Set the fields to ``values``, in the order ``_fields`` reads them."""
-        for name, value in zip(self._names, values, strict=True):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, got {len(values)} values")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

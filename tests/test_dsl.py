@@ -637,28 +637,32 @@ def test_a_shared_node_is_folded_once_per_build(monkeypatch):
         assert calls == [(2, blowup.H)]
 
 
-def test_running_built_scenarios_again_repeats_their_engine_calls(monkeypatch):
+def test_a_build_reaches_the_engine_once_per_distinct_call(monkeypatch):
     from fanocalc import blowup
 
     quartic, calls = blowup.quartic_number, []
     monkeypatch.setattr(blowup, "quartic_number",
                         lambda model, *divisors: calls.append(divisors) or quartic(model, *divisors))
-    (scenario,) = parse(
+    document = parse(
         'scenario "a" {\n'
         "  profile P4 h4 1 index 5 ambient p4 codim 0 chi 1 euler 5\n"
         "  center curve genus 0 hc 1\n"
         '  assert quartic(H, H, H, H) - 1 == 0 cite "an operator over a call"\n'
         '  assert quartic(2*H - E, H, H, H) == 2 cite "a shared setup-free argument"\n'
-        '  assert 2*H - E != E cite "the same node"\n'
+        '  assert quartic(H, H, H, H) == quartic(H,H,H,H) cite "one call, written twice"\n'
+        '  assert quartic(2*H - E, H, H, H) - 1 != 0 cite "the call of an earlier row"\n'
         "}\n"
-    ).build()
-    reports = []
-    for _ in range(2):
-        calls.clear()
-        reports.append(run([scenario]).to_json())
-        assert calls == [(blowup.H,) * 4, (2 * blowup.H - blowup.E,) + (blowup.H,) * 3]
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["failed"] == 0
+    )
+    once = [(blowup.H,) * 4, (2 * blowup.H - blowup.E,) + (blowup.H,) * 3]
+    scenarios = document.build()
+    report = run(scenarios).to_json()
+    assert calls == once  # each distinct call once, across the rows of the build
+    assert json.loads(report)["failed"] == 0
+    calls.clear()
+    assert run(scenarios).to_json() == report  # a second run of the build reads its memo
+    assert calls == []
+    assert run(document.build()).to_json() == report  # a fresh build starts from nothing
+    assert calls == once
 
 
 def test_a_shared_fold_that_raises_fails_each_of_its_rows():

@@ -113,8 +113,9 @@ def test_only_the_frozen_base_defines_the_record_guards():
 
 
 def test_records_store_and_compare_through_the_bases():
-    # a frozen record sets its fields through FrozenRecord._store and compares
-    # through FrozenRecord.__eq__, both read from __slots__; what else writes an
+    # a frozen record sets its fields only in FrozenRecord._store, through the
+    # slot setters FrozenRecord.__init_subclass__ binds, and compares through
+    # FrozenRecord.__eq__, both read from __slots__; what else writes an
     # equality out is the hot Gr(k, n) or the Schubert kernel
     methods = [
         (f"{name}.{cls.name}.{stmt.name}", stmt)
@@ -124,14 +125,19 @@ def test_records_store_and_compare_through_the_bases():
         for stmt in cls.body
         if isinstance(stmt, ast.FunctionDef)
     ]
-    stores = sorted({
+    assert not [
+        (name, ast.unparse(node))
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("setattr", "object.__setattr__")
+    ]
+    setters = sorted({
         path
         for path, method in methods
         for node in ast.walk(method)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
-        and node.args and ast.unparse(node.args[0]) == "self"
+        if isinstance(node, ast.Attribute) and node.attr in ("_setters", "__set__")
     })
-    assert stores == ["record.FrozenRecord._store"]
+    assert setters == ["record.FrozenRecord.__init_subclass__", "record.FrozenRecord._store"]
     equalities = sorted(path for path, method in methods if method.name == "__eq__")
     assert equalities == [
         "record.FrozenRecord.__eq__", "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",

@@ -183,6 +183,12 @@ def test_a_subclass_keeps_the_fields_of_the_record_it_extends():
             record.h = 0
 
 
+def test_a_record_refuses_values_of_the_wrong_arity():
+    for values in ((2,), (2, -1, 0)):
+        with pytest.raises(ValueError, match=f"^Divisor has 2 fields, got {len(values)} values$"):
+            Divisor.__new__(Divisor)._store(*values)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Grassmannian(2, 2), "need n > k >= 1, got k=2, n=2"),
     (lambda: BundleModel(0, TOTAL), "bundle rank must be positive"),
