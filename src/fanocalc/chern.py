@@ -41,14 +41,16 @@ def _add_product(table: dict, coeff: int, a: SchubertCycle, b: SchubertCycle) ->
 class TotalChernClass(FrozenRecord):
     """Graded total class c_0 + c_1 + ... + c_limit with c_0 = 1 implied.
 
-    Components above ``limit`` are zero, and ``component`` reads them so;
-    no class has a negative index.  Two classes are equal when their
-    contexts and component tuples are.  Immutable, with no hash.
+    Components above ``limit`` are zero, and ``component`` reads them so,
+    unless the class is ``truncated``: built only up to its limit, so that
+    the components above it are unknown and reading one raises.  No class
+    has a negative index.  Two classes are equal when their contexts,
+    component tuples and truncation are.  Immutable, with no hash.
     """
 
-    __slots__ = ("context", "components")
+    __slots__ = ("context", "components", "truncated")
 
-    def __init__(self, context: Grassmannian, components):
+    def __init__(self, context: Grassmannian, components, truncated: bool = False):
         comps = tuple(components)
         if any(c.context != context for c in comps):
             raise ContextMismatchError("component from a different context")
@@ -57,7 +59,7 @@ class TotalChernClass(FrozenRecord):
         for i, c in enumerate(comps):
             if c.codim != i:
                 raise ValueError(f"component {i} has codimension {c.codim}")
-        self._store(context, comps)
+        self._store(context, comps, bool(truncated))
 
     __hash__ = None
 
@@ -70,6 +72,8 @@ class TotalChernClass(FrozenRecord):
             raise ValueError(f"a Chern class index must be non-negative, got {i}")
         if i <= self.limit:
             return self.components[i]
+        if self.truncated:
+            raise ValueError(f"component {i} lies above degree {self.limit}, the degree this class was built to")
         return zero(self.context, i)
 
 
@@ -104,11 +108,18 @@ def universal_bundles(ctx: Grassmannian) -> tuple[BundleModel, BundleModel]:
     return BundleModel(ctx.k, sub), BundleModel(ctx.width, quot)
 
 
-@lru_cache(maxsize=None)
-def tangent_bundle(ctx: Grassmannian) -> BundleModel:
-    """Tangent bundle: (dual subbundle) tensor (quotient bundle)."""
+# Per process, keyed by user input: the built-in scenarios keep 4 classes.
+# A whole class keeps about 7 KiB on Gr(4,8) and 71 KiB on Gr(6,12), one
+# built to degree 4 about 2 KiB, so 32 entries stay within a few MiB.
+@lru_cache(maxsize=32)
+def tangent_bundle(ctx: Grassmannian, top: int | None = None) -> BundleModel:
+    """Tangent bundle: (dual subbundle) tensor (quotient bundle), its class built to degree ``top``.
+
+    ``top=None`` builds every component; a smaller top skips the work of
+    every component above it.
+    """
     sub, quot = universal_bundles(ctx)
-    return BundleModel(ctx.dim, tensor_chern(sub, quot))
+    return BundleModel(ctx.dim, tensor_chern(sub, quot, top))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +142,15 @@ def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
     return sums
 
 
+def _limit(full: int, top: int | None) -> int:
+    """The limit of a class built to degree ``top`` whose whole class stops at ``full``."""
+    if top is None:
+        return full
+    if top < 0:
+        raise ValueError(f"a top degree must be non-negative, got {top}")
+    return min(full, top)
+
+
 def _divide_exactly(table: dict, m: int) -> dict:
     """The term table divided by m, which must divide every coefficient."""
     quotient = {}
@@ -142,18 +162,23 @@ def _divide_exactly(table: dict, m: int) -> dict:
     return quotient
 
 
-def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
-    """Total Chern class of a tensor product of bundle models.
+def tensor_chern(a: BundleModel, b: BundleModel, top: int | None = None) -> TotalChernClass:
+    """Total Chern class of a tensor product of bundle models, built to degree ``top``.
 
     The Chern character is multiplicative, so the power sums of the roots
     x_i + y_j are p_m(A (x) B) = sum_t C(m, t) p_t(A) p_(m-t)(B); Newton's
     identities m c_m = sum_{i<=m} (-1)^(i-1) c_(m-i) p_i turn them back into
-    Chern classes, with every division by m exact.
+    Chern classes, with every division by m exact.  Component m reads only
+    the components and power sums of degree at most m, so a class built to
+    ``top`` is the full class's first ``top + 1`` components; ``top=None``
+    builds every one.  A top below the full class's limit makes a
+    ``truncated`` class.
     """
     if a.total.context != b.total.context:
         raise ContextMismatchError("bundle models from different contexts")
     ctx = a.total.context
-    limit = min(ctx.dim, a.rank * b.rank)
+    full = min(ctx.dim, a.rank * b.rank)
+    limit = _limit(full, top)
     pa, pb = _power_sums(a, limit), _power_sums(b, limit)
     sums = []
     for m in range(limit + 1):
@@ -167,13 +192,13 @@ def tensor_chern(a: BundleModel, b: BundleModel) -> TotalChernClass:
         for i in range(1, m + 1):
             _add_product(acc, (-1) ** (i - 1), sums[i], comps[m - i])
         comps.append(SchubertCycle._trusted(ctx, m, _divide_exactly(acc, m)))
-    return TotalChernClass(ctx, comps)
+    return TotalChernClass(ctx, comps, limit < full)
 
 
 # ---------------------------------------------------------------------------
 # sections by hypersurfaces
 
-def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> TotalChernClass:
+def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...], top: int | None = None) -> TotalChernClass:
     """Adjunction along hypersurfaces of the given degrees: divide by 1 + d sigma_1 for each d.
 
     The section is a smooth intersection of hypersurfaces of these degrees
@@ -182,18 +207,21 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> TotalCh
     class is restriction-valued: components live in the ambient ring and
     stand for their restrictions to the section.  One division turns c into
     c' with c'_m = c_m - d sigma_1 c'_(m-1); only the components up to the
-    dimension of the section are kept.
+    dimension of the section are kept, and up to ``top`` when it is given,
+    so the ambient class needs to be built only that far.
     """
     ctx = ambient.context
     if len(degrees) >= ctx.dim:
         raise ValueError("section codimension must satisfy 0 <= codim < dim")
     if any(d < 1 for d in degrees):
         raise ValueError("hypersurface degrees must be positive")
-    comps = [ambient.component(m) for m in range(ctx.dim - len(degrees) + 1)]
+    full = ctx.dim - len(degrees)
+    limit = _limit(full, top)
+    comps = [ambient.component(m) for m in range(limit + 1)]
     s1 = sigma(ctx, 1)
     for d in degrees:
         for m in range(1, len(comps)):
             acc = dict(comps[m]._terms)
             _add_product(acc, -d, s1, comps[m - 1])
             comps[m] = SchubertCycle._trusted(ctx, m, acc)
-    return TotalChernClass(ctx, comps)
+    return TotalChernClass(ctx, comps, limit < full)

@@ -872,7 +872,7 @@ def _chern(setup, *args):
     k, n, codim, i = (_as_int(v, "a chern() argument") for v in args)
     if not 0 <= codim < grass_dim(k, n):  # before the tuple is built
         raise ValueError("section codimension must satisfy 0 <= codim < dim")
-    return profiles.section_model(k, n, (1,) * codim).component(i)
+    return profiles.section_component(k, n, (1,) * codim, i)
 
 
 # Function name -> (arity, rule of the scenario setup and the argument

@@ -22,9 +22,15 @@ from functools import lru_cache
 
 from .blowup import FourfoldProfile
 from .chern import TotalChernClass, section_chern, tangent_bundle
-from .schubert import Grassmannian, _pairing, sigma
+from .schubert import Grassmannian, SchubertCycle, _pairing, sigma
 
 _TD4_DENOMINATOR = 720
+
+# Every number of a fourfold reads Chern classes of degree at most 4, so a
+# section's class is built to degree 4 unless a row reads past it, and then
+# whole: one build serves every profile, surface pairing and chern() row of
+# degree up to 4, and no row builds a class once per degree it reads.
+FOURFOLD = 4
 
 
 def _chi_from_pairings(c14: int, c12c2: int, c2c2: int, c1c3: int, c4: int) -> int:
@@ -35,7 +41,12 @@ def _chi_from_pairings(c14: int, c12c2: int, c2c2: int, c1c3: int, c4: int) -> i
     return numerator // _TD4_DENOMINATOR
 
 
-@lru_cache(maxsize=None)
+# The three caches of this module are per process and keyed by user input.
+# The built-in scenarios keep 5 section classes, 4 profiles and 3 pairings.
+# A section class built to degree 4 keeps about 1.4 KiB (a whole one up to
+# the 71 KiB of Gr(6,12)), a profile or a pairing about 0.4 KiB, so 64
+# classes and 256 profiles and pairings stay within a few MiB.
+@lru_cache(maxsize=256)
 def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile:
     """Profile of a smooth fourfold cut from Gr(k, n) by hypersurfaces of the given degrees.
 
@@ -48,7 +59,7 @@ def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile
     ctx = Grassmannian(k, n)
     if ctx.dim - len(degrees) != 4:
         raise ValueError(f"codim {len(degrees)} does not cut Gr({k},{n}) down to a fourfold")
-    total = section_model(k, n, degrees)
+    total = section_model(k, n, degrees, FOURFOLD)
     r = total.component(1).coefficient((1,))
     s1 = sigma(ctx, 1)
     section_class = math.prod(degrees) * s1 ** len(degrees)
@@ -66,12 +77,19 @@ def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile
     )
 
 
-@lru_cache(maxsize=None)
-def section_model(k: int, n: int, degrees: tuple[int, ...]) -> TotalChernClass:
+@lru_cache(maxsize=64)
+def section_model(k: int, n: int, degrees: tuple[int, ...], top: int | None = None) -> TotalChernClass:
+    """Total class of the section of Gr(k, n) by hypersurfaces of these degrees, built to degree ``top``."""
     ctx = Grassmannian(k, n)
-    return section_chern(tangent_bundle(ctx).total, degrees)
+    return section_chern(tangent_bundle(ctx, top).total, degrees, top)
 
 
+def section_component(k: int, n: int, degrees: tuple[int, ...], i: int) -> SchubertCycle:
+    """Component i of the section's total class, from the class built to degree 4 or whole."""
+    return section_model(k, n, degrees, FOURFOLD if i <= FOURFOLD else None).component(i)
+
+
+@lru_cache(maxsize=256)
 def surface_pairings(k: int, n: int, degrees: tuple[int, ...], parts: tuple[int, ...]) -> tuple[int, int]:
     """(H^2 . S, c_2 . S) for a surface S of class sigma[parts] in Gr(k, n).
 
@@ -84,5 +102,5 @@ def surface_pairings(k: int, n: int, degrees: tuple[int, ...], parts: tuple[int,
     cycle = sigma(ctx, *parts)
     if cycle.codim != ctx.dim - 2 or cycle.is_zero():
         raise ValueError(f"{parts} is not a surface class in Gr({k},{n})")
-    c2 = section_model(k, n, degrees).component(2)
+    c2 = section_model(k, n, degrees, FOURFOLD).component(2)
     return cycle.pieri(1).pieri(1).integral(), _pairing(c2, cycle)

@@ -116,6 +116,46 @@ def test_tangent_class_is_carried_by_the_duality_route(k, n):
         assert {_transposed(lam): coeff for lam, coeff in c.terms.items()} == d.terms
 
 
+@pytest.mark.parametrize(
+    "k, n",
+    # the grass-ladder's tensor rungs, then Gr(4,8)
+    [(2, 5), (2, 6), (3, 6), (2, 7), (2, 8), (3, 7), (4, 8)],
+)
+def test_a_class_built_to_a_top_degree_is_the_full_class_cut_there(k, n):
+    # component m reads nothing of a degree above m, so truncation is exact
+    bundles = universal_bundles(Grassmannian(k, n))
+    full = tensor_chern(*bundles)
+    for top in range(full.limit + 2):
+        cut = tensor_chern(*bundles, top)
+        assert cut.components == full.components[:top + 1], top
+        assert cut.truncated == (top < full.limit)
+
+
+def test_a_truncated_class_reads_nothing_above_its_top():
+    # c_5 of Gr(2,6) is not zero, so a class built to degree 4 may not read it as zero
+    total = tangent_bundle(GR26, 4).total
+    assert total.components == tangent_bundle(GR26).total.components[:5]
+    with pytest.raises(ValueError, match="^component 5 lies above degree 4, the degree this class was built to$"):
+        total.component(5)
+    for top in (-1, -2):
+        with pytest.raises(ValueError, match=f"^a top degree must be non-negative, got {top}$"):
+            tensor_chern(*universal_bundles(GR26), top)
+        with pytest.raises(ValueError, match=f"^a top degree must be non-negative, got {top}$"):
+            section_chern(total, (1,), top)
+
+
+@pytest.mark.parametrize("ctx, degrees", [
+    (GR25, (1, 1)),  # W5
+    (GR26, (1, 1, 1, 1)),  # V14
+    (Grassmannian(1, 7), (2, 2)),  # W2.2
+], ids=["W5", "V14", "W2.2"])
+def test_a_fourfold_section_is_whole_from_the_ambient_class_to_degree_4(ctx, degrees):
+    # a fourfold keeps components 0..4, so the ambient class is read no further
+    section = section_chern(tangent_bundle(ctx, 4).total, degrees, 4)
+    assert section == section_chern(tangent_bundle(ctx).total, degrees)
+    assert section.limit == 4 and not section.truncated
+
+
 def test_tangent_chern_classes_of_gr25():
     total = tangent_bundle(GR25).total
     assert total.component(1).terms == {(1,): 5}

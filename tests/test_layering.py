@@ -248,12 +248,9 @@ def test_no_syntax_tree_class_keeps_a_position():
     assert positioned == []
 
 
-# The caches keyed by user input that ROADMAP item 6 is to bound; bounding one
-# takes it off this list, and no name may join it.
-UNBOUNDED_CACHES = {
-    "profiles.section_model", "profiles.section_profile", "chern.tangent_bundle",
-    "schubert._row_strips", "schubert._giambelli_monomials", "schubert._conjugate",
-}
+# The Schubert kernel tables, keyed by user input, that ROADMAP item 6 is to
+# bound; bounding one takes it off this list, and no name may join it.
+UNBOUNDED_CACHES = {"schubert._row_strips", "schubert._giambelli_monomials", "schubert._conjugate"}
 
 
 def test_every_cache_has_an_integer_maxsize():

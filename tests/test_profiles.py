@@ -11,7 +11,7 @@ from builtin_models import scenario_model
 from fanocalc import schubert
 from fanocalc.blowup import CurveCenter, SurfaceCenter
 from fanocalc.dsl import _AMBIENTS
-from fanocalc.profiles import _pairing, section_model, section_profile
+from fanocalc.profiles import FOURFOLD, _pairing, section_model, section_profile
 from fanocalc.schubert import Grassmannian, SchubertCycle, grass_dim, sigma
 from lr_oracle import box_partitions, lr_coefficient
 
@@ -236,7 +236,7 @@ def test_pairing_with_the_section_class_is_the_integral_over_the_section(data):
 def test_section_profile_work_counts(k, n, degrees, products, monkeypatch):
     # with the section's Chern classes built, a profile takes the products of
     # its monomials and builds sigma_1^codim once; its integrals take none
-    section_model(k, n, degrees)
+    section_model(k, n, degrees, FOURFOLD)
     calls, powers = [], []
     multiply, power = schubert.multiply, SchubertCycle.__pow__
     monkeypatch.setattr(schubert, "multiply", lambda a, b: calls.append(1) or multiply(a, b))

@@ -46,7 +46,7 @@ RECORDS = [
     (AssertionResult, {"label": "L4", "cite": "c", "expected": 1, "actual": 1, "passed": True}),
     (ScenarioResult, {"name": "s", "results": (), "notes": ("n",)}),
     (Report, {"scenarios": ()}),
-    (TotalChernClass, {"context": GR25, "components": TOTAL.components}),
+    (TotalChernClass, {"context": GR25, "components": TOTAL.components, "truncated": False}),
     (SigmaAtom, {"parts": (2, 1)}),
     (Call, {"name": "euler", "args": ()}),
     (BinOp, {"op": "+", "left": 1, "right": 2}),

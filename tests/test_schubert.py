@@ -364,6 +364,11 @@ def test_kernel_work_counts(monkeypatch):
     # products of the tangent bundle's class: none with a component above a factor's limit
     for ctx, products in ((GR25, 70), (gr48, 397)):
         assert _products(lambda: tensor_chern(*universal_bundles(ctx)), monkeypatch) == products, ctx
+    # ... and of the class built to degree 4, as a fourfold reads it: none above it
+    gr612 = Grassmannian(6, 12)
+    for ctx, products in ((gr48, 37), (gr612, 37)):
+        assert _products(lambda: tensor_chern(*universal_bundles(ctx), 4), monkeypatch) == products, ctx
+    assert _products(lambda: tensor_chern(*universal_bundles(gr612)), monkeypatch) == 1759
     # strip-table lookups of the tangent bundle's class
     assert _strip_lookups(lambda: tensor_chern(*universal_bundles(gr48))) == 4321
     # ... and of the products of all pairs of basis classes, each unordered pair once

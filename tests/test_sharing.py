@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import blowup, dsl
+from fanocalc import blowup, dsl, profiles
+from fanocalc.chern import tangent_bundle
 from fanocalc.dsl import AssertStmt, parse
 from fanocalc.scenarios import BUILTIN_SOURCES, builtin_scenarios, run
+from fanocalc.schubert import Grassmannian
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import generate_scenarios  # noqa: E402
@@ -148,19 +150,19 @@ def test_a_raising_call_fails_each_row_that_shares_it(monkeypatch):
 # Engine function -> its calls in one pass of the built-in scenarios, once
 # the per-process caches are filled: each distinct call of a scenario once.
 _ENGINE_CALLS = {
-    "schubert.multiply": 47,
+    "schubert.multiply": 41,
     "blowup.quartic_number": 24,
     "blowup.chi_riemann_roch": 5,
-    "profiles.section_model": 13,
+    "profiles.section_model": 10,
 }
 
 
-def test_a_pass_of_the_builtins_makes_a_fixed_number_of_engine_calls(monkeypatch):
-    run(builtin_scenarios())  # fills the per-process caches
-    calls = dict.fromkeys(_ENGINE_CALLS, 0)
+def _count_calls(monkeypatch, paths):
+    """Path -> its calls from now on, wherever the package looks it up."""
+    calls = dict.fromkeys(paths, 0)
     package = [module for name, module in sys.modules.items()
                if name == "fanocalc" or name.startswith("fanocalc.")]
-    for path in _ENGINE_CALLS:
+    for path in paths:
         module, attr = path.split(".")
         original = getattr(sys.modules[f"fanocalc.{module}"], attr)
 
@@ -171,5 +173,57 @@ def test_a_pass_of_the_builtins_makes_a_fixed_number_of_engine_calls(monkeypatch
         for site in package:  # every module that binds it, as a tracer would
             if getattr(site, attr, None) is original:
                 monkeypatch.setattr(site, attr, counted)
+    return calls
+
+
+def _clear_section_caches():
+    for cached in (tangent_bundle, profiles.section_model, profiles.section_profile,
+                   profiles.surface_pairings):
+        cached.cache_clear()
+
+
+def test_a_pass_of_the_builtins_makes_a_fixed_number_of_engine_calls(monkeypatch):
+    run(builtin_scenarios())  # fills the per-process caches
+    before = profiles.surface_pairings.cache_info()
+    calls = _count_calls(monkeypatch, _ENGINE_CALLS)
     assert run(builtin_scenarios()).failed == 0
     assert calls == _ENGINE_CALLS
+    # the three surface centres (Xi, Pi, the V14 plane) read their pairings off the cache
+    after = profiles.surface_pairings.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+
+
+def test_a_first_pass_of_the_builtins_builds_chern_classes_to_degree_4(monkeypatch):
+    # every section class the built-ins read is built to degree 4, once per
+    # process: whole tangent classes would take 393 products
+    _clear_section_caches()
+    calls = _count_calls(monkeypatch, ["schubert.multiply"])
+    assert run(builtin_scenarios()).failed == 0
+    assert calls == {"schubert.multiply": 244}
+
+
+def test_a_document_reading_every_chern_degree_builds_each_class_twice_at_most(monkeypatch):
+    # rows of degree up to 4 share the class built to degree 4 (37 products),
+    # the others the whole class (397): no class is built once per degree
+    _clear_section_caches()
+    rows = "".join(f'  assert degree(chern(4, 8, 0, {i})) == {70 * (i == 16)} cite "c"\n' for i in range(17))
+    calls = _count_calls(monkeypatch, ["schubert.multiply"])
+    report = run(parse(f'scenario "gr48" {{\n{rows}}}\n').build())
+    assert (report.total, report.failed) == (17, 0)
+    assert calls["schubert.multiply"] <= 397 + 37
+
+
+def test_a_chern_degree_past_the_dimension_reads_zero_and_builds_no_more(monkeypatch):
+    _clear_section_caches()
+    calls = _count_calls(monkeypatch, ["schubert.multiply"])
+    source = ('scenario "c" {\n  grassmannian 2 5\n'
+              '  assert degree(chern(2, 5, 0, 1000000)) == 0 cite "x"\n'
+              '  assert chern(2, 5, 0, 1000000) * sigma[1] == chern(2, 5, 0, 1000001) cite "x"\n}\n')
+    assert [row["pass"] for row in _rows(source)["c"]] == [True, True]
+    # the 70 products of the whole class of Gr(2,5), which stops at its
+    # dimension 6, and the row's own product
+    assert calls["schubert.multiply"] == 70 + 1
+    assert tangent_bundle(Grassmannian(2, 5)).total.limit == 6
+    # a negative degree stays an error row
+    (row,) = _rows('scenario "c" { assert degree(chern(2, 5, 0, -1)) == 0 cite "x" }')["c"]
+    assert row["actual"] == "error: ValueError: a Chern class index must be non-negative, got -1"
