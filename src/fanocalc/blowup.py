@@ -161,35 +161,44 @@ class BlowupModel(FrozenRecord):
         return (base.c2h2 + c.hhc, r * c.hhc, -2 * c.c2xc + c.euler - c.kc2 + r * r * c.hhc)
 
 
+def _pair_quadratics(model: BlowupModel, a0: int, a1: int, a2: int, b0: int, b1: int, b2: int) -> int:
+    """(a0 + a1 t + a2 t^2)(b0 + b1 t + b2 t^2), its t^j coefficient paired with model.monomials[j]."""
+    m0, m1, m2, m3, m4 = model.monomials
+    return (a0 * b0 * m0 + (a0 * b1 + a1 * b0) * m1 + (a0 * b2 + a1 * b1 + a2 * b0) * m2
+            + (a1 * b2 + a2 * b1) * m3 + a2 * b2 * m4)
+
+
 def quartic_number(model: BlowupModel, d1: Divisor, d2: Divisor, d3: Divisor, d4: Divisor) -> int:
     """D1 . D2 . D3 . D4, read off the model's monomial table.
 
-    The coefficient a_j of t^j in the product of the four (h + e t) factors
-    pairs with H^(4-j) E^j = model.monomials[j].  The factors are multiplied
-    in one at a time, each by a five-term recurrence a_j <- h a_j + e a_(j-1).
+    A divisor h H + e E is h + e t, with t^j standing for H^(4-j) E^j =
+    model.monomials[j].  Two divisors make one quadratic, h h' + (h e' +
+    e h') t + e e' t^2, and the quartic pairs D1 D2 with D3 D4.
     """
-    m0, m1, m2, m3, m4 = model.monomials
-    a4, a3, a2, a1, a0 = 0, 0, 0, d1.e, d1.h
-    for d in (d2, d3, d4):
-        h, e = d.h, d.e
-        a4, a3, a2, a1, a0 = h * a4 + e * a3, h * a3 + e * a2, h * a2 + e * a1, h * a1 + e * a0, h * a0
-    return a0 * m0 + a1 * m1 + a2 * m2 + a3 * m3 + a4 * m4
+    h1, e1, h3, e3 = d1.h, d1.e, d3.h, d3.e
+    h2, e2, h4, e4 = d2.h, d2.e, d4.h, d4.e
+    return _pair_quadratics(model, h1 * h2, h1 * e2 + e1 * h2, e1 * e2,
+                            h3 * h4, h3 * e4 + e3 * h4, e3 * e4)
 
 
 def chi_riemann_roch(model: BlowupModel, d: Divisor) -> int:
     """chi(O(D)) on the blowup by Riemann-Roch.
 
     The bracket D^4 + 2 D^3 c_1 + D^2 c_1^2 + D^2 c_2 + D c_1 c_2 factors as
-    M^2 + M . c_2 with M = D (D + c_1): one quartic and one pairing against
-    the model's c_2 table.  The degree-4 Todd integral is replaced by chi(O)
-    of the base, which the blowup preserves.  A bracket that fails the
-    24-divisibility test means the model data cannot come from a smooth
-    fourfold, and raises :class:`NonIntegralCharacteristicError`.
+    M^2 + M . c_2 with M = D (D + c_1), the quadratic (m0, m1, m2): its
+    square is one pairing against the monomial table, and M . c_2 is
+    m0 c_2 H^2 + m1 c_2 H E + m2 c_2 E^2 from the model's c_2 table.  The
+    degree-4 Todd integral is replaced by chi(O) of the base, which the
+    blowup preserves.  A bracket that fails the 24-divisibility test means
+    the model data cannot come from a smooth fourfold, and raises
+    :class:`NonIntegralCharacteristicError`.
     """
-    m = d + model.c1
+    h, e = d.h, d.e
+    c1 = model.c1
+    mh, me = h + c1.h, e + c1.e
+    m0, m1, m2 = h * mh, h * me + e * mh, e * me
     hh, he, ee = model.c2
-    mc2 = d.h * m.h * hh + (d.h * m.e + d.e * m.h) * he + d.e * m.e * ee
-    bracket = quartic_number(model, d, m, d, m) + mc2
+    bracket = _pair_quadratics(model, m0, m1, m2, m0, m1, m2) + m0 * hh + m1 * he + m2 * ee
     if bracket % 24:
         raise NonIntegralCharacteristicError(
             f"Riemann-Roch bracket {bracket} for {d} is not divisible by 24"

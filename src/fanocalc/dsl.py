@@ -8,7 +8,11 @@ double-quoted, escapes only '\\"' and '\\\\', and cannot span lines.
 The parser reads the tokens as it needs them, each one match of one
 regular expression at a source offset, and keeps only the current token's
 text and offsets; a token's kind is read from its text where a rule or a
-message needs it.  The first error in the source is
+message needs it.  An assertion's tail after its 'cite', the STRING and,
+when there is one, 'label' and its STRING, is one match of a second
+pattern; a tail it does not match, a missing or unclosed string or a
+'label' with no string after it, is read token by token, so its error is
+the one the tokens give.  The first error in the source is
 the one reported, lexical or not: a character that starts no token, or a
 string that does not close, is reported when the parser reaches it.  A
 scenario name counts as read once its '}' is, an assertion label once its
@@ -70,7 +74,7 @@ statements.  A call argument
 or parenthesised expression whose text, up to the next ',' or ')', holds
 none of '(', '[', '"' and '#' is such a subtree, and the parser reads each
 distinct such text once per document; a later copy takes the first one's
-node, and one match of a second pattern reads the copy, its ',' or ')'
+node, and one match of a third pattern reads the copy, its ',' or ')'
 and the whitespace and comments after them, with no token lexed.  Each
 distinct expression of a scenario is evaluated once per build: running the
 built scenarios, again or not, computes each node once, when the first
@@ -179,6 +183,20 @@ def _kind(text: str) -> str:
 # comments after it, so the match ends where _TOKEN's match of the ',' or
 # ')' would.
 _PLAIN = re.compile(r'([^,()\["#]*+)([,)])' + _SKIP)
+
+# From the offset after an assertion's 'cite': its STRING, then 'label' and
+# its STRING or no 'label' at all, each with the whitespace and comments
+# after it, so the match ends where _TOKEN's match of the last of them
+# would.  Any other tail fails the match (the lookahead keeps a 'label', or
+# a name that starts with it, from ending one), and the parser reads it
+# token by token, so its error is the one the tokens give.
+_TAIL = re.compile(rf'({_STRING}"){_SKIP}(?:label{_SKIP}({_STRING}"){_SKIP}|(?!label))')
+
+
+def _unquote(token: str) -> str:
+    """The value of the STRING token ``token``: its text between the quotes, unescaped."""
+    text = token[1:-1]
+    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
 
 def _fail(source: str, offset: int, message: str):
@@ -397,8 +415,7 @@ class _Parser:
         return value
 
     def expect_string(self) -> str:
-        text = self.expect_kind("STRING", "a string")[1:-1]
-        return _ESCAPE.sub(r"\1", text) if "\\" in text else text
+        return _unquote(self.expect_kind("STRING", "a string"))
 
     def expect_int(self) -> int:
         sign = 1
@@ -496,6 +513,11 @@ class _Parser:
             self.fail(self.start, f"expected '==' or '!=', found {self.describe()}")
         self.advance()
         right, _ = self.nested(self.start)
+        if self.value == "cite" and (tail := _TAIL.match(self.source, self.end)) is not None:
+            self.end = tail.end()
+            self.advance()
+            cite, label = tail.groups()
+            return AssertStmt(left, op, right, _unquote(cite), label and _unquote(label))
         self.expect("cite")
         cite = self.expect_string()
         label = None
@@ -748,12 +770,14 @@ def _once(method):
     """Run a _Setup method once; later calls return its value or raise its error again."""
 
     def resolved(self):
-        if method not in self.outcomes:
+        outcome = self.outcomes.get(method)
+        if outcome is None:
             try:
-                self.outcomes[method] = method(self), None
+                outcome = method(self), None
             except Exception as exc:  # noqa: BLE001 - each assertion reports it
-                self.outcomes[method] = None, exc
-        value, error = self.outcomes[method]
+                outcome = None, exc
+            self.outcomes[method] = outcome
+        value, error = outcome
         if error is not None:
             raise error.with_traceback(None)  # a fresh traceback, not a growing one
         return value

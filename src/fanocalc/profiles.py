@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .blowup import FourfoldProfile
 from .chern import TotalChernClass, section_chern, tangent_bundle
-from .schubert import Grassmannian, SchubertCycle, _pairing, sigma
+from .schubert import Grassmannian, SchubertCycle, _pairing, grass_dim, sigma, zero
 
 _TD4_DENOMINATOR = 720
 
@@ -85,7 +85,15 @@ def section_model(k: int, n: int, degrees: tuple[int, ...], top: int | None = No
 
 
 def section_component(k: int, n: int, degrees: tuple[int, ...], i: int) -> SchubertCycle:
-    """Component i of the section's total class, from the class built to degree 4 or whole."""
+    """Component i of the section's total class, from the class built to degree 4 or whole.
+
+    A negative i raises, and an i past the section's dimension reads the
+    zero class, before any class is built.
+    """
+    if i < 0:
+        raise ValueError(f"a Chern class index must be non-negative, got {i}")
+    if i > grass_dim(k, n) - len(degrees):
+        return zero(Grassmannian(k, n), i)
     return section_model(k, n, degrees, FOURFOLD if i <= FOURFOLD else None).component(i)
 
 

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,7 @@ from fanocalc.blowup import (
 )
 from fanocalc.profiles import section_model, section_profile
 from fanocalc.schubert import Grassmannian, sigma
-from builtin_models import normal_c2
+from builtin_models import builtin_models, normal_c2
 from toric_oracle import CODIMS, GRID, c1, c2_pairings, graded, h0, hilbert, intersect, monomials
 
 
@@ -76,16 +76,32 @@ _DIVISORS = st.builds(
     st.integers(min_value=-3, max_value=3),
 )
 
+# The six standard models, and their bases blown up along curves of genus
+# 0-3; the last base is a profile no smooth fourfold has, so some of its
+# Riemann-Roch brackets are not divisible by 24.
+_STANDARD = builtin_models()
+_BASES = sorted({model.base for model in _STANDARD.values()}, key=repr) + [FourfoldProfile(1, 1, 1, 1, 4)]
+_CURVES = st.builds(CurveCenter, st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=12))
+_MODELS = st.one_of(
+    st.sampled_from([_STANDARD[name] for name in sorted(_STANDARD)]),
+    st.builds(BlowupModel, st.sampled_from(_BASES), _CURVES),
+)
 
-@settings(max_examples=50, deadline=None)
-@given(a=_DIVISORS, b=_DIVISORS, c=_DIVISORS, d=_DIVISORS, e=_DIVISORS)
-def test_quartic_is_symmetric_and_multilinear(models, a, b, c, d, e):
-    model = models["w5-pi"]
-    assert quartic_number(model, a, b, c, d) == quartic_number(model, d, b, a, c)
-    assert quartic_number(model, a + e, b, c, d) == quartic_number(
-        model, a, b, c, d
-    ) + quartic_number(model, e, b, c, d)
-    assert quartic_number(model, 2 * a, b, c, d) == 2 * quartic_number(model, a, b, c, d)
+
+@settings(max_examples=100, deadline=None)
+@given(model=_MODELS, divisors=st.lists(_DIVISORS, min_size=5, max_size=5))
+def test_quartic_is_symmetric_and_multilinear(model, divisors):
+    *four, e = divisors
+    value = quartic_number(model, *four)
+    assert value == reference_quartic(model, *four)
+    assert {quartic_number(model, *order) for order in permutations(four)} == {value}
+    for slot in range(4):
+        shifted, scaled = list(four), list(four)
+        shifted[slot] += e
+        scaled[slot] *= 2
+        alone = four[:slot] + [e] + four[slot + 1:]
+        assert quartic_number(model, *shifted) == value + quartic_number(model, *alone)
+        assert quartic_number(model, *scaled) == 2 * value
 
 
 # Reference formulas, one number at a time and apart from the model's tables;
@@ -130,7 +146,11 @@ def reference_c2(model):
 
 
 def reference_quartic(model, *divisors):
-    """D1 . D2 . D3 . D4 term by term: the (h + e t) coefficient list against reference_monomial."""
+    """D1 . D2 . D3 . D4 term by term: the (h + e t) coefficient list against reference_monomial.
+
+    The factors are multiplied in one at a time, each by the five-term
+    recurrence a_j <- h a_j + e a_(j-1), not paired as two quadratics as the
+    engine does."""
     coeffs = [1, 0, 0, 0, 0]
     for d in divisors:
         for j in range(4, 0, -1):
@@ -145,6 +165,18 @@ def reference_bracket(model, d):
     hh, he, ee = reference_c2(model)
     mc2 = d.h * m.h * hh + (d.h * m.e + d.e * m.h) * he + d.e * m.e * ee
     return reference_quartic(model, d, m, d, m) + mc2
+
+
+def unfactored_bracket(model, d):
+    """24 (chi(O(D)) - chi(O)) as D^4 + 2 D^3 c_1 + D^2 c_1^2 + D^2 c_2 + D c_1 c_2, term by term."""
+    c1 = reference_c1(model)
+    hh, he, ee = model.c2
+
+    def with_c2(a, b):
+        return a.h * b.h * hh + (a.h * b.e + a.e * b.h) * he + a.e * b.e * ee
+
+    return (reference_quartic(model, d, d, d, d) + 2 * reference_quartic(model, d, d, d, c1)
+            + reference_quartic(model, d, d, c1, c1) + with_c2(d, d) + with_c2(d, c1))
 
 
 def assert_matches_reference(model, divisors):
@@ -200,6 +232,30 @@ _WIDE_DIVISORS = st.builds(
 @given(profile=_PROFILES, center=_CENTERS, divisors=st.lists(_WIDE_DIVISORS, min_size=1, max_size=3))
 def test_quartic_and_chi_match_the_term_by_term_formula_on_drawn_models(profile, center, divisors):
     assert_matches_reference(BlowupModel(profile, center), divisors)
+
+
+@settings(max_examples=200, deadline=None)
+@example(model=BlowupModel(FourfoldProfile(1, 1, 1, 1, 4), CurveCenter(genus=0, hc=1)), d=H)
+@example(model=BlowupModel(FourfoldProfile(4, 3, 20, 1, 12), CurveCenter(genus=0, hc=1)), d=Divisor(2**200, -1))
+@given(model=_MODELS, d=_WIDE_DIVISORS)
+def test_chi_equals_the_unfactored_bracket(model, d):
+    bracket = unfactored_bracket(model, d)
+    assert bracket == reference_bracket(model, d)  # M^2 + M . c_2 expands to it
+    if bracket % 24:
+        with pytest.raises(NonIntegralCharacteristicError):
+            chi_riemann_roch(model, d)
+    else:
+        assert chi_riemann_roch(model, d) == bracket // 24 + model.base.chi
+
+
+def test_the_drawn_models_reach_both_sides_of_the_integrality_test():
+    def integral(base):
+        return {unfactored_bracket(BlowupModel(base, CurveCenter(g, hc)), a * H + b * E) % 24 == 0
+                for g in range(4) for hc in range(1, 13) for a in range(-3, 4) for b in range(-3, 4)}
+
+    *standard, made_up = _BASES
+    assert all(integral(base) == {True} for base in standard)
+    assert integral(made_up) == {True, False}
 
 
 # ---------------------------------------------------------------------------

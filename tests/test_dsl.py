@@ -491,16 +491,16 @@ def test_engine_is_called_through_its_module(monkeypatch):
 
         monkeypatch.setattr(blowup, name, counting)
     setup = "profile P h4 4 index 3 c2h2 20 chi 1 euler 12 center curve genus 0 hc 1"
-    # chi() reaches quartic_number through the module too, so a trace counts its quartic
+    # chi() pairs M = D (D + c_1) with itself off the model's table, so it
+    # makes no quartic_number call
     rows = (
-        ("quartic(H, H, H, H) == 4", ("quartic_number",)),
-        ("chi(H) == 7", ("chi_riemann_roch", "quartic_number")),
+        ("quartic(H, H, H, H) == 4", {"quartic_number": 1}),
+        ("chi(H) == 7", {"chi_riemann_roch": 1}),
     )
     for row, traced in rows:
         calls.clear()
         assert run_source(f'scenario "t" {{ {setup} assert {row} cite "x" }}').failed == 0
-        for name in traced:
-            assert calls.get(name, 0) > 0, (row, name)
+        assert calls == traced, row
 
 
 def test_broken_setup_fails_every_row_alike(monkeypatch):
@@ -902,16 +902,16 @@ class _Counting:
 
 
 def _counted_parse(monkeypatch, source):
-    """The document ``source`` parses to, and the _TOKEN and _PLAIN matches made."""
-    token, plain = _Counting(dsl._TOKEN), _Counting(dsl._PLAIN)
-    monkeypatch.setattr(dsl, "_TOKEN", token)
-    monkeypatch.setattr(dsl, "_PLAIN", plain)
-    return parse(source), token.matches, plain.matches
+    """The document ``source`` parses to, and the _TOKEN, _PLAIN and _TAIL matches made."""
+    counters = [_Counting(getattr(dsl, name)) for name in ("_TOKEN", "_PLAIN", "_TAIL")]
+    for name, counter in zip(("_TOKEN", "_PLAIN", "_TAIL"), counters):
+        monkeypatch.setattr(dsl, name, counter)
+    return parse(source), *(counter.matches for counter in counters)
 
 
 def test_a_repeated_plain_text_is_read_once(monkeypatch):
     rows = '  assert quartic(H - E, H - E, H - E, H - E) == 1 cite "x"\n' * 50
-    document, tokens, plains = _counted_parse(monkeypatch, f'scenario "w" {{\n{rows}}}\n')
+    document, tokens, plains, _ = _counted_parse(monkeypatch, f'scenario "w" {{\n{rows}}}\n')
     assert len(document.scenarios[0].statements) == 50
     # the first copy's tokens and the ',' after it are read once, through _TOKEN
     read = [m[1] for m in tokens]
@@ -923,26 +923,138 @@ def test_a_repeated_plain_text_is_read_once(monkeypatch):
     assert (delimiters[1:].count(","), delimiters[1:].count(")")) == (149, 50)
 
 
-# Matches of _TOKEN and _PLAIN made to parse each built-in source, a
+# Matches of _TOKEN, _PLAIN and _TAIL made to parse each built-in source, a
 # deterministic count of the parser's work.
 _BUILTIN_READS = {
-    "gr25-chern": (221, 39),
-    "gr26-v14-plane": (192, 39),
-    "moduli-counts": (88, 11),
-    "sanity-p4-line": (58, 9),
-    "v12-link": (112, 23),
-    "v14-link": (202, 49),
-    "w22-line-link": (74, 13),
-    "w5-invariants": (294, 55),
-    "w5-pi-link": (151, 24),
-    "w5-xi-link": (79, 12),
+    "gr25-chern": (191, 39, 10),
+    "gr26-v14-plane": (168, 39, 8),
+    "moduli-counts": (67, 11, 7),
+    "sanity-p4-line": (49, 9, 3),
+    "v12-link": (94, 23, 6),
+    "v14-link": (169, 49, 11),
+    "w22-line-link": (62, 13, 4),
+    "w5-invariants": (261, 55, 11),
+    "w5-pi-link": (130, 24, 7),
+    "w5-xi-link": (70, 12, 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SOURCES))
 def test_builtin_sources_are_read_in_a_fixed_number_of_matches(monkeypatch, name):
-    _, tokens, plains = _counted_parse(monkeypatch, BUILTIN_SOURCES[name])
-    assert (len(tokens), len(plains)) == _BUILTIN_READS[name]
+    _, tokens, plains, tails = _counted_parse(monkeypatch, BUILTIN_SOURCES[name])
+    assert (len(tokens), len(plains), len(tails)) == _BUILTIN_READS[name]
+
+
+# An assertion's tail after its right side, appended to _TAIL_HEAD -> the
+# (line, column, message) of its ParseError, or the (cite, label) of each
+# assertion parsed, as the token-by-token parser gives them.
+_TAIL_HEAD = 'scenario "s" {\n  assert 1 == 1 '
+_TAIL_OUTCOMES = {
+    # no string, or no closed one, after 'cite' or 'label'
+    'cite }': (2, 22, "expected a string, found '}'"),
+    'cite': (2, 21, "expected a string, found end of input"),
+    'cite 5 }': (2, 22, "expected a string, found '5'"),
+    'cite label "y" }': (2, 22, "expected a string, found 'label'"),
+    'cite "x" label': (2, 31, "expected a string, found end of input"),
+    'cite "x" label 5 }': (2, 32, "expected a string, found '5'"),
+    'cite "x" label label }': (2, 32, "expected a string, found 'label'"),
+    'cite "x }': (2, 22, "unterminated string literal"),
+    'cite "x': (2, 22, "unterminated string literal"),
+    'cite "x" label "y }': (2, 32, "unterminated string literal"),
+    'cite "x" label "a\nb" }': (2, 32, "unterminated string literal"),
+    'cite "a\\q" }': (2, 24, "unsupported escape in string literal"),
+    'cite "x" label "a\\q" }': (2, 34, "unsupported escape in string literal"),
+    'cite "x" label "y\\': (2, 34, "unsupported escape in string literal"),
+    # a name that starts with 'label' is no keyword
+    'cite "x" labelx "y" }': (2, 26, "expected a statement or '}', found 'labelx'"),
+    'cite "x" label² "y" }': (2, 26, "expected a statement or '}', found 'label²'"),
+    # errors after a whole tail
+    'cite "x" label "y" label "z" }': (2, 36, "expected a statement or '}', found 'label'"),
+    'cite "x" label "y"': (2, 35, "expected a statement or '}', found end of input"),
+    'cite "x" label "y" 5 }': (2, 36, "expected a statement or '}', found '5'"),
+    'cite "x" label "y" "z" }': (2, 36, "expected a statement or '}', found a string"),
+    'cite "x" ² }': (2, 26, "unexpected character '²'"),
+    'cite "a\rb" oops }': (2, 28, "expected a statement or '}', found 'oops'"),
+    'cite "x" label "a02" assert 2 == 2 cite "y" }': (2, 38, "duplicate assertion label 'a02'"),
+    'cite "x" label "" assert 2 == 2 cite "" label "" }': (2, 35, "duplicate assertion label ''"),
+    'cite "x" label "y"\n} scenario "s" {}': (3, 3, "duplicate scenario name 's'"),
+    # whole tails: comments, newlines, CR, tabs, escapes, no whitespace
+    'cite # c\n "x" }': [("x", None)],
+    'cite\n"x" label\n"y" }': [("x", "y")],
+    'cite # c\n "x" label # d\n "y" }': [("x", "y")],
+    'cite "x" label "y"#c\n}': [("x", "y")],
+    'cite "x"label"y"}': [("x", "y")],
+    'cite "x"\tlabel\t"y"\r\n}': [("x", "y")],
+    'cite "a\\"b\\\\c" label "a\\"b\\\\c" }': [('a"b\\c', 'a"b\\c')],
+    'cite "\\\\" label "\\"" }': [("\\", '"')],
+    'cite "a\rb" }': [("a\rb", None)],
+    'cite "x" label "y" } scenario "t" { assert 1 == 1 cite "x" label "y" }': [("x", "y")] * 2,
+}
+
+# A pattern that matches nothing, so every tail is read token by token.
+_NO_TAIL = re.compile(r"(?!)")
+
+
+def _tail_outcome(source):
+    try:
+        document = parse(source)
+    except ParseError as exc:
+        return _error(exc)
+    return [(s.cite, s.label) for node in document.scenarios for s in node.statements]
+
+
+@pytest.mark.parametrize("tail", sorted(_TAIL_OUTCOMES))
+def test_a_tail_reads_as_its_tokens(monkeypatch, tail):
+    source = _TAIL_HEAD + tail
+    expected = _TAIL_OUTCOMES[tail]
+    outcome = _tail_outcome(source)
+    assert outcome == expected
+    if isinstance(expected, list):  # each assertion's tail is read in one match, and printed back
+        _, _, _, tails = _counted_parse(monkeypatch, source)
+        assert [m is not None for m in tails] == [True] * len(expected)
+        printed = parse(source).pretty()
+        assert _tail_outcome(printed) == expected and parse(printed).pretty() == printed
+    monkeypatch.setattr(dsl, "_TAIL", _NO_TAIL)
+    assert _tail_outcome(source) == outcome
+
+
+def _quoted(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_TAIL_SKIPS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "# note\n", '# "x" label\n']),
+                       max_size=3).map("".join)
+_TAIL_VALUES = st.text(st.one_of(st.sampled_from('"\\\r#\t'), st.characters(exclude_characters="\n")),
+                       max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TAIL_VALUES, st.one_of(st.none(), _TAIL_VALUES), st.lists(_TAIL_SKIPS, min_size=4, max_size=4))
+def test_a_drawn_tail_parses_to_its_strings(cite, label, skips):
+    tail = f"cite{skips[0]}{_quoted(cite)}{skips[1]}"
+    if label is not None:
+        tail += f"label{skips[2]}{_quoted(label)}{skips[3]}"
+    source = f"{_TAIL_HEAD}{tail}}}"
+    assert _tail_outcome(source) == [(cite, label)]
+    printed = parse(source).pretty()
+    assert _tail_outcome(printed) == [(cite, label)] and parse(printed).pretty() == printed
+    with mock.patch.object(dsl, "_TAIL", _NO_TAIL):
+        assert _tail_outcome(source) == [(cite, label)]
+
+
+# Pieces of tails, whole or broken, drawn after the right side.
+_TAIL_PIECES = ["cite", "label", "labelx", '"x"', '"a\\"b"', '"a\\\\"', '"open', '"a\\q"', '"',
+                "\\", " ", "\t", "\r", "\n", "# c\n", "}", "5", "²", "assert 2 == 2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_TAIL_PIECES), max_size=8))
+def test_a_drawn_tail_reads_as_its_tokens(pieces):
+    # the outcome, the tree's strings or the ParseError, is the token route's
+    source = _TAIL_HEAD + "cite " + "".join(pieces)
+    outcome = _tail_outcome(source)
+    with mock.patch.object(dsl, "_TAIL", _NO_TAIL):
+        assert _tail_outcome(source) == outcome
 
 
 def test_a_repeated_text_without_room_to_nest_is_parsed_again():

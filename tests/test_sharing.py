@@ -149,9 +149,11 @@ def test_a_raising_call_fails_each_row_that_shares_it(monkeypatch):
 
 # Engine function -> its calls in one pass of the built-in scenarios, once
 # the per-process caches are filled: each distinct call of a scenario once.
+# A chi() call pairs its quadratic off the model's table and makes no
+# quartic_number call.
 _ENGINE_CALLS = {
     "schubert.multiply": 41,
-    "blowup.quartic_number": 24,
+    "blowup.quartic_number": 19,
     "blowup.chi_riemann_roch": 5,
     "profiles.section_model": 10,
 }
@@ -220,10 +222,24 @@ def test_a_chern_degree_past_the_dimension_reads_zero_and_builds_no_more(monkeyp
               '  assert degree(chern(2, 5, 0, 1000000)) == 0 cite "x"\n'
               '  assert chern(2, 5, 0, 1000000) * sigma[1] == chern(2, 5, 0, 1000001) cite "x"\n}\n')
     assert [row["pass"] for row in _rows(source)["c"]] == [True, True]
-    # the 70 products of the whole class of Gr(2,5), which stops at its
-    # dimension 6, and the row's own product
-    assert calls["schubert.multiply"] == 70 + 1
-    assert tangent_bundle(Grassmannian(2, 5)).total.limit == 6
-    # a negative degree stays an error row
-    (row,) = _rows('scenario "c" { assert degree(chern(2, 5, 0, -1)) == 0 cite "x" }')["c"]
-    assert row["actual"] == "error: ValueError: a Chern class index must be non-negative, got -1"
+    # a degree past dim Gr(2,5) - 0 = 6 is the zero class, read before any
+    # class is built: the one product is the row's own
+    assert calls["schubert.multiply"] == 0 + 1
+    assert tangent_bundle.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("row, actual", [
+    ("degree(chern(2, 5, 0, -1)) == 0",  # a negative degree stays an error row
+     "error: ValueError: a Chern class index must be non-negative, got -1"),
+    ("degree(chern(2, 5, 0, 1000000)) == 0", 0),
+    ("degree(chern(2, 5, 2, 5)) == 0", 0),
+    ("degree(chern(6, 13, 0, 1000000)) == 0", 0),
+])
+def test_a_chern_degree_outside_the_section_builds_no_class(monkeypatch, row, actual):
+    # the whole class of Gr(6,13) takes about 4 s to build
+    _clear_section_caches()
+    calls = _count_calls(monkeypatch, ["schubert.multiply"])
+    (result,) = _rows(f'scenario "c" {{ assert {row} cite "x" }}')["c"]
+    assert result["actual"] == actual
+    assert calls["schubert.multiply"] == 0
+    assert tangent_bundle.cache_info().currsize == 0
