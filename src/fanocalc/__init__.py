@@ -23,7 +23,7 @@ from .blowup import (
 from .chern import TotalChernClass, section_chern, tangent_bundle, tensor_chern
 from .dsl import Document, ParseError, parse
 from .scenarios import Report, Scenario, builtin_scenarios, run
-from .schubert import Grassmannian, SchubertCycle, dual_partition, grass_dim, grass_euler, sigma
+from .schubert import Grassmannian, SchubertCycle, grass_dim, sigma
 
 __all__ = [
     "BlowupModel",
@@ -43,10 +43,8 @@ __all__ = [
     "TotalChernClass",
     "builtin_scenarios",
     "chi_riemann_roch",
-    "dual_partition",
     "euler_blowup",
     "grass_dim",
-    "grass_euler",
     "parse",
     "quartic_number",
     "run",

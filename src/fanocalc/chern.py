@@ -112,14 +112,13 @@ def universal_bundles(ctx: Grassmannian) -> tuple[BundleModel, BundleModel]:
 # A whole class keeps about 7 KiB on Gr(4,8) and 71 KiB on Gr(6,12), one
 # built to degree 4 about 2 KiB, so 32 entries stay within a few MiB.
 @lru_cache(maxsize=32)
-def tangent_bundle(ctx: Grassmannian, top: int | None = None) -> BundleModel:
-    """Tangent bundle: (dual subbundle) tensor (quotient bundle), its class built to degree ``top``.
+def tangent_bundle(ctx: Grassmannian, top: int | None = None) -> TotalChernClass:
+    """Total class of the tangent bundle, (dual subbundle) tensor (quotient bundle), built to degree ``top``.
 
     ``top=None`` builds every component; a smaller top skips the work of
     every component above it.
     """
-    sub, quot = universal_bundles(ctx)
-    return BundleModel(ctx.dim, tensor_chern(sub, quot, top))
+    return tensor_chern(*universal_bundles(ctx), top)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +139,6 @@ def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
             _add_product(acc, (-1) ** (i - 1), c[i], sums[m - i])
         sums.append(SchubertCycle._trusted(ctx, m, acc))
     return sums
-
-
-def _limit(full: int, top: int | None) -> int:
-    """The limit of a class built to degree ``top`` whose whole class stops at ``full``."""
-    if top is None:
-        return full
-    if top < 0:
-        raise ValueError(f"a top degree must be non-negative, got {top}")
-    return min(full, top)
 
 
 def _divide_exactly(table: dict, m: int) -> dict:
@@ -178,7 +168,9 @@ def tensor_chern(a: BundleModel, b: BundleModel, top: int | None = None) -> Tota
         raise ContextMismatchError("bundle models from different contexts")
     ctx = a.total.context
     full = min(ctx.dim, a.rank * b.rank)
-    limit = _limit(full, top)
+    if top is not None and top < 0:
+        raise ValueError(f"a top degree must be non-negative, got {top}")
+    limit = full if top is None else min(full, top)
     pa, pb = _power_sums(a, limit), _power_sums(b, limit)
     sums = []
     for m in range(limit + 1):
@@ -198,7 +190,7 @@ def tensor_chern(a: BundleModel, b: BundleModel, top: int | None = None) -> Tota
 # ---------------------------------------------------------------------------
 # sections by hypersurfaces
 
-def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...], top: int | None = None) -> TotalChernClass:
+def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> TotalChernClass:
     """Adjunction along hypersurfaces of the given degrees: divide by 1 + d sigma_1 for each d.
 
     The section is a smooth intersection of hypersurfaces of these degrees
@@ -206,9 +198,11 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...], top: int |
     Gr(1, N+1), so a complete intersection is a section too.  Its total
     class is restriction-valued: components live in the ambient ring and
     stand for their restrictions to the section.  One division turns c into
-    c' with c'_m = c_m - d sigma_1 c'_(m-1); only the components up to the
-    dimension of the section are kept, and up to ``top`` when it is given,
-    so the ambient class needs to be built only that far.
+    c' with c'_m = c_m - d sigma_1 c'_(m-1), so component m reads only the
+    ambient components up to m.  The components up to the dimension of the
+    section are kept, and no further than a truncated ambient class reaches:
+    the section of a class built to degree L is built to the same degree,
+    and truncated when L is below the section's dimension.
     """
     ctx = ambient.context
     if len(degrees) >= ctx.dim:
@@ -216,7 +210,7 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...], top: int |
     if any(d < 1 for d in degrees):
         raise ValueError("hypersurface degrees must be positive")
     full = ctx.dim - len(degrees)
-    limit = _limit(full, top)
+    limit = min(full, ambient.limit) if ambient.truncated else full
     comps = [ambient.component(m) for m in range(limit + 1)]
     s1 = sigma(ctx, 1)
     for d in degrees:

@@ -873,17 +873,17 @@ def _as_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_divisor(value, what: str) -> Divisor:
-    if not isinstance(value, Divisor):
-        raise TypeError(f"{what} must be a divisor expression in H and E")
-    return value
-
-
 def _quartic(setup, d1, d2, d3, d4):
     if not (isinstance(d1, Divisor) and isinstance(d2, Divisor) and isinstance(d3, Divisor)
             and isinstance(d4, Divisor)):  # before the model is built
         raise TypeError("a quartic() argument must be a divisor expression in H and E")
     return blowup.quartic_number(setup.model(), d1, d2, d3, d4)
+
+
+def _chi(setup, d):
+    if not isinstance(d, Divisor):  # before the model is built
+        raise TypeError("the chi() argument must be a divisor expression in H and E")
+    return blowup.chi_riemann_roch(setup.model(), d)
 
 
 def _degree(setup, cycle):
@@ -904,8 +904,7 @@ def _chern(setup, *args):
 # caller that rebinds one (a tracer, a test) sees every call.
 _FUNCTIONS = {
     "quartic": (4, _quartic),
-    "chi": (1, lambda setup, d: blowup.chi_riemann_roch(
-        setup.model(), _as_divisor(d, "the chi() argument"))),
+    "chi": (1, _chi),
     "euler": (0, lambda setup: blowup.euler_blowup(setup.model())),
     "genus": (2, lambda setup, lk, l2: blowup.adjunction_genus(
         _as_int(lk, "the first genus() argument"), _as_int(l2, "the second genus() argument"))),

@@ -80,8 +80,7 @@ def section_profile(k: int, n: int, degrees: tuple[int, ...]) -> FourfoldProfile
 @lru_cache(maxsize=64)
 def section_model(k: int, n: int, degrees: tuple[int, ...], top: int | None = None) -> TotalChernClass:
     """Total class of the section of Gr(k, n) by hypersurfaces of these degrees, built to degree ``top``."""
-    ctx = Grassmannian(k, n)
-    return section_chern(tangent_bundle(ctx, top).total, degrees, top)
+    return section_chern(tangent_bundle(Grassmannian(k, n), top), degrees)
 
 
 def section_component(k: int, n: int, degrees: tuple[int, ...], i: int) -> SchubertCycle:

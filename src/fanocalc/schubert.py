@@ -68,12 +68,6 @@ def grass_dim(k: int, n: int) -> int:
     return k * (n - k)
 
 
-def grass_euler(k: int, n: int) -> int:
-    """Euler number of Gr(k, n): the number C(n, k) of Schubert cells."""
-    _check_kn(k, n)
-    return math.comb(n, k)
-
-
 def normalize_partition(parts) -> tuple[int, ...]:
     """Validate a weakly decreasing sequence of non-negative integers.
 
@@ -88,14 +82,6 @@ def normalize_partition(parts) -> tuple[int, ...]:
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
-
-
-def dual_partition(ctx: "Grassmannian", parts) -> tuple[int, ...]:
-    """Complement of a box partition: the Poincare-dual basis label."""
-    parts = normalize_partition(parts)
-    if not ctx.contains(parts):
-        raise ValueError(f"{parts} does not fit in the box of {ctx}")
-    return _shape(parts, ctx.k, ctx.width)[0]
 
 
 class Grassmannian(FrozenRecord):

@@ -63,6 +63,21 @@ def box_partitions(k, n):
     return [tuple(p for p in parts if p) for parts in result]
 
 
+def box_complement(k, n, lam):
+    """The cells of the k x (n - k) box outside lam, turned by a half turn, as a partition.
+
+    sigma_lam * sigma_mu integrates to 1 on Gr(k, n) when mu is this
+    complement, and to 0 for every other mu of the complementary degree.
+    """
+    width = n - k
+    lam = _pad(lam, k)
+    outside = [(r, c) for r in range(k) for c in range(width) if c >= lam[r]]
+    rows = [0] * k
+    for r, _ in outside:
+        rows[k - 1 - r] += 1
+    return tuple(row for row in rows if row)
+
+
 def oracle_product(k, n, lam, mu):
     """sigma_lam * sigma_mu in Gr(k, n) as a dict partition -> coefficient."""
     total = sum(lam) + sum(mu)

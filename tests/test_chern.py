@@ -93,7 +93,7 @@ def test_whitney_identity(ctx):
     ids=repr,
 )
 def test_top_chern_integrates_to_euler_number(ctx):
-    top = tangent_bundle(ctx).total.component(ctx.dim)
+    top = tangent_bundle(ctx).component(ctx.dim)
     assert top.integral() == math.comb(ctx.n, ctx.k)
 
 
@@ -122,26 +122,32 @@ def test_tangent_class_is_carried_by_the_duality_route(k, n):
     [(2, 5), (2, 6), (3, 6), (2, 7), (2, 8), (3, 7), (4, 8)],
 )
 def test_a_class_built_to_a_top_degree_is_the_full_class_cut_there(k, n):
-    # component m reads nothing of a degree above m, so truncation is exact
-    bundles = universal_bundles(Grassmannian(k, n))
+    # component m reads nothing of a degree above m, so truncation is exact,
+    # and a section of a cut class is the whole section class cut at the same degree
+    ctx = Grassmannian(k, n)
+    bundles = universal_bundles(ctx)
     full = tensor_chern(*bundles)
+    codims = sorted({0, 1, 2, ctx.dim // 2, ctx.dim - 4, ctx.dim - 1})
+    sections = {codim: section_chern(full, (1,) * codim) for codim in codims}
     for top in range(full.limit + 2):
         cut = tensor_chern(*bundles, top)
         assert cut.components == full.components[:top + 1], top
         assert cut.truncated == (top < full.limit)
+        for codim, whole in sections.items():
+            section = section_chern(cut, (1,) * codim)
+            assert section.components == whole.components[:min(top, ctx.dim - codim) + 1], (top, codim)
+            assert section.truncated == (top < ctx.dim - codim), (top, codim)
 
 
 def test_a_truncated_class_reads_nothing_above_its_top():
     # c_5 of Gr(2,6) is not zero, so a class built to degree 4 may not read it as zero
-    total = tangent_bundle(GR26, 4).total
-    assert total.components == tangent_bundle(GR26).total.components[:5]
+    total = tangent_bundle(GR26, 4)
+    assert total.components == tangent_bundle(GR26).components[:5]
     with pytest.raises(ValueError, match="^component 5 lies above degree 4, the degree this class was built to$"):
         total.component(5)
     for top in (-1, -2):
         with pytest.raises(ValueError, match=f"^a top degree must be non-negative, got {top}$"):
             tensor_chern(*universal_bundles(GR26), top)
-        with pytest.raises(ValueError, match=f"^a top degree must be non-negative, got {top}$"):
-            section_chern(total, (1,), top)
 
 
 @pytest.mark.parametrize("ctx, degrees", [
@@ -151,13 +157,13 @@ def test_a_truncated_class_reads_nothing_above_its_top():
 ], ids=["W5", "V14", "W2.2"])
 def test_a_fourfold_section_is_whole_from_the_ambient_class_to_degree_4(ctx, degrees):
     # a fourfold keeps components 0..4, so the ambient class is read no further
-    section = section_chern(tangent_bundle(ctx, 4).total, degrees, 4)
-    assert section == section_chern(tangent_bundle(ctx).total, degrees)
+    section = section_chern(tangent_bundle(ctx, 4), degrees)
+    assert section == section_chern(tangent_bundle(ctx), degrees)
     assert section.limit == 4 and not section.truncated
 
 
 def test_tangent_chern_classes_of_gr25():
-    total = tangent_bundle(GR25).total
+    total = tangent_bundle(GR25)
     assert total.component(1).terms == {(1,): 5}
     assert total.component(2).terms == {(2,): 11, (1, 1): 12}
     assert total.component(3).terms == {(3,): 15, (2, 1): 30}
@@ -175,7 +181,7 @@ def test_bundle_rank_constrains_total_class():
 
 def test_chern_classes_above_the_limit_are_zero_and_below_zero_raise():
     # c_7 of Gr(2,5) is the zero class of codimension 7; there is no c_-1
-    total = tangent_bundle(GR25).total
+    total = tangent_bundle(GR25)
     assert total.component(7) == zero(GR25, 7) and total.component(7) != zero(GR25, 0)
     with pytest.raises(ValueError, match="^a Chern class index must be non-negative, got -1$"):
         total.component(-1)
@@ -185,7 +191,7 @@ def test_chern_classes_above_the_limit_are_zero_and_below_zero_raise():
 # sections by hypersurfaces
 
 def test_w5_section_invariants():
-    total = section_chern(tangent_bundle(GR25).total, (1, 1))
+    total = section_chern(tangent_bundle(GR25), (1, 1))
     assert total.limit == 4  # components up to the section's dimension
     assert total.component(1).terms == {(1,): 3}
     assert total.component(2).terms == {(2,): 4, (1, 1): 5}
@@ -194,7 +200,7 @@ def test_w5_section_invariants():
 
 
 def test_v14_section_invariants():
-    total = section_chern(tangent_bundle(GR26).total, (1, 1, 1, 1))
+    total = section_chern(tangent_bundle(GR26), (1, 1, 1, 1))
     assert total.limit == 4
     assert total.component(1).terms == {(1,): 2}
     assert total.component(2).terms == {(2,): 2, (1, 1): 4}
@@ -211,7 +217,7 @@ def test_section_times_normal_class_is_the_ambient_class(ctx):
     # Whitney on the section: c(X) * prod(1 + d sigma_1) = c(G) restricted to
     # X, so the ambient class returns in every degree up to dim X.  This pins
     # c_3 and c_4 of the sections, which Hilbert polynomials do not see.
-    ambient = tangent_bundle(ctx).total
+    ambient = tangent_bundle(ctx)
     s1 = sigma(ctx, 1)
     hyperplanes = [(1,) * codim for codim in range(ctx.dim)]
     mixed = [(2,), (1, 2), (2, 3)] if ctx in (GR25, GR26, GR36) else []
@@ -222,8 +228,19 @@ def test_section_times_normal_class_is_the_ambient_class(ctx):
         assert back[:top + 1] == list(ambient.components[:top + 1]), degrees
 
 
+def test_a_section_of_a_whole_class_is_whole_to_its_dimension():
+    # a whole class reads zero above its limit, so its section is built to
+    # the section's dimension however short the class: here c = 1 + sigma_1
+    s1 = sigma(GR25, 1)
+    ambient = TotalChernClass(GR25, [unit(GR25), s1])
+    section = section_chern(ambient, (1,))
+    assert section.limit == 5 and not section.truncated
+    back = whitney_product(section.components, [unit(GR25), s1])
+    assert back[:6] == [unit(GR25), s1] + [zero(GR25, m) for m in range(2, 6)]
+
+
 def test_codim_zero_section_is_the_ambient_space():
-    ambient = tangent_bundle(GR24).total
+    ambient = tangent_bundle(GR24)
     assert section_chern(ambient, ()) == ambient
     assert ambient.limit == 4
     gr24 = section_profile(2, 4, ())
@@ -231,7 +248,7 @@ def test_codim_zero_section_is_the_ambient_space():
 
 
 def test_section_codim_bounds():
-    ambient = tangent_bundle(GR25).total
+    ambient = tangent_bundle(GR25)
     with pytest.raises(ValueError, match="^section codimension must satisfy 0 <= codim < dim$"):
         section_chern(ambient, (1,) * 6)
     for degrees in ((0,), (1, -1)):
@@ -241,7 +258,7 @@ def test_section_codim_bounds():
 
 def test_index_of_a_zero_first_chern_class_is_zero():
     # c_1 of the codim-8 section of Gr(2,8) is the zero cycle, whose sigma_1 coefficient reads 0
-    c1 = section_chern(tangent_bundle(Grassmannian(2, 8)).total, (1,) * 8).component(1)
+    c1 = section_chern(tangent_bundle(Grassmannian(2, 8)), (1,) * 8).component(1)
     assert c1 == zero(Grassmannian(2, 8), 1)
     assert c1.coefficient((1,)) == 0
 

@@ -437,7 +437,7 @@ def test_expression_runtime_errors_are_deferred():
         ("solve(1, H)", "", "TypeError: solve() takes 3 arguments, got 2"),
         ("quartic(1, H, H, H)", "", "TypeError: a quartic() argument must be a divisor expression"
          " in H and E"),
-        ("chi(1)", "", "ValueError: no profile statement in this scenario"),
+        ("chi(1)", "", "TypeError: the chi() argument must be a divisor expression in H and E"),
         ("1 ^ -1", "", "ValueError: negative exponents are not supported"),
         ("H ^ 2", "", "TypeError: cannot raise Divisor to a power"),
         ("H * E", "", "TypeError: cannot apply '*' to Divisor and Divisor"),
@@ -450,6 +450,29 @@ def test_expression_runtime_errors_are_deferred():
         assert report.failed == 1, expr
         row = json.loads(report.to_json())["scenarios"][0]["assertions"][0]
         assert row["actual"] == f"error: {error}", expr
+
+
+def test_a_divisor_argument_is_checked_before_the_model_is_built():
+    # with no profile, or one the model refuses, a wrong argument type is
+    # the error a row reports, and a divisor argument reaches the model
+    quartic_type = "TypeError: a quartic() argument must be a divisor expression in H and E"
+    chi_type = "TypeError: the chi() argument must be a divisor expression in H and E"
+    for prelude, model_error in [
+        ("", "ValueError: no profile statement in this scenario"),
+        ("profile P h4 0 index 3 c2h2 20 chi 1 euler 12 center curve genus 0 hc 1",
+         "ValueError: h4 must be positive"),
+    ]:
+        for expr, error in [
+            ("chi(1)", chi_type),
+            ("chi(sigma[1])", "ValueError: no grassmannian statement in this scenario"),
+            ("quartic(1, H, H, H)", quartic_type),
+            ("quartic(H, H, H, 1)", quartic_type),
+            ("chi(H)", model_error),
+            ("quartic(H, H, H, H)", model_error),
+        ]:
+            report = run(parse(f'scenario "err" {{ {prelude} assert {expr} == 0 cite "x" }}').build())
+            row = json.loads(report.to_json())["scenarios"][0]["assertions"][0]
+            assert row["actual"] == f"error: {error}", (prelude, expr)
 
 
 def test_power_is_bounded_by_the_bits_of_its_result():

@@ -1,6 +1,7 @@
 """The built-in verification scenarios and the report layer."""
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,6 +160,14 @@ def test_profile_literal_cross_check_failure(monkeypatch, setup, error, derived)
     assert report.failed == len(rows) == 3
     assert {row["actual"] for row in rows} == {f"error: {error}"}
     assert calls == derived
+
+
+def test_the_euler_number_of_a_grassmannian_is_the_degree_of_its_top_chern_class():
+    # C(n, k) Schubert cells, read through the scenario language
+    rows = [(k, n, math.comb(n, k)) for k, n in ((2, 4), (2, 5), (2, 6), (3, 6), (1, 5))]
+    body = "".join(f'  assert degree(chern({k}, {n}, 0, dim({k}, {n}))) == {e} cite "x"\n' for k, n, e in rows)
+    report = run(dsl.parse(f'scenario "euler" {{\n{body}}}\n').build())
+    assert (report.total, report.failed) == (len(rows), 0)
 
 
 _OUT_OF_RANGE = "ValueError: section codimension must satisfy 0 <= codim < dim"

@@ -14,16 +14,14 @@ from fanocalc.schubert import (
     ContextMismatchError,
     Grassmannian,
     SchubertCycle,
-    dual_partition,
     grass_dim,
-    grass_euler,
     normalize_partition,
     sigma,
     unit,
     zero,
 )
 
-from lr_oracle import box_partitions, lr_coefficient, oracle_product
+from lr_oracle import box_complement, box_partitions, lr_coefficient, oracle_product
 
 GR24 = Grassmannian(2, 4)
 GR25 = Grassmannian(2, 5)
@@ -134,24 +132,38 @@ def test_duality_pairing_is_a_permutation_matrix(ctx):
             if sum(lam) + sum(mu) != ctx.dim:
                 continue
             pairing = (sigma(ctx, *lam) * sigma(ctx, *mu)).integral()
-            expected = 1 if mu == dual_partition(ctx, lam) else 0
+            expected = 1 if mu == box_complement(ctx.k, ctx.n, lam) else 0
             assert pairing == expected, (lam, mu)
 
 
 def test_dual_partition_examples():
-    assert dual_partition(GR25, (1,)) == (3, 2)
-    assert dual_partition(GR25, (2,)) == (3, 1)
-    assert dual_partition(GR25, (1, 1)) == (2, 2)
-    assert dual_partition(GR25, (3,)) == (3,)
-    assert dual_partition(GR25, (2, 1)) == (2, 1)
-    assert dual_partition(GR26, (1,)) == (4, 3)
-    assert dual_partition(GR26, (1, 1)) == (3, 3)
+    # sigma_lam * sigma_mu integrates to 1 exactly when mu is lam's dual label
+    for ctx, lam, mu in [
+        (GR25, (1,), (3, 2)),
+        (GR25, (2,), (3, 1)),
+        (GR25, (1, 1), (2, 2)),
+        (GR25, (3,), (3,)),
+        (GR25, (2, 1), (2, 1)),
+        (GR26, (1,), (4, 3)),
+        (GR26, (1, 1), (3, 3)),
+    ]:
+        assert (sigma(ctx, *lam) * sigma(ctx, *mu)).integral() == 1, (ctx, lam)
+    for lam, mu in [((2,), (2, 2)), ((1, 1), (3, 1)), ((3,), (2, 1))]:
+        assert (sigma(GR25, *lam) * sigma(GR25, *mu)).integral() == 0, lam
 
 
 def test_dual_partition_is_an_involution():
+    # each basis class has one partner of integral 1, and its partner's partner is itself
     for ctx in (GR25, GR36):
-        for lam in box_partitions(ctx.k, ctx.n):
-            assert dual_partition(ctx, dual_partition(ctx, lam)) == lam
+        basis = box_partitions(ctx.k, ctx.n)
+
+        def partner(lam):
+            (mu,) = [mu for mu in basis if sum(lam) + sum(mu) == ctx.dim
+                     and (sigma(ctx, *lam) * sigma(ctx, *mu)).integral() == 1]
+            return mu
+
+        for lam in basis:
+            assert partner(partner(lam)) == lam
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +468,7 @@ def test_dimension_and_euler_counts():
     assert grass_dim(2, 6) == 8
     assert grass_dim(3, 6) == 9
     for k, n in ((2, 4), (2, 5), (2, 6), (3, 6)):
-        assert grass_euler(k, n) == math.comb(n, k) == len(box_partitions(k, n))
+        assert math.comb(n, k) == len(box_partitions(k, n))
 
 
 def test_invalid_grassmannian_is_rejected():
