@@ -12,8 +12,9 @@ silently corrected; see the sanity and v14 scenarios.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 
 from _json import encode_basestring_ascii
@@ -48,34 +49,34 @@ class ScenarioResult(FrozenRecord):
         return all(r.passed for r in self.results)
 
 
+# the most bits an int can have and still be at most as many decimal digits
+# as the smallest int-string limit the interpreter allows: str() of it never fails
+_PROBE_BITS = (10 ** sys.int_info.str_digits_check_threshold).bit_length() - 1
+
+
 def _render(value):
     """JSON-safe, deterministic rendering of an assertion value.
 
     Every value is an int, a Fraction, a Divisor or a SchubertCycle (see
     ``dsl._NUMBER``); an integral Fraction renders as its int.  The class
-    test spares an int the ABC check of ``isinstance(value, Fraction)``."""
-    if value.__class__ is not int and isinstance(value, Fraction):
-        if value.denominator != 1:
-            return f"{value.numerator}/{value.denominator}"
-        value = int(value)
-    if isinstance(value, int):
-        str(value)  # raises here, not in the report, past the int-string limit
-        return value
-    return str(value)
+    test spares an int the ABC check of ``isinstance(value, Fraction)``.
+    An int with more digits than the int-string limit raises here, not in
+    the report; only an int long enough to pass the smallest limit the
+    interpreter allows is converted to find out."""
+    if value.__class__ is not int:
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                return f"{value.numerator}/{value.denominator}"
+            value = value.numerator
+        elif not isinstance(value, int):
+            return str(value)
+    if value.bit_length() > _PROBE_BITS:
+        str(value)
+    return value
 
 
-def _failure(exc: Exception) -> tuple:
-    error = f"error: {type(exc).__name__}: {exc}"
-    return error, error, False
-
-
-def _evaluate(thunk: Callable[[], object]):
-    """(value, rendering, ok): a side that fails to evaluate or to render is an error."""
-    try:
-        value = thunk()
-        return value, _render(value), True
-    except Exception as exc:  # noqa: BLE001 - reported, never swallowed
-        return _failure(exc)
+def _error(exc: Exception) -> str:
+    return f"error: {type(exc).__name__}: {exc}"
 
 
 def _json_list(items: list, indent: str) -> str:
@@ -83,11 +84,6 @@ def _json_list(items: list, indent: str) -> str:
     if not items:
         return "[]"
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
-def _json_scalar(value) -> str:
-    """A str or an int (a name, a cite, a label or a rendered value) as JSON."""
-    return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
 
 
 class Report(FrozenRecord):
@@ -118,19 +114,22 @@ class Report(FrozenRecord):
 
     def to_json(self) -> str:
         flag = ("false", "true")
+        encode = encode_basestring_ascii
         blocks = []
         for s in self.scenarios:
             rows = [
-                f'        {{\n          "actual": {_json_scalar(r.actual)},'
-                f'\n          "cite": {_json_scalar(r.cite)},'
-                f'\n          "expected": {_json_scalar(r.expected)},'
-                f'\n          "label": {_json_scalar(r.label)},'
+                f'        {{\n          "actual": '
+                f'{encode(r.actual) if r.actual.__class__ is str else int.__repr__(r.actual)},'
+                f'\n          "cite": {encode(r.cite)},'
+                f'\n          "expected": '
+                f'{encode(r.expected) if r.expected.__class__ is str else int.__repr__(r.expected)},'
+                f'\n          "label": {encode(r.label)},'
                 f'\n          "pass": {flag[r.passed]}\n        }}'
                 for r in s.results
             ]
             blocks.append(
                 f'    {{\n      "assertions": {_json_list(rows, "      ")},'
-                f'\n      "name": {_json_scalar(s.name)},'
+                f'\n      "name": {encode(s.name)},'
                 f'\n      "pass": {flag[s.passed]}\n    }}'
             )
         return (
@@ -158,20 +157,32 @@ class Report(FrozenRecord):
 def run(scenarios: Sequence[Scenario]) -> Report:
     """Evaluate every assertion; failures and setup errors never abort the run.
 
-    Two sides that are neither of one type nor both numbers fail their row."""
+    A side that fails to evaluate or to render is that side's error, and
+    two sides that are neither of one type nor both numbers fail their row."""
     outcomes = []
     for scenario in sorted(scenarios, key=lambda s: s.name):
         results = []
         for a in scenario.assertions:
-            expected, shown_expected, ok_e = _evaluate(a.expected)
-            actual, shown_actual, ok_a = _evaluate(a.actual)
-            if ok_e and ok_a and not dsl.comparable(actual, expected):
-                actual, shown_actual, ok_a = _failure(TypeError(
-                    f"cannot compare {type(actual).__name__} with {type(expected).__name__}"))
-            if ok_e and ok_a:
-                passed = (actual == expected) if a.op == "==" else (actual != expected)
+            passed = False
+            try:
+                expected = a.expected()
+                shown_expected = _render(expected)
+                ok = True
+            except Exception as exc:  # noqa: BLE001 - reported, never swallowed
+                shown_expected = _error(exc)
+                ok = False
+            try:
+                actual = a.actual()
+                shown_actual = _render(actual)
+            except Exception as exc:  # noqa: BLE001 - reported, never swallowed
+                shown_actual = _error(exc)
             else:
-                passed = False
+                if ok:
+                    if dsl.comparable(actual, expected):
+                        passed = (actual == expected) if a.op == "==" else (actual != expected)
+                    else:
+                        shown_actual = _error(TypeError(
+                            f"cannot compare {type(actual).__name__} with {type(expected).__name__}"))
             results.append(AssertionResult(a.label, a.cite, shown_expected, shown_actual, passed))
         outcomes.append(ScenarioResult(scenario.name, tuple(results), tuple(scenario.notes)))
     return Report(tuple(outcomes))

@@ -1,5 +1,6 @@
 """Command-line behavior: in-process for speed, subprocess for the entry point."""
 
+import contextlib
 import io
 import json
 import os
@@ -295,6 +296,58 @@ def test_check_unrenderable_value_fails_its_row(tmp_path, expr, fmt):
     else:
         assert out.startswith("FAIL huge/a01 expected=0 actual=error: ValueError: ")
         assert out.endswith("1 assertions, 1 failed\n")
+
+
+@contextlib.contextmanager
+def int_string_limit(limit):
+    """Set the interpreter's int-string limit to ``limit`` for a block, and restore it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def check_rows(tmp_path, rows, fmt):
+    """``check`` of one scenario of ``rows``: the exit code, stderr and each
+    row's ``(pass, actual)``, with the JSON parsed under the current limit."""
+    path = tmp_path / "limit.scn"
+    path.write_text(f'scenario "limit" {{\n{rows}}}\n', encoding="utf-8")
+    code, out, err = invoke("check", str(path), "--format", fmt)
+    if fmt == "json":
+        found = [(r["pass"], r["actual"]) for r in json.loads(out)["scenarios"][0]["assertions"]]
+    else:
+        found = [
+            (line.startswith("PASS "), line.split(" actual=", 1)[1].rsplit(" cite: ", 1)[0])
+            for line in out.splitlines()[:-1]
+        ]
+    return code, err, found
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_renders_every_int_the_smallest_int_string_limit_allows(tmp_path, fmt):
+    # 640 is the smallest limit the interpreter takes: 10^639 has 640 digits
+    # and renders, 10^640 has 641 and fails its row with the interpreter's error
+    limit = sys.int_info.str_digits_check_threshold
+    assert limit == 640
+    rows = '  assert 10^639 != 0 cite "x"\n  assert 10^640 != 0 cite "y"\n'
+    with int_string_limit(limit):
+        with pytest.raises(ValueError) as info:
+            str(10**640)
+        code, err, found = check_rows(tmp_path, rows, fmt)
+    shown = 10**639 if fmt == "json" else "1" + "0" * 639
+    assert (code, err) == (1, "")
+    assert found == [(True, shown), (False, f"error: ValueError: {info.value}")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_renders_any_int_with_no_int_string_limit(tmp_path, fmt):
+    with int_string_limit(0):
+        code, err, found = check_rows(tmp_path, '  assert 2^20000 == 2^20000 cite "x"\n', fmt)
+        shown = 2**20000 if fmt == "json" else str(2**20000)
+        assert (code, err) == (0, "")
+        assert found == [(True, shown)]
 
 
 def test_check_missing_file_exits_2(tmp_path):

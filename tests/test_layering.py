@@ -111,11 +111,48 @@ def test_only_the_frozen_base_defines_the_record_guards():
     assert found == [f"record.FrozenRecord.{guard}" for guard in sorted(guards)]
 
 
+def scoped_nodes(tree, prefix):
+    """Every node of a module with the path of its innermost class or function,
+    as ``module.Class.method``; a class or function is under its own path."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{path}.{child.name}"
+            found.append((inner, child))
+            visit(child, inner)
+
+    visit(tree, prefix)
+    return found
+
+
 def test_records_store_and_compare_through_the_bases():
-    # a frozen record sets its fields only in FrozenRecord._store, through the
-    # slot setters FrozenRecord.__init_subclass__ binds, and compares through
-    # FrozenRecord.__eq__, both read from __slots__; what else writes an
-    # equality out is the hot Gr(k, n) or the Schubert kernel
+    # a frozen record sets its fields only through the _store that
+    # FrozenRecord.__init_subclass__ binds to its class, from the per-arity
+    # factories of record.py and the slot setters it reads there, and
+    # compares through FrozenRecord.__eq__, both read from __slots__; what
+    # else writes an equality out is the hot Gr(k, n) or the Schubert kernel
+    nodes = [(path, node) for name, tree in MODULES.items() for path, node in scoped_nodes(tree, name)]
+    assert not [
+        (path, ast.unparse(node))
+        for path, node in nodes
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("setattr", "object.__setattr__")
+    ]
+    setters = sorted({
+        path
+        for path, node in nodes
+        if isinstance(node, ast.Attribute) and node.attr in ("_setters", "__set__")
+    })
+    assert setters == ["record.FrozenRecord.__init_subclass__"]
+    stores = sorted({
+        path
+        for path, node in nodes
+        if isinstance(node, ast.Attribute) and node.attr == "_store" and isinstance(node.ctx, ast.Store)
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_store"
+    })
+    assert stores == ["record.FrozenRecord.__init_subclass__"] + [f"record._store{n}._store" for n in range(1, 6)]
     methods = [
         (f"{name}.{cls.name}.{stmt.name}", stmt)
         for name, tree in MODULES.items()
@@ -124,19 +161,6 @@ def test_records_store_and_compare_through_the_bases():
         for stmt in cls.body
         if isinstance(stmt, ast.FunctionDef)
     ]
-    assert not [
-        (name, ast.unparse(node))
-        for name, tree in MODULES.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("setattr", "object.__setattr__")
-    ]
-    setters = sorted({
-        path
-        for path, method in methods
-        for node in ast.walk(method)
-        if isinstance(node, ast.Attribute) and node.attr in ("_setters", "__set__")
-    })
-    assert setters == ["record.FrozenRecord.__init_subclass__", "record.FrozenRecord._store"]
     equalities = sorted(path for path, method in methods if method.name == "__eq__")
     assert equalities == [
         "record.FrozenRecord.__eq__", "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",

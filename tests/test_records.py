@@ -22,6 +22,7 @@ from fanocalc.dsl import (
     ScenarioNode,
     SigmaAtom,
 )
+from fanocalc.record import FrozenRecord
 from fanocalc.scenarios import AssertionResult, Report, ScenarioResult
 from fanocalc.schubert import Grassmannian, sigma, unit, zero
 
@@ -187,6 +188,46 @@ def test_a_record_refuses_values_of_the_wrong_arity():
     for values in ((2,), (2, -1, 0)):
         with pytest.raises(ValueError, match=f"^Divisor has 2 fields, got {len(values)} values$"):
             Divisor.__new__(Divisor)._store(*values)
+
+
+def _package_records(cls=FrozenRecord):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("fanocalc."):
+            yield sub
+        yield from _package_records(sub)
+
+
+def test_the_frozen_list_is_every_record_of_the_package():
+    assert sorted(c.__name__ for c in _package_records()) == sorted(c.__name__ for c in FROZEN)
+
+
+@pytest.mark.parametrize("cls", FROZEN + [_LabelledCurve], ids=lambda c: c.__name__)
+def test_a_record_stores_one_positional_value_per_field_in_slot_order(cls):
+    # the field order, read here from __slots__ along the bases, bases first
+    names = [
+        name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())
+        if name != "__dict__"
+    ]
+    values = [object() for _ in names]
+    record = cls.__new__(cls)
+    assert record._store(*values) is None
+    assert [getattr(record, name) for name in names] == values
+    for count in (0, len(names) - 1, len(names) + 1, len(names) + 4):
+        message = f"^{cls.__name__} has {len(names)} fields, got {count} values$"
+        with pytest.raises(ValueError, match=message):
+            cls.__new__(cls)._store(*(values + [0] * 4)[:count])
+
+
+def test_a_record_of_no_field_or_more_than_five_is_refused_when_defined():
+    with pytest.raises(TypeError, match="^_Empty has 0 fields; a record has 1 to 5$"):
+        class _Empty(FrozenRecord):
+            __slots__ = ("__dict__",)
+    with pytest.raises(TypeError, match="^_Six has 6 fields; a record has 1 to 5$"):
+        class _Six(FrozenRecord):
+            __slots__ = ("a", "b", "c", "d", "e", "f")
+    with pytest.raises(TypeError, match="^_Wider has 6 fields; a record has 1 to 5$"):
+        class _Wider(SurfaceCenter):
+            __slots__ = ("label",)
 
 
 @pytest.mark.parametrize("build, message", [

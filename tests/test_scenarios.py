@@ -15,6 +15,7 @@ from fanocalc.scenarios import (
     Report,
     Scenario,
     _builtin_document,
+    _render,
     builtin_scenarios,
     pretty_builtin,
     run,
@@ -248,6 +249,23 @@ def test_fraction_rendering():
     row = json.loads(run([scenario]).to_json())["scenarios"][0]["assertions"][0]
     assert row["expected"] == "1/2"
     assert row["pass"] is True
+
+
+def test_only_an_int_that_could_pass_the_smallest_limit_is_converted_to_render():
+    # 640 digits, the smallest int-string limit, take more than 2126 bits:
+    # a shorter int prints under any limit and is not converted to find out
+    assert 2**2126 < 10**640 < 2**2127
+    converted = []
+
+    class Probed(int):
+        def __str__(self):
+            converted.append(self.bit_length())
+            return int.__repr__(self)
+
+    for bits in (1, 640, 2126, 2127, 4000):
+        for value in (Probed(2**bits - 1), Probed(1 - 2**bits)):
+            assert _render(value) is value
+    assert converted == [2127, 2127, 4000, 4000]
 
 
 # ---------------------------------------------------------------------------
