@@ -75,11 +75,14 @@ or parenthesised expression whose text, up to the next ',' or ')', holds
 none of '(', '[', '"' and '#' is such a subtree, and the parser reads each
 distinct such text once per document; a later copy takes the first one's
 node, and one match of a third pattern reads the copy, its ',' or ')'
-and the whitespace and comments after them, with no token lexed.  Each
-distinct expression of a scenario is evaluated once per build: running the
-built scenarios, again or not, computes each node once, when the first
-assertion that uses it runs.  An error is not kept: it fails each
-assertion that uses its node, with the same message.
+and the whitespace and comments after them, with no token lexed.  A
+setup-free expression is computed once per document: its node keeps its
+value when the first assertion that uses it runs, and every later build of
+the document reads it.  Every other distinct expression of a scenario is
+evaluated once per build: running the built scenarios, again or not,
+computes each of its nodes once, when the first assertion that uses it
+runs.  Building evaluates nothing, and an error is not kept: it fails each
+assertion that uses its node, in every build, with the same message.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -220,14 +223,17 @@ def _lex_error(source: str, offset: int):
 # other nodes are slotted classes that store their fields directly and
 # have no assignment guard: a pass builds one node per few tokens, and a
 # guarded node, a FrozenRecord whose fields go through its _store, costs
-# about four times as much to build.  Nothing mutates them, so a document
-# holds each setup-free subtree once, and a scenario each of its other
-# expressions once, however often they occur.  Every node compares and
-# hashes by identity, so a node is a key of the parser's sharing table and
-# of the evaluator's memo.
+# about four times as much to build.  Nothing changes a field once the node
+# is built, so a document holds each setup-free subtree once, and a
+# scenario each of its other expressions once, however often they occur.
+# Every node compares and hashes by identity, so a node is a key of the
+# parser's sharing table and of the evaluator's memo.  ``kept`` is the
+# value of a setup-free operator node once it is first computed, and None
+# before that and on every other node; see _value.
 
 class SigmaAtom:
     __slots__ = ("parts",)
+    kept = None  # its value depends on the scenario's grassmannian statement
 
     def __init__(self, parts: tuple):
         self.parts = parts
@@ -235,6 +241,7 @@ class SigmaAtom:
 
 class Call:
     __slots__ = ("name", "args")
+    kept = None  # its value depends on the scenario's setup statements
 
     def __init__(self, name: str, args: tuple):
         self.name = name
@@ -242,19 +249,21 @@ class Call:
 
 
 class BinOp:
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "kept")
 
     def __init__(self, op: str, left: object, right: object):
         self.op = op
         self.left = left
         self.right = right
+        self.kept = None
 
 
 class Neg:
-    __slots__ = ("operand",)
+    __slots__ = ("operand", "kept")
 
     def __init__(self, operand: object):
         self.operand = operand
+        self.kept = None
 
 
 class ProfileStmt:
@@ -301,11 +310,13 @@ class AssertStmt:
 
 
 class ScenarioNode:
-    __slots__ = ("name", "statements")
+    __slots__ = ("name", "statements", "setups", "rows")
 
-    def __init__(self, name: str, statements: list):
+    def __init__(self, name: str, statements: list, setups: dict, rows: dict):
         self.name = name
-        self.statements = statements
+        self.statements = statements  # in source order, for printing
+        self.setups = setups  # keyword -> the scenario's one statement of that kind
+        self.rows = rows  # label -> its assertion, in source order
 
 
 class Document:
@@ -320,10 +331,12 @@ class Document:
     def build(self) -> list:
         """The document's scenarios; raises no ParseError, as the parser checked every rule.
 
-        Each distinct expression of a scenario is evaluated once per build:
-        the scenarios share one memo, which every run of them fills and
-        reads, and a second build starts from an empty one."""
-        memo = {}  # node -> value; see _value
+        A setup-free expression is computed once per document: its node
+        keeps its value, which every later build reads.  Every other
+        distinct expression of a scenario is computed once per build: the
+        scenarios share one memo, which every run of them fills and reads,
+        and a second build starts from an empty one."""
+        memo = {}  # node -> value, for the nodes that depend on setup; see _value
         return [_build_scenario(node, memo) for node in self.scenarios]
 
 
@@ -442,31 +455,30 @@ class _Parser:
         kw = self.scope = self.expect("scenario")
         name = self.expect_string()
         self.expect("{")
-        statements, setups, labels = [], set(), set()
+        statements, setups, rows = [], {}, {}
         while (keyword := self.value) != "}":
             start = self.start
             if keyword == "assert":
                 self.advance()
                 stmt = self.parse_assert()
-                label = _label(stmt, len(labels) + 1)  # each earlier assertion's label is in labels
-                if label in labels:
+                label = _label(stmt, len(rows) + 1)  # each earlier assertion's label is in rows
+                if label in rows:
                     self.fail(start, f"duplicate assertion label {label!r}")
-                labels.add(label)
+                rows[label] = stmt
             else:
                 parse_setup = self._SETUPS.get(keyword)
                 if parse_setup is None:
                     self.fail(start, f"expected a statement or '}}', found {self.describe()}")
                 if keyword in setups:
                     self.fail(start, f"duplicate {keyword} statement")
-                setups.add(keyword)
                 self.advance()
-                stmt = parse_setup(self)
+                stmt = setups[keyword] = parse_setup(self)
             statements.append(stmt)
         self.advance()
         if name in names:
             self.fail(kw, f"duplicate scenario name {name!r}")
         names.add(name)
-        return ScenarioNode(name, statements)
+        return ScenarioNode(name, statements, setups, rows)
 
     # each statement parser starts after its keyword
 
@@ -763,9 +775,6 @@ class Scenario:
 # evaluation: each assertion side is a closure that walks its tree when the
 # report runs
 
-_SETUP_KEYWORDS = {ProfileStmt: "profile", CenterStmt: "center", GrassStmt: "grassmannian"}
-
-
 def _once(method):
     """Run a _Setup method once; later calls return its value or raise its error again."""
 
@@ -788,14 +797,12 @@ def _once(method):
 class _Setup:
     """Deferred, validated scenario state shared by all assertion closures."""
 
-    def __init__(self, statements: list):
-        # keyword -> the scenario's one statement of that kind; the parser allows no second
-        self.statements = {_SETUP_KEYWORDS[type(stmt)]: stmt for stmt in statements
-                           if not isinstance(stmt, AssertStmt)}
+    def __init__(self, setups: dict):
+        self.setups = setups  # a ScenarioNode's setups, which no build changes
         self.outcomes = {}  # _once method -> (value, exception)
 
     def statement(self, keyword: str):
-        stmt = self.statements.get(keyword)
+        stmt = self.setups.get(keyword)
         if stmt is None:
             raise ValueError(f"no {keyword} statement in this scenario")
         return stmt
@@ -975,23 +982,28 @@ def _power(left, right):
     return left ** exponent
 
 
+# Operator -> its rule; unary minus has the key it has in _PRECEDENCE.
 _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.sub),
-              "*": _times, "^": _power}
+              "*": _times, "^": _power, _UNARY_MINUS: operator.neg}
 
 
 def _value(node, setup: _Setup, memo: dict):
     """The value of ``node`` under ``setup``, computed when its assertion runs.
 
-    ``memo`` maps each node computed to its value, so each distinct
+    An operator node whose operands are leaves or such nodes, so no setup
+    statement can change its value, keeps that value in ``kept`` once it
+    is first computed, and every later build of its document reads it.
+    ``memo`` maps each other node computed to its value, so each distinct
     expression of a scenario, which the parser makes one node, is computed
-    once per build.  A failure is not stored, so each row that uses it
-    raises it again.  A call raises in this order: arguments, then unknown
-    name, arity and types.  A leaf is an int, H or E, each of its class
-    exactly, so a class test finds it."""
+    once per build.  A failure is kept by neither, so each row that uses
+    it, in every build, raises it again.  A call raises in this order:
+    arguments, then unknown name, arity and types.  A leaf is an int, H or
+    E, each of its class exactly, so a class test finds it; a value is
+    never None."""
     kind = node.__class__
     if kind is int or kind is Divisor:
         return node
-    if (value := memo.get(node)) is not None:
+    if (value := node.kept) is not None or (value := memo.get(node)) is not None:
         return value
     if kind is SigmaAtom:
         value = sigma(setup.grassmannian(), *node.parts)
@@ -1001,7 +1013,7 @@ def _value(node, setup: _Setup, memo: dict):
             cls = arg.__class__
             if cls is int or cls is Divisor:
                 values.append(arg)
-            elif (value := memo.get(arg)) is not None:
+            elif (value := arg.kept) is not None or (value := memo.get(arg)) is not None:
                 values.append(value)
             else:
                 values.append(_value(arg, setup, memo))
@@ -1012,20 +1024,27 @@ def _value(node, setup: _Setup, memo: dict):
             raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(values)}")
         value = entry[1](setup, *values)
     elif kind is Neg:
-        value = -_value(node.operand, setup, memo)
+        operand = node.operand
+        value = _OPERATORS[_UNARY_MINUS](_value(operand, setup, memo))
+        # computed without error, a setup-free operand is a leaf or keeps its value
+        if (cls := operand.__class__) is int or cls is Divisor or operand.kept is not None:
+            node.kept = value
+            return value
     else:
-        value = _OPERATORS[node.op](_value(node.left, setup, memo), _value(node.right, setup, memo))
+        left, right = node.left, node.right
+        value = _OPERATORS[node.op](_value(left, setup, memo), _value(right, setup, memo))
+        if ((cls := left.__class__) is int or cls is Divisor or left.kept is not None) and (
+                (cls := right.__class__) is int or cls is Divisor or right.kept is not None):
+            node.kept = value
+            return value
     memo[node] = value
     return value
 
 
 def _build_scenario(node: ScenarioNode, memo: dict) -> Scenario:
-    setup = _Setup(node.statements)
-    assertions = []
-    asserts = [stmt for stmt in node.statements if isinstance(stmt, AssertStmt)]
-    for counter, stmt in enumerate(asserts, 1):
-        label = _label(stmt, counter)
-        expected = partial(_value, stmt.right, setup, memo)
-        actual = partial(_value, stmt.left, setup, memo)
-        assertions.append(Assertion(label, stmt.cite, stmt.op, expected, actual))
-    return Scenario(name=node.name, assertions=assertions)
+    setup = _Setup(node.setups)
+    return Scenario(node.name, [
+        Assertion(label, stmt.cite, stmt.op, partial(_value, stmt.right, setup, memo),
+                  partial(_value, stmt.left, setup, memo))
+        for label, stmt in node.rows.items()
+    ])

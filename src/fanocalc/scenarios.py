@@ -362,7 +362,9 @@ def builtin_scenarios() -> list:
 
     Each source is parsed once per process, but every call builds the
     scenarios again: it returns fresh scenario, assertion and notes objects,
-    with their own evaluation state, so a caller may change them freely."""
+    with their own evaluation state, so a caller may change them freely.
+    Only the values of setup-free expressions, kept by the parsed
+    documents, carry over from one call to the next."""
     scenarios = []
     for name in sorted(BUILTIN_SOURCES):
         (scenario,) = _builtin_document(BUILTIN_SOURCES[name]).build()

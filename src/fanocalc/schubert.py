@@ -74,14 +74,14 @@ def normalize_partition(parts) -> tuple[int, ...]:
     Trailing zeros are stripped; the weight (sum of parts) is the
     codimension of the class the partition names.
     """
-    parts = tuple(int(p) for p in parts)
-    if any(p < 0 for p in parts):
+    parts = tuple(map(int, parts))
+    if not parts:
+        return parts
+    if min(parts) < 0:
         raise ValueError(f"negative part in partition {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if parts != tuple(sorted(parts, reverse=True)):
         raise ValueError(f"parts not weakly decreasing: {parts}")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+    return parts[:parts.index(0)] if parts[-1] == 0 else parts  # the zeros are the tail
 
 
 class Grassmannian(FrozenRecord):

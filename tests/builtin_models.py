@@ -17,7 +17,7 @@ SOURCES = {
 def scenario_model(source: str):
     """The model of a one-scenario document, as the scenario resolves it."""
     (node,) = dsl.parse(source).scenarios
-    return dsl._Setup(node.statements).model()
+    return dsl._Setup(node.setups).model()
 
 
 def builtin_models() -> dict:

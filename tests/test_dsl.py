@@ -646,18 +646,71 @@ def test_equal_integers_share_their_operators_whatever_their_text():
     assert b.left is b.right and b.left.operand == 10**19
 
 
-def test_a_shared_node_is_folded_once_per_build(monkeypatch):
-    from fanocalc import blowup
+def test_a_setup_free_node_is_folded_once_per_document(monkeypatch):
+    from fanocalc.blowup import E, H
 
-    times, calls = dsl._OPERATORS["*"], []
-    monkeypatch.setitem(dsl._OPERATORS, "*", lambda a, b: calls.append((a, b)) or times(a, b))
-    rows = "".join(f'  assert 2*H - E == H + (H - E) cite "x" label "r{j}"\n' for j in range(25))
-    document = parse(f'scenario "a" {{\n{rows}}}\nscenario "b" {{\n{rows}}}\n')
-    for _ in range(2):
+    calls = []
+    for op, rule in list(dsl._OPERATORS.items()):
+        monkeypatch.setitem(dsl._OPERATORS, op, lambda *operands, _op=op, _rule=rule: (
+            calls.append((_op, *operands)) or _rule(*operands)))
+    rows = "".join(f'  assert 2*H - E == -(E - 2*H) cite "x" label "r{j}"\n' for j in range(25))
+    source = f'scenario "a" {{\n{rows}}}\nscenario "b" {{\n{rows}}}\n'
+    # the right side first: 2*H, E - 2*H, its negation; then 2*H - E, over the kept 2*H
+    once = [("*", 2, H), ("-", E, 2 * H), (dsl._UNARY_MINUS, E - 2 * H), ("-", 2 * H, E)]
+    document = parse(source)
+    document.build()
+    assert calls == []  # parsing and building evaluate nothing
+    for folds in (once, []):  # the first build folds each node once, a second none
         calls.clear()
         report = run(document.build())
         assert (report.total, report.failed) == (50, 0)
-        assert calls == [(2, blowup.H)]
+        assert calls == folds
+    calls.clear()
+    assert run(parse(source).build()).failed == 0  # a fresh parse folds them once again
+    assert calls == once
+
+
+def test_a_setup_free_node_that_raises_fails_its_rows_in_every_build():
+    document = parse(
+        'scenario "a" {\n'
+        '  assert H * H == 1 cite "x"\n'
+        '  assert 1 + H * H != 0 cite "a shared node that raises, under an operator"\n'
+        '  assert 2 ^ -1 == 1 cite "x"\n'
+        '  assert -(2 ^ -1) != 0 cite "x"\n'
+        "}\n"
+    )
+    product = "error: TypeError: cannot apply '*' to Divisor and Divisor"
+    power = "error: ValueError: negative exponents are not supported"
+    for _ in range(2):
+        rows = json.loads(run(document.build()).to_json())["scenarios"][0]["assertions"]
+        assert [(row["actual"], row["pass"]) for row in rows] == [
+            (product, False), (product, False), (power, False), (power, False)]
+    (node,) = document.scenarios
+    assert [side.kept for stmt in node.rows.values() for side in (stmt.left, stmt.right)
+            if not isinstance(side, int)] == [None] * 4
+
+
+def test_an_operator_over_a_call_is_computed_by_each_build(monkeypatch):
+    calls = []
+    for op, rule in list(dsl._OPERATORS.items()):
+        monkeypatch.setitem(dsl._OPERATORS, op, lambda *operands, _op=op, _rule=rule: (
+            calls.append((_op, *operands)) or _rule(*operands)))
+    document = parse(
+        'scenario "a" {\n'
+        "  profile P4 h4 1 index 5 ambient p4 codim 0 chi 1 euler 5\n"
+        "  center curve genus 0 hc 1\n"
+        '  assert quartic(H, H, H, H) - 1 == 0 cite "x"\n'
+        '  assert quartic(H, H, H, H) - 1 != 1 cite "the same node"\n'
+        '  assert -quartic(H, H, H, H) != 1 cite "a negation over the same call"\n'
+        "}\n"
+    )
+    for _ in range(2):  # each node once in each build, for every row that uses it
+        calls.clear()
+        assert run(document.build()).failed == 0
+        assert calls == [("-", 1, 1), (dsl._UNARY_MINUS, 1)]
+    (node,) = document.scenarios
+    assert node.rows["a01"].left is node.rows["a02"].left
+    assert [row.left.kept for row in node.rows.values()] == [None] * 3
 
 
 def test_a_build_reaches_the_engine_once_per_distinct_call(monkeypatch):

@@ -57,7 +57,7 @@ RECORDS = [
     (CenterStmt, {"kind": "curve", "fields": (("genus", 0), ("hc", 1)), "cycle": None}),
     (GrassStmt, {"k": 2, "n": 5}),
     (AssertStmt, {"left": 1, "op": "==", "right": 1, "cite": "c", "label": None}),
-    (ScenarioNode, {"name": "s", "statements": []}),
+    (ScenarioNode, {"name": "s", "statements": [], "setups": {}, "rows": {}}),
     (Document, {"scenarios": []}),
     (Assertion, {"label": "a01", "cite": "c", "op": "==", "expected": thunk, "actual": thunk}),
     (Scenario, {"name": "s", "assertions": [], "notes": ["n"]}),

@@ -5,7 +5,7 @@ import operator
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanocalc import chern, schubert
@@ -461,6 +461,46 @@ def test_normalize_partition_totality(parts):
     result = normalize_partition(ordered)
     assert all(p > 0 for p in result)
     assert sum(result) == sum(ordered)
+
+
+def _first_normalize_partition(parts):
+    """normalize_partition as first written, three scans and a loop: the oracle of the next test."""
+    parts = tuple(int(p) for p in parts)
+    if any(p < 0 for p in parts):
+        raise ValueError(f"negative part in partition {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"parts not weakly decreasing: {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+def _outcome(normalize, parts):
+    """What ``normalize(parts)`` returns, or its error's type and message."""
+    try:
+        return normalize(parts)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_PARTS = st.integers(min_value=-3, max_value=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(_PARTS, max_size=6),  # negative parts and rising pairs
+    st.tuples(st.lists(_PARTS, max_size=5), st.integers(min_value=1, max_value=3)).map(
+        lambda t: sorted(t[0], reverse=True) + [0] * t[1]),  # decreasing, with trailing zeros
+    st.lists(st.sampled_from([2, 1, 0, True, "3", "x", 1.5, None]), max_size=4),
+).flatmap(lambda parts: st.sampled_from([parts, tuple(parts)])))
+@example([])
+@example(())
+@example([0, 0])
+@example([-1, 0])
+@example([0, 1])
+@example([2, 0, 1])
+def test_normalize_partition_matches_its_first_definition(parts):
+    assert _outcome(normalize_partition, parts) == _outcome(_first_normalize_partition, parts)
 
 
 def test_dimension_and_euler_counts():

@@ -1,4 +1,5 @@
-"""Each distinct expression of a scenario is one node, evaluated once per build.
+"""Each distinct expression of a scenario is one node, evaluated once per build,
+or once per document when no setup statement can change its value.
 
 A scenario's report is checked against a second route: its rows, read
 from the source text, run one per scenario, each in a document of its own
@@ -9,6 +10,7 @@ The engine calls of one pass of the built-in scenarios are counted.
 import json
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -193,6 +195,45 @@ def test_a_pass_of_the_builtins_makes_a_fixed_number_of_engine_calls(monkeypatch
     # the three surface centres (Xi, Pi, the V14 plane) read their pairings off the cache
     after = profiles.surface_pairings.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+
+
+def _setup_free(node):
+    """Whether no setup statement can change the value of ``node``: a leaf, or an operator over such nodes."""
+    if isinstance(node, (int, blowup.Divisor)):
+        return True
+    if isinstance(node, dsl.Neg):
+        return _setup_free(node.operand)
+    return isinstance(node, dsl.BinOp) and _setup_free(node.left) and _setup_free(node.right)
+
+
+def test_a_second_pass_of_the_builtins_applies_no_operator_to_setup_free_operands(monkeypatch):
+    run(builtin_scenarios())  # each built-in document keeps its setup-free values
+    evaluating, applied = [], []
+    value = dsl._value
+
+    def traced(node, setup, memo):  # every _value call of a build made from now on
+        evaluating.append(node)
+        try:
+            return value(node, setup, memo)
+        finally:
+            evaluating.pop()
+
+    def recorded(*operands, _rule):
+        applied.append(evaluating[-1])  # the node whose operator this is
+        return _rule(*operands)
+
+    monkeypatch.setattr(dsl, "_value", traced)
+    for op, rule in list(dsl._OPERATORS.items()):
+        monkeypatch.setitem(dsl._OPERATORS, op, partial(recorded, _rule=rule))
+    assert run(builtin_scenarios()).failed == 0
+    assert applied, "the operators over calls and sigma[...] atoms run in every pass"
+    assert [dsl._print_expr(node) for node in applied if _setup_free(node)] == []
+    # a fresh parse of the same text computes its setup-free operators once again
+    applied.clear()
+    assert run(parse(BUILTIN_SOURCES["v12-link"]).build()).failed == 0
+    assert sorted(dsl._print_expr(node) for node in applied if _setup_free(node)) == [
+        "-1", "-12", "-12 * (1 - 1)", "1 - 1", "2 * (7 - 1)", "2 * H", "2 * H - E", "7 - 1",
+        "H - E"]
 
 
 def test_a_first_pass_of_the_builtins_builds_chern_classes_to_degree_4(monkeypatch):
