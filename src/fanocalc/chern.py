@@ -10,7 +10,7 @@ so every coefficient stays an integer.
 Each component is summed on one plain term table ``{partition:
 coefficient}``: every signed or binomial-scaled product is added straight
 into the table of its component, and the table is wrapped in a cycle once,
-through ``SchubertCycle._trusted``.  A component above a factor's limit is
+through ``schubert._trusted``.  A component above a factor's limit is
 zero, so its products are skipped, not computed.  Every product is
 ``schubert.multiply``, the one kernel.
 """
@@ -25,6 +25,7 @@ from .schubert import (
     ContextMismatchError,
     Grassmannian,
     SchubertCycle,
+    _trusted,
     multiply,
     sigma,
     unit,
@@ -132,12 +133,12 @@ def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
     """
     ctx = bundle.total.context
     c, top = bundle.total.components, bundle.total.limit
-    sums = [SchubertCycle._trusted(ctx, 0, {(): bundle.rank})]
+    sums = [_trusted(ctx, 0, {(): bundle.rank})]
     for m in range(1, limit + 1):
         acc = {p: (-1) ** (m - 1) * m * v for p, v in c[m]._terms.items()} if m <= top else {}
         for i in range(1, min(m - 1, top) + 1):
             _add_product(acc, (-1) ** (i - 1), c[i], sums[m - i])
-        sums.append(SchubertCycle._trusted(ctx, m, acc))
+        sums.append(_trusted(ctx, m, acc))
     return sums
 
 
@@ -177,13 +178,13 @@ def tensor_chern(a: BundleModel, b: BundleModel, top: int | None = None) -> Tota
         acc = {}
         for t in range(m + 1):
             _add_product(acc, math.comb(m, t), pa[t], pb[m - t])
-        sums.append(SchubertCycle._trusted(ctx, m, acc))
+        sums.append(_trusted(ctx, m, acc))
     comps = [unit(ctx)]
     for m in range(1, limit + 1):
         acc = {}
         for i in range(1, m + 1):
             _add_product(acc, (-1) ** (i - 1), sums[i], comps[m - i])
-        comps.append(SchubertCycle._trusted(ctx, m, _divide_exactly(acc, m)))
+        comps.append(_trusted(ctx, m, _divide_exactly(acc, m)))
     return TotalChernClass(ctx, comps, limit < full)
 
 
@@ -217,5 +218,5 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> TotalCh
         for m in range(1, len(comps)):
             acc = dict(comps[m]._terms)
             _add_product(acc, -d, s1, comps[m - 1])
-            comps[m] = SchubertCycle._trusted(ctx, m, acc)
+            comps[m] = _trusted(ctx, m, acc)
     return TotalChernClass(ctx, comps, limit < full)

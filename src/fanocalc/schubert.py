@@ -15,21 +15,27 @@ immutable and all operations are pure functions.
 The public ``SchubertCycle(...)`` constructor validates every key, and
 ``sigma`` normalizes its one partition and checks it against the box.  The
 kernel works on plain term tables ``{partition: coefficient}`` and wraps
-each result in a cycle once, through ``SchubertCycle._trusted``, which
-relies on an invariant instead: every key it is given is already a box
-partition, without trailing zeros, of weight ``codim``; it drops the
-coefficients that cancel and otherwise keeps the table it is handed.  The
-Pieri rule is applied in one loop, inside ``multiply``, and
-``SchubertCycle.pieri`` is the product with sigma_p.  Giambelli
-determinants are expanded by Laplace down the rows, one minor per set of
-used columns.  The special classes commute, so a Giambelli word is a
-sorted multiset of letters, and equal words of one partition are merged
-into one word whose weight is the sum of their signs.  ``multiply`` sums
-the expanded factor into one table of words, each weighted by coefficient
-times weight over all of its terms, and carries the other factor's terms
-through each word's Pieri steps once.  The Pieri rule reads its horizontal
-strips from a cached table, ``_row_strips``, keyed by the partition, the
-strip size and the box, so no strip is enumerated twice.
+each result in a cycle once, through the module function ``_trusted``,
+which relies on an invariant instead: every key it is given is already a
+box partition, without trailing zeros, of weight ``codim``; it drops the
+coefficients that cancel and otherwise keeps the table it is handed.
+Giambelli determinants are expanded by Laplace down the rows, one minor
+per set of used columns.  The special classes commute, so a Giambelli word
+is a sorted multiset of letters, and equal words of one partition are
+merged into one word whose weight is the sum of their signs.  The Pieri
+rule is applied in one loop, in ``_pieri_product``, which carries a term
+table through each word of a weighted word table once and sums the
+results; a table of one word of weight 1, as sigma_p's is, hands back
+that word's table with no weighted sum.  ``multiply`` sums the expanded
+factor into one table of words, each weighted by coefficient times weight
+over all of its terms, and calls it once on the other factor's terms.  A
+power a ** e with 2 <= e and codim * e <= dim makes no product: it
+expands its base once, by rows or by columns as the base's own shape
+bound says, and calls it e - 1 times on one running table, so sigma_1^6
+on Gr(2, 5) reads the Giambelli table once.  ``SchubertCycle.pieri`` is
+the product with sigma_p.  The Pieri rule reads its horizontal strips
+from a cached table, ``_row_strips``, keyed by the partition, the strip
+size and the box, so no strip is enumerated twice.
 
 Two kinds of product are read off before any word is expanded, by the
 duality theorem (Fulton, *Young Tableaux*, 9.4).  In the top degree
@@ -40,8 +46,9 @@ cycles with any number of terms.  Below it, sigma_lam * sigma_mu = 0
 unless lam_i + mu_(k+1-i) <= n-k for every i, that is unless lam fits in
 mu^vee, so a product of two single classes that fails this test is the
 zero cycle.  Every other product below the top degree, so every nonzero
-one, still runs the Pieri loop.  The dual partitions and the shape bounds
-are read from one bounded per-partition table, ``_shape``.
+one, still runs the Pieri loop, and so does the last pass of a power that
+reaches the top degree.  The dual partitions and the shape bounds are
+read from one bounded per-partition table, ``_shape``.
 """
 
 from __future__ import annotations
@@ -110,11 +117,6 @@ class Grassmannian(FrozenRecord):
     def width(self) -> int:
         return self.n - self.k
 
-    @property
-    def point(self) -> tuple[int, ...]:
-        """The full-box partition, i.e. the class of a point."""
-        return (self.width,) * self.k
-
     def contains(self, parts: tuple[int, ...]) -> bool:
         return len(parts) <= self.k and (not parts or parts[0] <= self.width)
 
@@ -151,20 +153,6 @@ class SchubertCycle:
         self.codim = codim
         self._terms = {p: c for p, c in clean.items() if c}
 
-    @classmethod
-    def _trusted(cls, context: Grassmannian, codim: int, terms: dict) -> "SchubertCycle":
-        """A cycle from keys that are already box partitions of weight ``codim``.
-
-        Only zero coefficients are dropped; nothing is re-validated.  A table
-        with no zero is kept as it is, not copied, so every caller hands over
-        a table of its own and does not change it afterwards.
-        """
-        cycle = object.__new__(cls)
-        cycle.context = context
-        cycle.codim = codim
-        cycle._terms = {p: c for p, c in terms.items() if c} if 0 in terms.values() else terms
-        return cycle
-
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
@@ -198,12 +186,10 @@ class SchubertCycle:
         merged = dict(self._terms)
         for p, c in other._terms.items():
             merged[p] = merged.get(p, 0) + c
-        return SchubertCycle._trusted(self.context, self.codim, merged)
+        return _trusted(self.context, self.codim, merged)
 
     def __neg__(self):
-        return SchubertCycle._trusted(
-            self.context, self.codim, {p: -c for p, c in self._terms.items()}
-        )
+        return _trusted(self.context, self.codim, {p: -c for p, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -212,9 +198,7 @@ class SchubertCycle:
         if isinstance(other, SchubertCycle):
             return multiply(self, other)
         if isinstance(other, int):
-            return SchubertCycle._trusted(
-                self.context, self.codim, {p: c * other for p, c in self._terms.items()}
-            )
+            return _trusted(self.context, self.codim, {p: c * other for p, c in self._terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -225,16 +209,29 @@ class SchubertCycle:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("cycle powers need a non-negative integer exponent")
+        ctx = self.context
         if self.codim == 0:  # a multiple c of the unit class: its power is c**exponent times it
-            return SchubertCycle._trusted(self.context, 0, {(): self._terms.get((), 0) ** exponent})
-        if self.codim * exponent > self.context.dim:
-            return zero(self.context, self.codim * exponent)  # past the top degree
-        if not exponent:
-            return unit(self.context)
-        out = self  # e - 1 products, none with the unit
+            return _trusted(ctx, 0, {(): self._terms.get((), 0) ** exponent})
+        codim = self.codim * exponent
+        k = ctx.k
+        width = ctx.n - k
+        if codim > k * width:
+            return zero(ctx, codim)  # past the top degree
+        if exponent < 2:
+            return self if exponent else unit(ctx)
+        # e - 1 Pieri passes of the base's one word table over one running table
+        terms = self._terms
+        rows, cols = _shape_bounds(terms, k, width)
+        side = cols < rows
+        if side:
+            k, width = width, k
+            terms = {_conjugate(lam): c for lam, c in terms.items()}
+        weights = _word_table(terms)
         for _ in range(exponent - 1):
-            out = out * self
-        return out
+            terms = _pieri_product(weights, terms, k, width)
+        if side:
+            terms = {_conjugate(mu): c for mu, c in terms.items()}
+        return _trusted(ctx, codim, terms)
 
     def pieri(self, p: int) -> "SchubertCycle":
         """Multiply by the special class sigma_p: the product with ``sigma(context, p)``.
@@ -248,9 +245,11 @@ class SchubertCycle:
 
     def integral(self) -> int:
         """Coefficient of the point class when codim equals dim, else 0."""
-        if self.codim != self.context.dim:
+        k = self.context.k
+        width = self.context.n - k
+        if self.codim != k * width:
             return 0
-        return self._terms.get(self.context.point, 0)
+        return self._terms.get((width,) * k, 0)
 
     def __repr__(self):
         if not self._terms:
@@ -269,10 +268,24 @@ class SchubertCycle:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def _trusted(context: Grassmannian, codim: int, terms: dict) -> SchubertCycle:
+    """A cycle from keys that are already box partitions of weight ``codim``.
+
+    Only zero coefficients are dropped; nothing is re-validated.  A table
+    with no zero is kept as it is, not copied, so every caller hands over
+    a table of its own and does not change it afterwards.
+    """
+    cycle = object.__new__(SchubertCycle)
+    cycle.context = context
+    cycle.codim = codim
+    cycle._terms = {p: c for p, c in terms.items() if c} if 0 in terms.values() else terms
+    return cycle
+
+
 def sigma(ctx: Grassmannian, *parts) -> SchubertCycle:
     """The Schubert class sigma_lambda; identically zero outside the box."""
     lam = normalize_partition(parts)
-    return SchubertCycle._trusted(ctx, sum(lam), {lam: 1} if ctx.contains(lam) else {})
+    return _trusted(ctx, sum(lam), {lam: 1} if ctx.contains(lam) else {})
 
 
 def unit(ctx: Grassmannian) -> SchubertCycle:
@@ -412,6 +425,49 @@ def _shape_bounds(terms: dict, k: int, width: int) -> tuple[int, int]:
     return rows, cols
 
 
+def _word_table(terms: dict) -> dict[tuple[int, ...], int]:
+    """The Giambelli words of a term table's partitions, merged into one table.
+
+    Each word is weighted by the sum over the terms of coefficient times
+    the word's weight in that term's expansion.
+    """
+    weights: dict[tuple[int, ...], int] = {}
+    for lam, ca in terms.items():
+        for weight, word in _giambelli_monomials(lam):
+            weights[word] = weights.get(word, 0) + ca * weight
+    return weights
+
+
+def _pieri_product(weights: dict, table: dict, k: int, width: int) -> dict[tuple[int, ...], int]:
+    """The term table ``table`` times the word table ``weights``, by the Pieri rule in the k x width box.
+
+    Each word of non-zero weight carries the table through its Pieri steps
+    once, and the weighted results are summed.  A single word of weight 1
+    with at least one letter, the one word of sigma_p, hands back its own
+    table; the empty word, the unit's, would hand back ``table`` itself,
+    which the caller does not own.  Cancelled entries may stay in the table
+    returned; the next step skips them, and ``_trusted`` drops them.
+    """
+    total: dict[tuple[int, ...], int] = {}
+    for word, weight in weights.items():
+        if not weight:
+            continue
+        cur = table
+        for m in word:
+            # the Pieri rule, the one place it is applied: cur times sigma_m
+            step: dict[tuple[int, ...], int] = {}
+            for mu, c in cur.items():
+                if c:
+                    for lam in _row_strips(mu, m, k, width):
+                        step[lam] = step.get(lam, 0) + c
+            cur = step
+        if weight == 1 and word and len(weights) == 1:
+            return cur
+        for mu, c in cur.items():
+            total[mu] = total.get(mu, 0) + weight * c
+    return total
+
+
 def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
     """Chow-ring product, via Giambelli expansion of one factor and iterated Pieri.
 
@@ -436,15 +492,15 @@ def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
     codim = a.codim + b.codim
     expanded, other = a._terms, b._terms
     if codim > dim or not expanded or not other:
-        return SchubertCycle._trusted(ctx, codim, {})
+        return _trusted(ctx, codim, {})
     if codim == dim:
-        return SchubertCycle._trusted(ctx, codim, {(width,) * k: _pairing(a, b)})
+        return _trusted(ctx, codim, {(width,) * k: _pairing(a, b)})
     if len(expanded) == 1 == len(other):
         (lam,), (mu,) = expanded, other
         _, rows_a, cols_a = _shape(lam, k, width)
         dual, rows_b, cols_b = _shape(mu, k, width)
         if len(lam) > len(dual) or not all(map(le, lam, dual)):
-            return SchubertCycle._trusted(ctx, codim, {})  # lam does not fit in mu^vee
+            return _trusted(ctx, codim, {})  # lam does not fit in mu^vee
     else:
         rows_a, cols_a = _shape_bounds(expanded, k, width)
         rows_b, cols_b = _shape_bounds(other, k, width)
@@ -455,26 +511,7 @@ def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
         k, width = width, k
         expanded = {_conjugate(lam): c for lam, c in expanded.items()}
         other = {_conjugate(mu): c for mu, c in other.items()}
-    weights: dict[tuple[int, ...], int] = {}
-    for lam, ca in expanded.items():
-        for weight, word in _giambelli_monomials(lam):
-            weights[word] = weights.get(word, 0) + ca * weight
-    total: dict[tuple[int, ...], int] = {}
-    for word, weight in weights.items():
-        if not weight:
-            continue
-        cur = other
-        for m in word:
-            # the Pieri rule, the one place it is applied: cur times sigma_m.
-            # Cancelled entries stay in the table and are skipped here.
-            step: dict[tuple[int, ...], int] = {}
-            for mu, c in cur.items():
-                if c:
-                    for lam in _row_strips(mu, m, k, width):
-                        step[lam] = step.get(lam, 0) + c
-            cur = step
-        for mu, c in cur.items():
-            total[mu] = total.get(mu, 0) + weight * c
+    total = _pieri_product(_word_table(expanded), other, k, width)
     if side:
         total = {_conjugate(mu): c for mu, c in total.items()}
-    return SchubertCycle._trusted(ctx, codim, total)
+    return _trusted(ctx, codim, total)

@@ -227,22 +227,33 @@ def test_pairing_with_the_section_class_is_the_integral_over_the_section(data):
     assert _pairing(alpha, section_class) == oracle_pairing(ctx, alpha, section_class)
 
 
-@pytest.mark.parametrize("k, n, degrees, products", [
+@pytest.mark.parametrize("k, n, degrees, steps", [
     (1, 5, (), 5),  # P^4
     (1, 7, (2, 2), 6),  # W2.2
     (2, 5, (1, 1), 6),  # W5
     (2, 6, (1, 1, 1, 1), 8),  # V14
 ])
-def test_section_profile_work_counts(k, n, degrees, products, monkeypatch):
-    # with the section's Chern classes built, a profile takes the products of
-    # its monomials and builds sigma_1^codim once; its integrals take none
+def test_section_profile_work_counts(k, n, degrees, steps, monkeypatch):
+    # with the section's Chern classes built, a profile takes the 5 products of
+    # its monomials and builds sigma_1^codim once, by codim - 1 Pieri passes and
+    # with no product; its integrals take none.  A step is a product or one of
+    # the power's passes, so each product the power used to take is one pass.
     section_model(k, n, degrees, FOURFOLD)
-    calls, powers = [], []
-    multiply, power = schubert.multiply, SchubertCycle.__pow__
+    calls, powers, passes = [], [], []
+    multiply, power, pieri = schubert.multiply, SchubertCycle.__pow__, schubert._pieri_product
+
+    def traced_power(cycle, exponent):
+        before = len(passes)
+        result = power(cycle, exponent)
+        powers.append((exponent, len(passes) - before))
+        return result
+
     monkeypatch.setattr(schubert, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
-    monkeypatch.setattr(SchubertCycle, "__pow__", lambda c, e: powers.append(e) or power(c, e))
+    monkeypatch.setattr(schubert, "_pieri_product", lambda *args: passes.append(1) or pieri(*args))
+    monkeypatch.setattr(SchubertCycle, "__pow__", traced_power)
     section_profile.__wrapped__(k, n, degrees)
-    assert (len(calls), powers) == (products, [len(degrees)])
+    [(exponent, power_passes)] = powers
+    assert (len(calls), exponent, len(calls) + power_passes) == (5, len(degrees), steps)
 
 
 def test_section_model_shape():

@@ -119,7 +119,7 @@ def test_integral_of_non_top_cycle_is_zero():
 
 def test_point_class_integrates_to_one():
     for ctx in (GR24, GR25, GR26, GR36):
-        assert sigma(ctx, *ctx.point).integral() == 1
+        assert sigma(ctx, *(ctx.width,) * ctx.k).integral() == 1  # the full box
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +526,42 @@ def test_cycle_powers():
         s1 ** -1
 
 
-def test_power_past_the_top_degree_or_of_codim_0_does_not_loop(monkeypatch):
-    from fanocalc import schubert
+@settings(max_examples=60, deadline=None)
+@given(a=st.one_of(*(strategy(ctx) for ctx in (GR25, GR36, GR27, GR37) for strategy in (_cycles, _sums))))
+@example(a=SchubertCycle(GR25, 2, {(2,): 1, (1, 1): 1}))  # the word sigma_2 cancels
+@example(a=sigma(GR37, 1, 1, 1))  # column bound 1 below row bound 6: the transposed box
+@example(a=SchubertCycle(GR37, 3, {(1, 1, 1): 2, (2, 1): -1}))  # column bound 3 below row bound 8
+def test_a_power_is_its_repeated_product(a):
+    # a ** e against e - 1 calls of multiply, and the unit for e = 0
+    product = unit(a.context)
+    for e in range(a.context.dim + 2):
+        power = a ** e
+        assert power == product and power.codim == product.codim == a.codim * e
+        assert all(power.terms.values())
+        assert power == SchubertCycle(power.context, power.codim, power.terms)
+        product = a if e == 0 else schubert.multiply(product, a)
 
-    calls = []
-    multiply = schubert.multiply
+
+def test_power_past_the_top_degree_or_of_codim_0_does_not_loop(monkeypatch):
+    calls, reads = [], {"words": 0, "strips": 0}
+    multiply, words, strips = schubert.multiply, schubert._giambelli_monomials, schubert._row_strips
     monkeypatch.setattr(schubert, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    monkeypatch.setattr(schubert, "_giambelli_monomials",
+                        lambda lam: reads.__setitem__("words", reads["words"] + 1) or words(lam))
+    monkeypatch.setattr(schubert, "_row_strips",
+                        lambda *key: reads.__setitem__("strips", reads["strips"] + 1) or strips(*key))
     power = sigma(GR25, 1) ** 10**5
-    assert len(calls) <= GR25.dim + 1
+    assert calls == [] and reads == {"words": 0, "strips": 0}
     assert power.is_zero() and power.codim == 10**5
     assert power != zero(GR25, GR25.dim + 1)  # zero cycles differ by codimension
-    # up to the top degree the power multiplies once per factor after the first
-    calls.clear()
+    # up to the top degree the power makes no product: it expands sigma_1 once
+    # and carries one table through its e - 1 Pieri passes, one strip read per
+    # term, (1), (2) + (1,1), (3) + (2,1), (3,1) + (2,2) and (3,2)
     assert (sigma(GR25, 1) ** GR25.dim).integral() == 5
-    assert len(calls) == GR25.dim - 1
+    assert calls == [] and reads == {"words": 1, "strips": 1 + 2 + 2 + 2 + 1}
     # a codimension-0 cycle is a multiple of the unit class: one integer power
-    calls.clear()
+    reads.update(words=0, strips=0)
     assert unit(GR25) ** 10**9 == unit(GR25)
     assert (2 * unit(GR25)) ** 10 == 1024 * unit(GR25)
     assert zero(GR25) ** 0 == unit(GR25) and zero(GR25) ** 10**9 == zero(GR25)
-    assert calls == []
+    assert calls == [] and reads == {"words": 0, "strips": 0}

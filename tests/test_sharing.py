@@ -154,7 +154,7 @@ def test_a_raising_call_fails_each_row_that_shares_it(monkeypatch):
 # A chi() call pairs its quadratic off the model's table and makes no
 # quartic_number call.
 _ENGINE_CALLS = {
-    "schubert.multiply": 41,
+    "schubert.multiply": 19,
     "blowup.quartic_number": 19,
     "blowup.chi_riemann_roch": 5,
     "profiles.section_model": 10,
@@ -242,7 +242,7 @@ def test_a_first_pass_of_the_builtins_builds_chern_classes_to_degree_4(monkeypat
     _clear_section_caches()
     calls = _count_calls(monkeypatch, ["schubert.multiply"])
     assert run(builtin_scenarios()).failed == 0
-    assert calls == {"schubert.multiply": 244}
+    assert calls == {"schubert.multiply": 217}
 
 
 def test_a_document_reading_every_chern_degree_builds_each_class_twice_at_most(monkeypatch):
