@@ -91,7 +91,10 @@ def _cmd_run(args, out, err) -> int:
 
 
 def _cmd_check(args, out, err) -> int:
-    collected, names = [], set()  # a scenario name is unique across the files, as within one
+    # the files are one document, built once: a scenario name is unique
+    # across the files, as within one, and each distinct call is computed
+    # once per distinct set of setup statements, whichever file it is in
+    document = dsl.Document()
     for path in args.files:
         try:
             with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -103,13 +106,11 @@ def _cmd_check(args, out, err) -> int:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT
         try:
-            document = dsl.parse(source, names)
+            dsl.parse(source, document)
         except dsl.ParseError as exc:
             err.write(f"check: {path}: {exc}\n")
             return _USAGE_EXIT
-        names.update(node.name for node in document.scenarios)
-        collected.extend(document.build())
-    return _report_exit(scenarios.run(collected), args.format, False, out)
+    return _report_exit(scenarios.run(document.build()), args.format, False, out)
 
 
 def _cmd_emit(args, out, err) -> int:

@@ -24,8 +24,8 @@ column counts characters, so a tab or a lone CR is one column.
 The parser enforces every rule of a document, so a document it returns
 always builds: a scenario has at most one each of profile, center and
 grassmannian, its assertion labels are unique, the generated ones
-included, and a scenario name is unique in the document and among the
-names the caller gives.
+included, and a scenario name is unique in the document, whose earlier
+parses count too.  A source that fails adds no scenario to the document.
 
 Grammar (statements in any order; integer fields may carry a leading '-'):
 
@@ -66,23 +66,23 @@ is (c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
 The leaves of an expression tree are values: an integer literal is its
 int, and H and E are the engine's divisors blowup.H and blowup.E; every
 other node compares and hashes by identity.  Each distinct expression of a
-scenario is one node of its tree: equal setup-free subexpressions
-(integers, H, E and the operators over them) are one node of the whole
-document, and equal calls and sigma[...] atoms, and the operators over
-them, one node of their scenario, as their values depend on its setup
-statements.  A call argument
-or parenthesised expression whose text, up to the next ',' or ')', holds
-none of '(', '[', '"' and '#' is such a subtree, and the parser reads each
-distinct such text once per document; a later copy takes the first one's
-node, and one match of a third pattern reads the copy, its ',' or ')'
-and the whitespace and comments after them, with no token lexed.  A
-setup-free expression is computed once per document: its node keeps its
-value when the first assertion that uses it runs, and every later build of
-the document reads it.  Every other distinct expression of a scenario is
-evaluated once per build: running the built scenarios, again or not,
-computes each of its nodes once, when the first assertion that uses it
-runs.  Building evaluates nothing, and an error is not kept: it fails each
-assertion that uses its node, in every build, with the same message.
+document, over every source parsed into it, is one node: equal
+subexpressions, and equal setup statements, are one object, though a call
+or a sigma[...] atom, and an operator over one, takes a value under each
+set of setup statements that its scenarios have.  A call argument or
+parenthesised expression whose text, up to the next ',' or ')', holds
+none of '(', '[', '"' and '#' is a setup-free subtree, and the parser
+reads each distinct such text once per document; a later copy takes the
+first one's node, and one match of a third pattern reads the copy, its
+',' or ')' and the whitespace and comments after them, with no token
+lexed.  A setup-free expression is computed once per document: its node
+keeps its value when the first assertion that uses it runs, and every
+later build of the document reads it.  Every other distinct expression is evaluated once
+per build and distinct set of setup statements: running the built
+scenarios, again or not, computes each of its nodes once under each such
+set, when the first assertion that uses it runs.  Building evaluates
+nothing, and an error is not kept: it fails each assertion that uses its
+node, in every build, with the same message.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
 times the bit length of the base (for a Fraction, the longer of numerator
@@ -224,12 +224,11 @@ def _lex_error(source: str, offset: int):
 # have no assignment guard: a pass builds one node per few tokens, and a
 # guarded node, a FrozenRecord whose fields go through its _store, costs
 # about four times as much to build.  Nothing changes a field once the node
-# is built, so a document holds each setup-free subtree once, and a
-# scenario each of its other expressions once, however often they occur.
-# Every node compares and hashes by identity, so a node is a key of the
-# parser's sharing table and of the evaluator's memo.  ``kept`` is the
-# value of a setup-free operator node once it is first computed, and None
-# before that and on every other node; see _value.
+# is built, so a document holds each distinct expression once, however
+# often it occurs.  Every node compares and hashes by identity, so a node
+# is a key of the parser's sharing table and of a _Setup's values.
+# ``kept`` is the value of a setup-free operator node once it is first
+# computed, and None before that and on every other node; see _value.
 
 class SigmaAtom:
     __slots__ = ("parts",)
@@ -320,10 +319,14 @@ class ScenarioNode:
 
 
 class Document:
-    __slots__ = ("scenarios",)
+    __slots__ = ("scenarios", "nodes", "operands")
 
     def __init__(self, scenarios: list | None = None):
         self.scenarios = [] if scenarios is None else scenarios
+        # the parser's node table and plain-text memo, which every parse
+        # into the document reads and fills; see _Parser
+        self.nodes = {}
+        self.operands = {}
 
     def pretty(self) -> str:
         return "\n".join(_print_scenario(s) for s in self.scenarios)
@@ -333,11 +336,19 @@ class Document:
 
         A setup-free expression is computed once per document: its node
         keeps its value, which every later build reads.  Every other
-        distinct expression of a scenario is computed once per build: the
-        scenarios share one memo, which every run of them fills and reads,
-        and a second build starts from an empty one."""
-        memo = {}  # node -> value, for the nodes that depend on setup; see _value
-        return [_build_scenario(node, memo) for node in self.scenarios]
+        distinct expression is computed once per build and distinct set of
+        setup statements: the scenarios whose setup statements are the same
+        objects, in whatever order they were written, share one _Setup,
+        which holds the values every run of them fills and reads, and a
+        second build starts from fresh ones."""
+        setups, scenarios = {}, []  # a scenario's setup statements -> their _Setup
+        for node in self.scenarios:
+            key = frozenset(node.setups.values())
+            setup = setups.get(key)
+            if setup is None:
+                setup = setups[key] = _Setup(node.setups)
+            scenarios.append(_build_scenario(node, setup))
+        return scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +376,22 @@ class _Parser:
     grammar, so the parser fails at it at the latest, and an error at such a
     token is its lexical error."""
 
-    __slots__ = ("source", "value", "start", "end", "depth", "scope", "shared", "operands")
+    __slots__ = ("source", "value", "start", "end", "depth", "document", "shared", "operands")
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, document: Document):
         self.source = source
         self.end = _LEADING.match(source).end()
         self.advance()
         self.depth = 0
-        self.scope = None  # the offset of the current scenario's keyword
+        self.document = document
         # Key -> the document's one node for it, so each distinct expression
-        # of a scenario is one node: (operator, operand, ...) -> its Neg or
-        # BinOp; (scope, name, arguments) -> a Call and (scope, parts) -> a
-        # SigmaAtom of the scenario at that scope.  An operator over the same
-        # nodes is one node, so setup-free subtrees are shared by the whole
-        # document and the others only within their scenario.
-        self.shared = {}
+        # of the document is one node: (operator, operand, ...) -> its Neg or
+        # BinOp; (name, arguments) -> a Call and (SigmaAtom, parts) -> a
+        # SigmaAtom.  An operator over the same nodes is one node.  A setup
+        # statement's class and fields -> the document's one such statement.
+        self.shared = document.nodes
         # Source text -> (tree, height) of each plain operand read; see operand.
-        self.operands = {}
+        self.operands = document.operands
 
     def advance(self):
         m = _TOKEN.match(self.source, self.end)
@@ -444,15 +454,19 @@ class _Parser:
 
     # document / scenario / statements
 
-    def parse_document(self, names: set) -> Document:
-        doc = Document()
+    def parse_document(self) -> Document:
+        """The document, with the source's scenarios added once the whole source has parsed."""
+        document = self.document
+        names = {node.name for node in document.scenarios}
+        scenarios = []
         while self.value:  # EOF's text is empty
-            doc.scenarios.append(self.parse_scenario(names))
-        return doc
+            scenarios.append(self.parse_scenario(names))
+        document.scenarios.extend(scenarios)
+        return document
 
     def parse_scenario(self, names: set) -> ScenarioNode:
         """A scenario whose name is not in ``names``, which it joins."""
-        kw = self.scope = self.expect("scenario")
+        kw = self.expect("scenario")
         name = self.expect_string()
         self.expect("{")
         statements, setups, rows = [], {}, {}
@@ -498,7 +512,9 @@ class _Parser:
             self.fail(self.start, f"expected 'c2h2' or 'ambient', found {self.describe()}")
         chi = self.expect_field("chi")
         euler = self.expect_field("euler")
-        return ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler)
+        key = (ProfileStmt, ident, h4, index, c2h2, ambient, codim, chi, euler)
+        return self.shared.get(key) or self.share(
+            key, ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler))
 
     def parse_center(self) -> CenterStmt:
         start = self.start
@@ -511,12 +527,14 @@ class _Parser:
         if kind == "surface" and self.value == "sigma":
             self.advance()
             cycle = self.sigma()
-        return CenterStmt(kind, values, cycle)
+        key = (CenterStmt, kind, values, cycle)
+        return self.shared.get(key) or self.share(key, CenterStmt(kind, values, cycle))
 
     def parse_grass(self) -> GrassStmt:
         k = self.expect_int()
         n = self.expect_int()
-        return GrassStmt(k, n)
+        key = (GrassStmt, k, n)
+        return self.shared.get(key) or self.share(key, GrassStmt(k, n))
 
     def parse_assert(self) -> AssertStmt:
         left, _ = self.nested(self.start)
@@ -634,7 +652,9 @@ class _Parser:
                 return read
         self.advance()
         read = self.nested(start)
-        if plain is not None:  # a read that stops short of the ',' or ')' fails its caller
+        # a read that stops short of the ',' or ')' fails its caller, and is
+        # not kept for a later parse into the document
+        if plain is not None and self.start == plain.end(1):
             self.operands[text] = read
         return read
 
@@ -655,7 +675,7 @@ class _Parser:
         if height >= _MAX_DEPTH:
             self.fail(start, "expression nesting too deep")
         args = tuple(args)
-        key = (self.scope, name, args)
+        key = (name, args)
         return self.shared.get(key) or self.share(key, Call(name, args)), height + 1
 
     def sigma(self) -> SigmaAtom:
@@ -667,7 +687,7 @@ class _Parser:
             parts.append(self.expect_int())
         self.expect("]", "',' or ']'")
         parts = tuple(parts)
-        key = (self.scope, parts)
+        key = (SigmaAtom, parts)
         return self.shared.get(key) or self.share(key, SigmaAtom(parts))
 
 
@@ -676,13 +696,17 @@ def _label(stmt: AssertStmt, counter: int) -> str:
     return stmt.label if stmt.label is not None else f"a{counter:02d}"
 
 
-def parse(source: str, names=None) -> Document:
-    """Parse a document; raise :class:`ParseError` with 1-based position.
+def parse(source: str, document: Document | None = None) -> Document:
+    """Parse ``source`` into ``document``, a new one by default, and return it.
 
-    ``names`` holds scenario names already taken, by earlier files of one
-    check; a scenario may reuse none of them, and the set is not changed.
-    The error raised is the first in the source, lexical or not."""
-    return _Parser(source).parse_document(set(names or ()))
+    Raise :class:`ParseError` with 1-based position: the first error in the
+    source, lexical or not.  A scenario's name must be new to the document.
+    Its expressions and setup statements share the document's nodes, so an
+    expression written in two sources, or two scenarios, is one node.  On
+    an error, ``document.scenarios`` is left as it was."""
+    if document is None:
+        document = Document()
+    return _Parser(source, document).parse_document()
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +824,7 @@ class _Setup:
     def __init__(self, setups: dict):
         self.setups = setups  # a ScenarioNode's setups, which no build changes
         self.outcomes = {}  # _once method -> (value, exception)
+        self.values = {}  # node -> value, for the nodes that depend on setup; see _value
 
     def statement(self, keyword: str):
         stmt = self.setups.get(keyword)
@@ -987,64 +1012,65 @@ _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.su
               "*": _times, "^": _power, _UNARY_MINUS: operator.neg}
 
 
-def _value(node, setup: _Setup, memo: dict):
+def _value(node, setup: _Setup):
     """The value of ``node`` under ``setup``, computed when its assertion runs.
 
     An operator node whose operands are leaves or such nodes, so no setup
     statement can change its value, keeps that value in ``kept`` once it
     is first computed, and every later build of its document reads it.
-    ``memo`` maps each other node computed to its value, so each distinct
-    expression of a scenario, which the parser makes one node, is computed
-    once per build.  A failure is kept by neither, so each row that uses
-    it, in every build, raises it again.  A call raises in this order:
+    ``setup.values`` maps each other node computed under ``setup`` to its
+    value, so each distinct expression of the document, which the parser
+    makes one node, is computed once per build and distinct set of setup
+    statements.  A failure is kept by neither, so each row that uses it,
+    in every build, raises it again.  A call raises in this order:
     arguments, then unknown name, arity and types.  A leaf is an int, H or
     E, each of its class exactly, so a class test finds it; a value is
     never None."""
     kind = node.__class__
     if kind is int or kind is Divisor:
         return node
-    if (value := node.kept) is not None or (value := memo.get(node)) is not None:
+    values = setup.values
+    if (value := node.kept) is not None or (value := values.get(node)) is not None:
         return value
     if kind is SigmaAtom:
         value = sigma(setup.grassmannian(), *node.parts)
     elif kind is Call:
-        values = []
+        args = []
         for arg in node.args:  # a loop, not a comprehension, which would take a frame
             cls = arg.__class__
             if cls is int or cls is Divisor:
-                values.append(arg)
-            elif (value := arg.kept) is not None or (value := memo.get(arg)) is not None:
-                values.append(value)
+                args.append(arg)
+            elif (value := arg.kept) is not None or (value := values.get(arg)) is not None:
+                args.append(value)
             else:
-                values.append(_value(arg, setup, memo))
+                args.append(_value(arg, setup))
         name, entry = node.name, _FUNCTIONS.get(node.name)
         if entry is None:
             raise ValueError(f"unknown function {name!r}")
-        if len(values) != entry[0]:
-            raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(values)}")
-        value = entry[1](setup, *values)
+        if len(args) != entry[0]:
+            raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(args)}")
+        value = entry[1](setup, *args)
     elif kind is Neg:
         operand = node.operand
-        value = _OPERATORS[_UNARY_MINUS](_value(operand, setup, memo))
+        value = _OPERATORS[_UNARY_MINUS](_value(operand, setup))
         # computed without error, a setup-free operand is a leaf or keeps its value
         if (cls := operand.__class__) is int or cls is Divisor or operand.kept is not None:
             node.kept = value
             return value
     else:
         left, right = node.left, node.right
-        value = _OPERATORS[node.op](_value(left, setup, memo), _value(right, setup, memo))
+        value = _OPERATORS[node.op](_value(left, setup), _value(right, setup))
         if ((cls := left.__class__) is int or cls is Divisor or left.kept is not None) and (
                 (cls := right.__class__) is int or cls is Divisor or right.kept is not None):
             node.kept = value
             return value
-    memo[node] = value
+    values[node] = value
     return value
 
 
-def _build_scenario(node: ScenarioNode, memo: dict) -> Scenario:
-    setup = _Setup(node.setups)
+def _build_scenario(node: ScenarioNode, setup: _Setup) -> Scenario:
     return Scenario(node.name, [
-        Assertion(label, stmt.cite, stmt.op, partial(_value, stmt.right, setup, memo),
-                  partial(_value, stmt.left, setup, memo))
+        Assertion(label, stmt.cite, stmt.op, partial(_value, stmt.right, setup),
+                  partial(_value, stmt.left, setup))
         for label, stmt in node.rows.items()
     ])

@@ -392,6 +392,30 @@ def test_check_rejects_a_scenario_name_repeated_across_files(tmp_path):
     assert err == f"check: {b}: line 2, column 1: duplicate scenario name 'y'\n"
 
 
+# Three files, the index of the broken one, its text and the error after its
+# path: a syntax error in the first, a middle or the last file, and a name
+# repeated from an earlier file, each after a scenario the file parses.
+_GOOD = ('scenario "a" {\n  assert 1 == 1 cite "x"\n}\n', 'scenario "b" {\n  assert 2 == 2 cite "x"\n}\n',
+         'scenario "c" {\n  assert 3 == 3 cite "x"\n}\n')
+_SYNTAX = ('scenario "ok" {}\nscenario "z" {\n  bogus\n}\n',
+           "line 3, column 3: expected a statement or '}', found 'bogus'")
+
+
+@pytest.mark.parametrize("broken, text, error", [
+    (0, *_SYNTAX), (1, *_SYNTAX), (2, *_SYNTAX),
+    (1, 'scenario "ok" {}\n  scenario "a" {}\n', "line 2, column 3: duplicate scenario name 'a'"),
+    (2, 'scenario "ok" {}\nscenario "b" {}\n', "line 2, column 1: duplicate scenario name 'b'"),
+], ids=["first", "middle", "last", "name-of-the-first", "name-of-the-middle"])
+def test_a_parse_error_in_one_of_three_files_is_reported_alone(tmp_path, broken, text, error):
+    paths = []
+    for i, source in enumerate(_GOOD):
+        paths.append(tmp_path / f"{i}.scn")
+        paths[-1].write_text(text if i == broken else source, encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = invoke("check", *map(str, paths), "--format", fmt)
+        assert (code, out, err) == (2, "", f"check: {paths[broken]}: {error}\n")
+
+
 def test_check_reads_and_parses_each_file_on_every_call(tmp_path, monkeypatch):
     # user input is never cached: a file rewritten between two calls reports its new content
     parsed = []

@@ -122,6 +122,24 @@ def test_a_lexical_error_before_a_syntax_error_still_wins():
     assert _first_error('assert 1 == 1 cite "x', _BROKEN) == (3, 22, "unterminated string literal")
 
 
+def test_a_failed_parse_leaves_the_document_as_it_was():
+    document = parse('scenario "a" { assert dim(2, 5) == 6 cite "x" }')
+    (a,) = document.scenarios
+    # 'b' parses before the error, and the text "2 5" is read short of its ')'
+    broken = 'scenario "b" {} scenario "c" { assert dim(2 5) == 6 cite "x" }'
+    for _ in range(2):  # no read of the failed parse lets a later one pass
+        with pytest.raises(ParseError) as info:
+            parse(broken, document)
+        assert _error(info.value) == (1, 45, "expected ')', found '5'")
+        assert document.scenarios == [a]
+    assert parse('scenario "b" { assert dim(2, 5) == 6 cite "x" }', document) is document
+    assert [node.name for node in document.scenarios] == ["a", "b"]
+    with pytest.raises(ParseError, match="^line 1, column 1: duplicate scenario name 'a'$"):
+        parse('scenario "a" {}', document)
+    report = run(document.build())
+    assert (report.total, report.failed) == (2, 0)
+
+
 def test_auto_labels_count_from_one():
     source = 'scenario "a" { assert 1 == 1 cite "x" assert 2 == 2 cite "y" }'
     (scenario,) = parse(source).build()
@@ -317,7 +335,7 @@ def _reference_tokens(source):
 
 def _streamed_tokens(source):
     """(kind, text, offset) of each token through EOF as the parser reads them, or the lexical error."""
-    parser = dsl._Parser(source)
+    parser = dsl._Parser(source, dsl.Document())
     tokens = []
     try:
         while True:
@@ -367,7 +385,7 @@ def test_trailing_garbage_rejected():
 
 def _statement_bounds(source):
     """Offsets of a valid source's scenario, statement and '}' tokens, and of its end."""
-    parser = dsl._Parser(source)
+    parser = dsl._Parser(source, dsl.Document())
     bounds = []
     while dsl._kind(parser.value) != "EOF":
         if parser.value in ("scenario", "profile", "center", "grassmannian", "assert", "}"):
@@ -615,11 +633,12 @@ def test_equal_setup_free_subexpressions_are_one_node():
     assert a1.left is b1.left is a1.right.operand is b1.right.operand
     assert a1.right is b1.right
     assert a1.left.left is a2.right.right is b2.right.right  # 2*H
-    # nothing that holds sigma[...] or a call is shared, but its leaves are
+    # so are equal calls, sigma[...] atoms and the operators over them,
+    # though "b" has no grassmannian statement for sigma[1] to read
     for a, b in ((a2.left, b2.left), (a2.left.left, b2.left.left),
                  (a2.left.left.args[0].left, b2.left.left.args[0].left), (a2.right, b2.right),
                  (a2.right.left, b2.right.left)):
-        assert a is not b and dsl._print_expr(a) == dsl._print_expr(b)
+        assert a is b
     assert a2.left.right is b2.left.right  # 1
     assert document.pretty() == (
         'scenario "a" {\n'
@@ -958,8 +977,7 @@ def test_a_repeated_plain_text_is_one_node():
     row = 'assert quartic(2*H - E, H, (2*H - E), 2*H-E) == chi((2*H - E) ) cite "x"'
     document = parse(f'scenario "a" {{ {row} }} scenario "b" {{ {row} }}')
     (a,), (b,) = (s.statements for s in document.scenarios)
-    assert a.left is not b.left  # calls are never shared
-    assert dsl._print_expr(a.left) == dsl._print_expr(b.left)
+    assert a.left is b.left and a.right is b.right  # one call of the document each
     for left, right in ((a.left, a.right), (b.left, b.right)):
         assert left.args[0] is left.args[2] is left.args[3] is right.args[0] is a.left.args[0]
         assert left.args[1] is dsl._DIVISOR_ATOMS["H"]

@@ -1,13 +1,18 @@
-"""Each distinct expression of a scenario is one node, evaluated once per build,
-or once per document when no setup statement can change its value.
+"""Each distinct expression of a document is one node, evaluated once per build
+and distinct set of setup statements, or once per document when no setup
+statement can change its value.
 
 A scenario's report is checked against a second route: its rows, read
 from the source text, run one per scenario, each in a document of its own
 after the same setup statements, so no row can take a value from another.
-The engine calls of one pass of the built-in scenarios are counted.
+The engine calls of one pass of the built-in scenarios, and of one check
+of the seed-41 bench files, are counted.
 """
 
+import hashlib
+import io
 import json
+import random
 import re
 import sys
 from functools import partial
@@ -17,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import blowup, dsl, profiles
+from fanocalc import blowup, cli, dsl, profiles
 from fanocalc.chern import tangent_bundle
-from fanocalc.dsl import AssertStmt, parse
+from fanocalc.dsl import AssertStmt, Document, parse
 from fanocalc.scenarios import BUILTIN_SOURCES, builtin_scenarios, run
 from fanocalc.schubert import Grassmannian
 
@@ -27,10 +32,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import generate_scenarios  # noqa: E402
 
 
+def _report_rows(scenarios):
+    """Scenario name -> its report rows, from one run of ``scenarios``."""
+    report = json.loads(run(scenarios).to_json())
+    return {s["name"]: s["assertions"] for s in report["scenarios"]}
+
+
 def _rows(source):
     """Scenario name -> its report rows, from one build of the document ``source``."""
-    report = json.loads(run(parse(source).build()).to_json())
-    return {s["name"]: s["assertions"] for s in report["scenarios"]}
+    return _report_rows(parse(source).build())
 
 
 def _row_by_row(source):
@@ -64,9 +74,85 @@ def test_a_builtin_reports_as_its_rows_run_alone(name):
 
 @pytest.mark.parametrize("seed", [41, 7])
 def test_a_bench_file_reports_as_its_rows_run_alone(seed):
+    # and as it does in one document with the other seven, as check reads them
     sources, _ = generate_scenarios(seed)
+    document = Document()
     for source in sources:
-        assert _rows(source) == _row_by_row(source)
+        parse(source, document)
+    together = _report_rows(document.build())
+    alone = {}
+    for source in sources:
+        rows = _rows(source)
+        assert rows == _row_by_row(source)
+        alone.update(rows)
+    assert together == alone
+
+
+def _bench_files(tmp_path, seed):
+    """The paths of the eight bench files of ``seed``, written under ``tmp_path``."""
+    paths = []
+    for i, source in enumerate(generate_scenarios(seed)[0]):
+        path = tmp_path / f"seed{seed}-{i:02d}.scn"
+        path.write_text(source, encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def _check(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["check", *argv], out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+@pytest.mark.parametrize("seed", [41, 7])
+def test_check_of_the_bench_files_in_any_order_hashes_to_its_golden_digest(tmp_path, seed, order):
+    golden = Path(__file__).resolve().parent / "golden" / "check.sha256"
+    digests = dict(reversed(line.split("  ")) for line in golden.read_text(encoding="utf-8").splitlines())
+    paths = _bench_files(tmp_path, seed)
+    if order == "reversed":
+        paths.reverse()
+    elif order == "shuffled":
+        random.Random(5).shuffle(paths)
+    for fmt in ("text", "json"):
+        code, out, err = _check(*paths, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[f"check-seed{seed}.{fmt}"], fmt
+
+
+_W5 = "profile W5 h4 5 index 3 c2h2 22 chi 1 euler 6"
+_W5_XI = "center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 5"
+_W5_PI = "center surface hhc 1 hkc -3 kc2 9 euler 3 c2xc 4"  # one field from _W5_XI
+_LINK_ROWS = ('assert quartic(H - E, H - E, H - E, H - E) == {} cite "L4"'
+              ' assert chi(H - E) == 5 cite "chi"')
+
+
+def test_files_share_an_engine_call_only_under_equal_setup_statements(tmp_path, monkeypatch):
+    files = {
+        "xi.scn": f'scenario "xi" {{ {_W5} {_W5_XI} {_LINK_ROWS.format(1)} }}',
+        "pi.scn": f'scenario "pi" {{ {_W5} {_W5_PI} {_LINK_ROWS.format(0)} }}',
+        # xi's setup statements, written in the other order
+        "xi-again.scn": f'scenario "xi-again" {{ {_W5_XI} {_W5} {_LINK_ROWS.format(1)} }}',
+    }
+    for name, source in files.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    paths = [str(tmp_path / name) for name in files]
+    calls = _count_calls(monkeypatch, ["blowup.quartic_number", "blowup.chi_riemann_roch"])
+    models, model = [], dsl.BlowupModel
+    monkeypatch.setattr(dsl, "BlowupModel", lambda *args: models.append(args) or model(*args))
+    code, out, err = _check(*paths, "--format", "json")
+    assert (code, err) == (0, "")
+    rows = {s["name"]: [row["actual"] for row in s["assertions"]] for s in json.loads(out)["scenarios"]}
+    assert rows == {"xi": [1, 5], "xi-again": [1, 5], "pi": [0, 5]}
+    # one model and one call of each function per distinct set of setup statements
+    assert len(models) == 2
+    assert calls == {"blowup.quartic_number": 2, "blowup.chi_riemann_roch": 2}
+    document = Document()
+    for source in files.values():
+        parse(source, document)
+    xi, pi, again = (node.setups for node in document.scenarios)
+    assert xi["profile"] is pi["profile"] is again["profile"]
+    assert xi["center"] is again["center"] and xi["center"] is not pi["center"]
 
 
 # Sides that raise, each its own way: an unknown function, an arity, an
@@ -132,7 +218,7 @@ def test_one_call_in_two_scenarios_takes_each_scenarios_value():
         ' assert quartic(H, H, H, H) == 4 cite "x" }'
     )
     p4, w22 = (node.statements[-1].left for node in parse(source).scenarios)
-    assert p4 is not w22
+    assert p4 is w22  # one node of the document, with a value under each setup
     assert {name: [row["actual"] for row in rows] for name, rows in _rows(source).items()} == {
         "p4": [1], "w22": [4]}
 
@@ -206,15 +292,54 @@ def _setup_free(node):
     return isinstance(node, dsl.BinOp) and _setup_free(node.left) and _setup_free(node.right)
 
 
+class _CountedPattern:
+    """A stand-in for a compiled pattern that counts its matches, and ``misses`` of a _PLAIN match.
+
+    A miss is a _PLAIN match whose text the document ``documents[-1]`` has
+    not read yet, so the parser reads it token by token."""
+
+    def __init__(self, pattern, documents=None):
+        self.pattern, self.documents, self.matches, self.misses = pattern, documents, 0, 0
+
+    def match(self, source, offset):
+        m = self.pattern.match(source, offset)
+        self.matches += 1
+        if self.documents is not None and m is not None and m[1] not in self.documents[-1].operands:
+            self.misses += 1
+        return m
+
+
+def test_a_check_of_the_seed41_files_makes_a_fixed_number_of_engine_calls(tmp_path, monkeypatch):
+    # the eight files are one document and one build, so each distinct call
+    # is computed once per distinct set of setup statements: six
+    paths = _bench_files(tmp_path, 41)
+    calls = _count_calls(monkeypatch, ["blowup.chi_riemann_roch", "blowup.quartic_number"])
+    models, model = [], dsl.BlowupModel
+    monkeypatch.setattr(dsl, "BlowupModel", lambda *args: models.append(args) or model(*args))
+    documents, parse_into = [], dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda source, document=None: (
+        documents.append(document) or parse_into(source, document)))
+    token, plain, tail = (_CountedPattern(dsl._TOKEN), _CountedPattern(dsl._PLAIN, documents),
+                          _CountedPattern(dsl._TAIL))
+    for name, counted in (("_TOKEN", token), ("_PLAIN", plain), ("_TAIL", tail)):
+        monkeypatch.setattr(dsl, name, counted)
+    code, _, err = _check(*paths, "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(documents) == 8 and len(set(map(id, documents))) == 1
+    assert calls == {"blowup.chi_riemann_roch": 886, "blowup.quartic_number": 3582}
+    assert len(models) == 6
+    assert (token.matches, plain.matches, plain.misses, tail.matches) == (48115, 19200, 81, 2400)
+
+
 def test_a_second_pass_of_the_builtins_applies_no_operator_to_setup_free_operands(monkeypatch):
     run(builtin_scenarios())  # each built-in document keeps its setup-free values
     evaluating, applied = [], []
     value = dsl._value
 
-    def traced(node, setup, memo):  # every _value call of a build made from now on
+    def traced(node, setup):  # every _value call of a build made from now on
         evaluating.append(node)
         try:
-            return value(node, setup, memo)
+            return value(node, setup)
         finally:
             evaluating.pop()
 
