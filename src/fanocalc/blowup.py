@@ -84,10 +84,6 @@ class Divisor(FrozenRecord):
     def __init__(self, h: int, e: int):
         self._store(h, e)
 
-    # written out, not inherited: the parser's sharing keys hash the leaves H and E
-    def __hash__(self):
-        return hash((self.h, self.e))
-
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor(self.h + other.h, self.e + other.e)
 

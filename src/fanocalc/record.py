@@ -7,41 +7,30 @@ records check their arguments in their own ``__init__`` and end it with
 one ``_store`` call.
 """
 
-_ABSENT = object()  # the default of a value not passed to _store
-
-
-def _refuse(record, values: tuple, extra: tuple):
-    given = sum(value is not _ABSENT for value in values) + len(extra)
-    raise ValueError(f"{type(record).__name__} has {len(values)} fields, got {given} values")
-
+from operator import attrgetter
 
 # One factory per arity: each binds a class's slot setters into a _store that
-# takes one value per field and makes one setter call for each.  A value not
-# passed leaves the last field at its default and a value too many fills the
-# tail, so a wrong arity is refused with a ValueError, as a call of the wrong
-# arity would otherwise raise a TypeError that names no record.
+# takes one value per field and makes one setter call for each; a call with
+# a wrong number of values is Python's own TypeError.  One generic loop over
+# the setters in their place made the warm pass 5.9 % slower on paper-suite
+# and 0.8 % on scenario-files (medians of 10 alternating processes a side,
+# Python 3.11.7, 2 vCPUs).
 
 def _store1(set1):
-    def _store(self, v1=_ABSENT, *extra):
-        if v1 is _ABSENT or extra:
-            _refuse(self, (v1,), extra)
+    def _store(self, v1):
         set1(self, v1)
     return _store
 
 
 def _store2(set1, set2):
-    def _store(self, v1=_ABSENT, v2=_ABSENT, *extra):
-        if v2 is _ABSENT or extra:
-            _refuse(self, (v1, v2), extra)
+    def _store(self, v1, v2):
         set1(self, v1)
         set2(self, v2)
     return _store
 
 
 def _store3(set1, set2, set3):
-    def _store(self, v1=_ABSENT, v2=_ABSENT, v3=_ABSENT, *extra):
-        if v3 is _ABSENT or extra:
-            _refuse(self, (v1, v2, v3), extra)
+    def _store(self, v1, v2, v3):
         set1(self, v1)
         set2(self, v2)
         set3(self, v3)
@@ -49,9 +38,7 @@ def _store3(set1, set2, set3):
 
 
 def _store4(set1, set2, set3, set4):
-    def _store(self, v1=_ABSENT, v2=_ABSENT, v3=_ABSENT, v4=_ABSENT, *extra):
-        if v4 is _ABSENT or extra:
-            _refuse(self, (v1, v2, v3, v4), extra)
+    def _store(self, v1, v2, v3, v4):
         set1(self, v1)
         set2(self, v2)
         set3(self, v3)
@@ -60,9 +47,7 @@ def _store4(set1, set2, set3, set4):
 
 
 def _store5(set1, set2, set3, set4, set5):
-    def _store(self, v1=_ABSENT, v2=_ABSENT, v3=_ABSENT, v4=_ABSENT, v5=_ABSENT, *extra):
-        if v5 is _ABSENT or extra:
-            _refuse(self, (v1, v2, v3, v4, v5), extra)
+    def _store(self, v1, v2, v3, v4, v5):
         set1(self, v1)
         set2(self, v2)
         set3(self, v3)
@@ -102,13 +87,13 @@ class FrozenRecord:
         cls._names = tuple(name for name, _ in slots)
         # a _store over each field's slot setter, bound once per class; a setter writes past __setattr__
         cls._store = _STORES[len(slots) - 1](*(slot.__set__ for _, slot in slots))
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._names])
+        # every field read in C, for __eq__ and __hash__: a tuple of them, or a
+        # one-field class's bare value; __eq__ compares records of one class only
+        cls._fields = attrgetter(*cls._names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == other._fields(other)
         return NotImplemented
 
     def __setattr__(self, name, value):
@@ -118,7 +103,8 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        # a tuple of arguments even for one field, which _fields returns bare
+        return type(self), tuple([getattr(self, name) for name in self._names])
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))

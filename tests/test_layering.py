@@ -133,7 +133,7 @@ def test_records_store_and_compare_through_the_bases():
     # FrozenRecord.__init_subclass__ binds to its class, from the per-arity
     # factories of record.py and the slot setters it reads there, and
     # compares through FrozenRecord.__eq__, both read from __slots__; what
-    # else writes an equality out is the hot Gr(k, n) or the Schubert kernel
+    # else writes an equality out is the Schubert kernel
     nodes = [(path, node) for name, tree in MODULES.items() for path, node in scoped_nodes(tree, name)]
     assert not [
         (path, ast.unparse(node))
@@ -162,9 +162,7 @@ def test_records_store_and_compare_through_the_bases():
         if isinstance(stmt, ast.FunctionDef)
     ]
     equalities = sorted(path for path, method in methods if method.name == "__eq__")
-    assert equalities == [
-        "record.FrozenRecord.__eq__", "schubert.Grassmannian.__eq__", "schubert.SchubertCycle.__eq__",
-    ]
+    assert equalities == ["record.FrozenRecord.__eq__", "schubert.SchubertCycle.__eq__"]
 
 
 # Every special method but __init__, __init_subclass__ and __repr__, with the
@@ -172,13 +170,11 @@ def test_records_store_and_compare_through_the_bases():
 # tests reach is API that no caller needs: adding one means naming its
 # contract or caller here, and a name whose caller goes leaves the list.
 DUNDERS = {
-    "record.FrozenRecord.__eq__": "README: records compare by value",
-    "record.FrozenRecord.__hash__": "README: records hash by their fields",
+    "record.FrozenRecord.__eq__": "README: records compare by value, every field read by one C-level getter",
+    "record.FrozenRecord.__hash__": "README: records hash by their fields, Gr(k, n) and the divisors included",
     "record.FrozenRecord.__reduce__": "README: records copy and pickle through __init__",
     "record.FrozenRecord.__setattr__": "README: records refuse assignment",
     "record.FrozenRecord.__delattr__": "README: records refuse deletion",
-    "schubert.Grassmannian.__eq__": "README: Gr(k, n) compares on hot paths, the context checks",
-    "schubert.Grassmannian.__hash__": "README: Gr(k, n) keys the caches",
     "schubert.SchubertCycle.__eq__": "README: two Schubert cycles compare in an assertion",
     "schubert.SchubertCycle.__add__": "README: + on cycles (dsl._additive)",
     "schubert.SchubertCycle.__sub__": "README: - on cycles (dsl._additive)",
@@ -186,7 +182,6 @@ DUNDERS = {
     "schubert.SchubertCycle.__mul__": "README: * on cycles (dsl._times); profiles.section_profile",
     "schubert.SchubertCycle.__rmul__": "README: an int scales a cycle (dsl._times); profiles.section_profile",
     "schubert.SchubertCycle.__pow__": "README: ^ on cycles (dsl._power); profiles.section_profile",
-    "blowup.Divisor.__hash__": "README: the parser's sharing keys hash the leaves H and E",
     "blowup.Divisor.__add__": "README: + on divisors (dsl._additive)",
     "blowup.Divisor.__sub__": "README: - on divisors (dsl._additive)",
     "blowup.Divisor.__neg__": "README: unary - on divisors (dsl._value)",
