@@ -62,8 +62,8 @@ def _report_exit(report: scenarios.Report, fmt: str, verbose: bool, out) -> int:
 
 
 def _cmd_list(out) -> int:
-    for scenario in scenarios.builtin_scenarios():
-        out.write(scenario.name + "\n")
+    for name in sorted(scenarios.BUILTIN_SOURCES):
+        out.write(name + "\n")
     return 0
 
 

@@ -354,7 +354,11 @@ class Document:
             setup = setups.get(key)
             if setup is None:
                 setup = setups[key] = _Setup(node.setups)
-            scenarios.append(_build_scenario(node, setup))
+            scenarios.append(Scenario(node.name, [
+                Assertion(label, stmt.cite, stmt.op, partial(_value, stmt.right, setup),
+                          partial(_value, stmt.left, setup))
+                for label, stmt in node.rows.items()
+            ]))
         return scenarios
 
 
@@ -482,7 +486,9 @@ class _Parser:
             if keyword == "assert":
                 self.advance()
                 stmt = self.parse_assert()
-                label = _label(stmt, len(rows) + 1)  # each earlier assertion's label is in rows
+                label = stmt.label
+                if label is None:  # the NN-th assertion is aNN; each earlier one is in rows
+                    label = f"a{len(rows) + 1:02d}"
                 if label in rows:
                     self.fail(start, f"duplicate assertion label {label!r}")
                 rows[label] = stmt
@@ -520,7 +526,7 @@ class _Parser:
         chi = self.expect_field("chi")
         euler = self.expect_field("euler")
         key = (ProfileStmt, ident, h4, index, c2h2, ambient, codim, chi, euler)
-        return self.shared.get(key) or self.share(
+        return self.shared.get(key) or self.shared.setdefault(
             key, ProfileStmt(ident, h4, index, c2h2, ambient, codim, chi, euler))
 
     def parse_center(self) -> CenterStmt:
@@ -535,13 +541,13 @@ class _Parser:
             self.advance()
             cycle = self.sigma()
         key = (CenterStmt, kind, values, cycle)
-        return self.shared.get(key) or self.share(key, CenterStmt(kind, values, cycle))
+        return self.shared.get(key) or self.shared.setdefault(key, CenterStmt(kind, values, cycle))
 
     def parse_grass(self) -> GrassStmt:
         k = self.expect_int()
         n = self.expect_int()
         key = (GrassStmt, k, n)
-        return self.shared.get(key) or self.share(key, GrassStmt(k, n))
+        return self.shared.get(key) or self.shared.setdefault(key, GrassStmt(k, n))
 
     def parse_assert(self) -> AssertStmt:
         left, _ = self.nested(self.start)
@@ -606,7 +612,7 @@ class _Parser:
             self.advance()
             operand, height = self.nested(start, _PRECEDENCE[_UNARY_MINUS][0])
             key = (_UNARY_MINUS, operand)
-            node = self.shared.get(key) or self.share(key, Neg(operand))
+            node = self.shared.get(key) or self.shared.setdefault(key, Neg(operand))
             height += 1
             if height > _MAX_DEPTH:
                 self.fail(start, "expression nesting too deep")
@@ -624,16 +630,11 @@ class _Parser:
             else:
                 rhs, rhs_height = self.expr(prec + 1)
             key = (op, node, rhs)
-            node = self.shared.get(key) or self.share(key, BinOp(op, node, rhs))
+            node = self.shared.get(key) or self.shared.setdefault(key, BinOp(op, node, rhs))
             height = (height if height > rhs_height else rhs_height) + 1
             if height > _MAX_DEPTH:
                 self.fail(start, "expression nesting too deep")
         return node, height
-
-    def share(self, key, node):
-        """Record ``node`` as the document's one node for ``key``."""
-        self.shared[key] = node
-        return node
 
     def operand(self):
         """The call argument or parenthesised expression after the current '(' or ','.
@@ -683,7 +684,7 @@ class _Parser:
             self.fail(start, "expression nesting too deep")
         args = tuple(args)
         key = (name, args)
-        return self.shared.get(key) or self.share(key, Call(name, args)), height + 1
+        return self.shared.get(key) or self.shared.setdefault(key, Call(name, args)), height + 1
 
     def sigma(self) -> SigmaAtom:
         """The atom ``sigma[...]``, from the token after ``sigma``."""
@@ -695,12 +696,7 @@ class _Parser:
         self.expect("]", "',' or ']'")
         parts = tuple(parts)
         key = (SigmaAtom, parts)
-        return self.shared.get(key) or self.share(key, SigmaAtom(parts))
-
-
-def _label(stmt: AssertStmt, counter: int) -> str:
-    """The label of the ``counter``-th assertion of its scenario: its own, or ``aNN``."""
-    return stmt.label if stmt.label is not None else f"a{counter:02d}"
+        return self.shared.get(key) or self.shared.setdefault(key, SigmaAtom(parts))
 
 
 def parse(source: str, document: Document | None = None) -> Document:
@@ -1073,11 +1069,3 @@ def _value(node, setup: _Setup):
             return value
     values[node] = value
     return value
-
-
-def _build_scenario(node: ScenarioNode, setup: _Setup) -> Scenario:
-    return Scenario(node.name, [
-        Assertion(label, stmt.cite, stmt.op, partial(_value, stmt.right, setup),
-                  partial(_value, stmt.left, setup))
-        for label, stmt in node.rows.items()
-    ])

@@ -22,20 +22,22 @@ coefficients that cancel and otherwise keeps the table it is handed.
 Giambelli determinants are expanded by Laplace down the rows, one minor
 per set of used columns.  The special classes commute, so a Giambelli word
 is a sorted multiset of letters, and equal words of one partition are
-merged into one word whose weight is the sum of their signs.  The Pieri
-rule is applied in one loop, in ``_pieri_product``, which carries a term
-table through each word of a weighted word table once and sums the
-results; a table of one word of weight 1, as sigma_p's is, hands back
-that word's table with no weighted sum.  ``multiply`` sums the expanded
-factor into one table of words, each weighted by coefficient times weight
-over all of its terms, and calls it once on the other factor's terms.  A
-power a ** e with 2 <= e and codim * e <= dim makes no product: it
-expands its base once, by rows or by columns as the base's own shape
-bound says, and calls it e - 1 times on one running table, so sigma_1^6
-on Gr(2, 5) reads the Giambelli table once.  ``SchubertCycle.pieri`` is
-the product with sigma_p.  The Pieri rule reads its horizontal strips
-from a cached table, ``_row_strips``, keyed by the partition, the strip
-size and the box, so no strip is enumerated twice.
+merged into one word whose weight is the sum of their signs.  Every
+product and power runs one routine, ``_carry``, the one place the Pieri
+rule is applied: it transposes both term tables when told to expand by
+columns, sums the expanded factor into one table of words, each weighted
+by coefficient times weight over all of its terms, carries the other
+table through each word once per pass and sums the results, and
+transposes the result back.  A table of one word of weight 1, as
+sigma_p's is, hands back that word's table with no weighted sum.
+``multiply`` calls it for one pass.  A power a ** e with 2 <= e and
+codim * e <= dim makes no product: it calls it for e - 1 passes of its
+base over one running table, by rows or by columns as the base's own
+shape bound says, so sigma_1^6 on Gr(2, 5) reads the Giambelli table
+once.  ``SchubertCycle.pieri`` is the product with sigma_p.  The Pieri
+rule reads its horizontal strips from a cached table, ``_row_strips``,
+keyed by the partition, the strip size and the box, so no strip is
+enumerated twice.
 
 Two kinds of product are read off before any word is expanded, by the
 duality theorem (Fulton, *Young Tableaux*, 9.4).  In the top degree
@@ -216,16 +218,7 @@ class SchubertCycle:
         # side, Python 3.11.7, 2 vCPUs)
         terms = self._terms
         rows, cols = _shape_bounds(terms, k, width)
-        side = cols < rows
-        if side:
-            k, width = width, k
-            terms = {_conjugate(lam): c for lam, c in terms.items()}
-        weights = _word_table(terms)
-        for _ in range(exponent - 1):
-            terms = _pieri_product(weights, terms, k, width)
-        if side:
-            terms = {_conjugate(mu): c for mu, c in terms.items()}
-        return _trusted(ctx, codim, terms)
+        return _trusted(ctx, codim, _carry(terms, terms, k, width, cols < rows, exponent - 1))
 
     def pieri(self, p: int) -> "SchubertCycle":
         """Multiply by the special class sigma_p: the product with ``sigma(context, p)``.
@@ -419,47 +412,53 @@ def _shape_bounds(terms: dict, k: int, width: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _word_table(terms: dict) -> dict[tuple[int, ...], int]:
-    """The Giambelli words of a term table's partitions, merged into one table.
+def _carry(expanded: dict, table: dict, k: int, width: int, side: bool,
+           passes: int) -> dict[tuple[int, ...], int]:
+    """``table`` times ``expanded`` ``passes`` times, by the Pieri rule in the k x width box.
 
-    Each word is weighted by the sum over the terms of coefficient times
-    the word's weight in that term's expansion.
+    With ``side`` both term tables are transposed first, into the width x k
+    box, and the result is transposed back.  ``expanded``'s Giambelli words
+    are merged into one table once: each word is weighted by the sum over
+    the terms of coefficient times the word's weight in that term's
+    expansion.  In each pass, each word of non-zero weight carries the
+    running table through its Pieri steps once, and the weighted results
+    are summed into the next running table.  A single word of weight 1 with
+    at least one letter, the one word of sigma_p, hands back its own table;
+    the empty word, the unit's, would hand back ``table`` itself, which the
+    caller does not own.  Cancelled entries may stay in the table returned;
+    the next step skips them, and ``_trusted`` drops them.
     """
+    if side:
+        k, width = width, k
+        expanded = {_conjugate(lam): c for lam, c in expanded.items()}
+        table = {_conjugate(mu): c for mu, c in table.items()}
     weights: dict[tuple[int, ...], int] = {}
-    for lam, ca in terms.items():
+    for lam, ca in expanded.items():
         for weight, word in _giambelli_monomials(lam):
             weights[word] = weights.get(word, 0) + ca * weight
-    return weights
-
-
-def _pieri_product(weights: dict, table: dict, k: int, width: int) -> dict[tuple[int, ...], int]:
-    """The term table ``table`` times the word table ``weights``, by the Pieri rule in the k x width box.
-
-    Each word of non-zero weight carries the table through its Pieri steps
-    once, and the weighted results are summed.  A single word of weight 1
-    with at least one letter, the one word of sigma_p, hands back its own
-    table; the empty word, the unit's, would hand back ``table`` itself,
-    which the caller does not own.  Cancelled entries may stay in the table
-    returned; the next step skips them, and ``_trusted`` drops them.
-    """
-    total: dict[tuple[int, ...], int] = {}
-    for word, weight in weights.items():
-        if not weight:
-            continue
-        cur = table
-        for m in word:
-            # the Pieri rule, the one place it is applied: cur times sigma_m
-            step: dict[tuple[int, ...], int] = {}
-            for mu, c in cur.items():
-                if c:
-                    for lam in _row_strips(mu, m, k, width):
-                        step[lam] = step.get(lam, 0) + c
-            cur = step
-        if weight == 1 and word and len(weights) == 1:
-            return cur
-        for mu, c in cur.items():
-            total[mu] = total.get(mu, 0) + weight * c
-    return total
+    for _ in range(passes):
+        total: dict[tuple[int, ...], int] = {}
+        for word, weight in weights.items():
+            if not weight:
+                continue
+            cur = table
+            for m in word:
+                # the Pieri rule, the one place it is applied: cur times sigma_m
+                step: dict[tuple[int, ...], int] = {}
+                for mu, c in cur.items():
+                    if c:
+                        for lam in _row_strips(mu, m, k, width):
+                            step[lam] = step.get(lam, 0) + c
+                cur = step
+            if weight == 1 and word and len(weights) == 1:
+                total = cur
+            else:
+                for mu, c in cur.items():
+                    total[mu] = total.get(mu, 0) + weight * c
+        table = total
+    if side:
+        table = {_conjugate(mu): c for mu, c in table.items()}
+    return table
 
 
 def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
@@ -501,11 +500,4 @@ def multiply(a: SchubertCycle, b: SchubertCycle) -> SchubertCycle:
     side = min(cols_a, cols_b) < min(rows_a, rows_b)
     if (cols_b < cols_a) if side else (rows_b < rows_a):
         expanded, other = other, expanded
-    if side:
-        k, width = width, k
-        expanded = {_conjugate(lam): c for lam, c in expanded.items()}
-        other = {_conjugate(mu): c for mu, c in other.items()}
-    total = _pieri_product(_word_table(expanded), other, k, width)
-    if side:
-        total = {_conjugate(mu): c for mu, c in total.items()}
-    return _trusted(ctx, codim, total)
+    return _trusted(ctx, codim, _carry(expanded, other, k, width, side, 1))

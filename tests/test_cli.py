@@ -12,7 +12,7 @@ import pytest
 
 import fanocalc
 from fanocalc.cli import _arg_parser, main
-from fanocalc import dsl
+from fanocalc import dsl, scenarios
 from fanocalc.dsl import ParseError, parse
 from fanocalc.scenarios import BUILTIN_SOURCES
 
@@ -47,6 +47,17 @@ def test_list_prints_builtin_names():
     code, out, _ = invoke("list")
     assert code == 0
     assert out.splitlines() == BUILTINS
+
+
+def test_list_parses_and_builds_nothing(monkeypatch):
+    # the names are the keys of the built-in sources, so no source is parsed to print them
+    scenarios._builtin_document.cache_clear()
+    calls = []
+    parse, build = dsl.parse, dsl.Document.build
+    monkeypatch.setattr(dsl, "parse", lambda *args: calls.append("parse") or parse(*args))
+    monkeypatch.setattr(dsl.Document, "build", lambda self: calls.append("build") or build(self))
+    assert invoke("list")[:2] == (0, "".join(name + "\n" for name in BUILTINS))
+    assert calls == []
 
 
 def test_run_all_passes_and_exits_zero():

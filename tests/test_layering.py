@@ -257,6 +257,29 @@ def test_only_dsl_fail_makes_a_parse_error():
     assert makers == ["dsl._fail"]
 
 
+def test_one_routine_reads_the_pieri_tables():
+    # the strips, the transpose and the Giambelli words are read by _carry
+    # alone, the one Pieri routine every Schubert product and power calls
+    tables = {"_row_strips", "_conjugate", "_giambelli_monomials"}
+    calls = set()
+
+    def visit(node, owner, in_function):
+        # a call is owned by its outermost enclosing function or method
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in tables:
+                calls.add((owner, ast.unparse(child.func)))
+            if in_function:
+                visit(child, owner, True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{owner}.{child.name}", False)
+            else:
+                function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, f"{owner}.{child.name}" if function else owner, function)
+
+    visit(MODULES["schubert"], "schubert", False)
+    assert calls == {("schubert._carry", table) for table in tables}
+
+
 def test_no_syntax_tree_class_keeps_a_position():
     positioned = [
         value.__name__ for value in vars(dsl).values()

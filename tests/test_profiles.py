@@ -240,16 +240,16 @@ def test_section_profile_work_counts(k, n, degrees, steps, monkeypatch):
     # the power's passes, so each product the power used to take is one pass.
     section_model(k, n, degrees, FOURFOLD)
     calls, powers, passes = [], [], []
-    multiply, power, pieri = schubert.multiply, SchubertCycle.__pow__, schubert._pieri_product
+    multiply, power, carry = schubert.multiply, SchubertCycle.__pow__, schubert._carry
 
     def traced_power(cycle, exponent):
         before = len(passes)
         result = power(cycle, exponent)
-        powers.append((exponent, len(passes) - before))
+        powers.append((exponent, sum(passes[before:])))
         return result
 
     monkeypatch.setattr(schubert, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
-    monkeypatch.setattr(schubert, "_pieri_product", lambda *args: passes.append(1) or pieri(*args))
+    monkeypatch.setattr(schubert, "_carry", lambda *args: passes.append(args[5]) or carry(*args))
     monkeypatch.setattr(SchubertCycle, "__pow__", traced_power)
     section_profile.__wrapped__(k, n, degrees)
     [(exponent, power_passes)] = powers
