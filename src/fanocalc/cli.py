@@ -117,7 +117,7 @@ def _cmd_emit(args, out, err) -> int:
     if args.name not in scenarios.BUILTIN_SOURCES:
         err.write(f"emit: unknown scenario {args.name!r}\n")
         return _USAGE_EXIT
-    out.write(scenarios.pretty_builtin(args.name))
+    out.write(dsl.parse(scenarios.BUILTIN_SOURCES[args.name]).pretty())
     return 0
 
 

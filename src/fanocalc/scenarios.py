@@ -348,35 +348,28 @@ BUILTIN_NOTES = {
 }
 
 
-@lru_cache(maxsize=len(BUILTIN_SOURCES))
-def _builtin_document(source: str) -> dsl.Document:
-    """The parsed document of one built-in source text, parsed once per process.
+@lru_cache(maxsize=1)
+def _builtin_document() -> dsl.Document:
+    """The built-in sources, in name order, parsed once per process into one document.
 
-    Keyed by the text, so a changed source is parsed again.  The document is
-    only built or printed here, never handed out, so no caller can change it."""
-    return dsl.parse(source)
+    The sources are one document as the files of a ``check`` are, so each
+    distinct call is computed once per build and distinct set of setup
+    statements.  The document is only built here, never handed out, so no
+    caller can change it."""
+    document = dsl.Document()
+    for name in sorted(BUILTIN_SOURCES):
+        dsl.parse(BUILTIN_SOURCES[name], document)
+    return document
 
 
 def builtin_scenarios() -> list:
-    """The ten built-in scenarios, parsed from their DSL sources, sorted by name.
+    """The ten built-in scenarios, sorted by name: one build of the built-in document.
 
-    Each source is parsed once per process, but every call builds the
-    scenarios again: it returns fresh scenario, assertion and notes objects,
-    with their own evaluation state, so a caller may change them freely.
-    Only the values of setup-free expressions, kept by the parsed
-    documents, carry over from one call to the next."""
-    scenarios = []
-    for name in sorted(BUILTIN_SOURCES):
-        (scenario,) = _builtin_document(BUILTIN_SOURCES[name]).build()
-        if scenario.name != name:
-            raise ValueError(f"source for {name!r} defines {scenario.name!r}")
-        scenario.notes = list(BUILTIN_NOTES.get(name, ()))
-        scenarios.append(scenario)
+    Every call builds the scenarios again: it returns fresh scenario,
+    assertion and notes objects, with their own evaluation state, so a
+    caller may change them freely.  Only the values of setup-free
+    expressions, kept by the document, carry over from one call to the next."""
+    scenarios = _builtin_document().build()
+    for scenario in scenarios:
+        scenario.notes = list(BUILTIN_NOTES.get(scenario.name, ()))
     return scenarios
-
-
-def pretty_builtin(name: str) -> str:
-    """The named built-in scenario, pretty-printed in the scenario language.
-
-    Raises ``KeyError`` for a name that is not in ``BUILTIN_SOURCES``."""
-    return _builtin_document(BUILTIN_SOURCES[name]).pretty()

@@ -35,9 +35,10 @@ codim * e <= dim makes no product: it calls it for e - 1 passes of its
 base over one running table, by rows or by columns as the base's own
 shape bound says, so sigma_1^6 on Gr(2, 5) reads the Giambelli table
 once.  ``SchubertCycle.pieri`` is the product with sigma_p.  The Pieri
-rule reads its horizontal strips from a cached table, ``_row_strips``,
-keyed by the partition, the strip size and the box, so no strip is
-enumerated twice.
+rule reads its horizontal strips from a bounded table, ``_row_strips``,
+keyed by the partition, the strip size and the box, so no strip the table
+holds is enumerated twice; each of the kernel's three tables holds all
+that a whole c(T Gr(6, 12)) fills.
 
 Two kinds of product are read off before any word is expanded, by the
 duality theorem (Fulton, *Young Tableaux*, 9.4).  In the top degree
@@ -283,7 +284,7 @@ def zero(ctx: Grassmannian, codim: int = 0) -> SchubertCycle:
     return SchubertCycle(ctx, codim, {})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def _row_strips(mu: tuple[int, ...], p: int, k: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Partitions lam >= mu with lam/mu a horizontal p-strip inside the k x width box.
 
@@ -320,13 +321,13 @@ def _row_strips(mu: tuple[int, ...], p: int, k: int, width: int) -> tuple[tuple[
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     """The transposed partition lam': its parts are the column lengths of lam."""
     return tuple(sum(part > i for part in lam) for i in range(lam[0] if lam else 0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _giambelli_monomials(lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Expansion of det(sigma_{lam_i + j - i}) into (weight, word) pairs of special classes.
 

@@ -3,7 +3,8 @@
 ``tests/golden`` holds ``list``, ``run --all`` (text, JSON and ``--verbose``)
 and ``emit`` of every built-in, and the sha256 of ``check`` (text and JSON)
 on the eight seeded files of ``bench/workloads.generate_scenarios`` for seeds
-41 and 7.  A change that claims to keep every output must keep these.
+41 and 7.  ``check`` of the built-in sources prints the ``run --all`` files.
+A change that claims to keep every output must keep these.
 """
 
 import hashlib
@@ -40,6 +41,15 @@ def _output(argv):
 ])
 def test_an_output_is_its_golden_file(argv, name):
     assert _output(argv) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "run-all.txt"), ("json", "run-all.json")])
+def test_check_of_the_builtin_sources_prints_run_all(fmt, name, tmp_path):
+    paths = []
+    for scenario, source in sorted(BUILTIN_SOURCES.items()):
+        paths.append(tmp_path / f"{scenario}.scn")
+        paths[-1].write_text(source, encoding="utf-8")
+    assert _output(["check", *map(str, paths), "--format", fmt]) == (GOLDEN / name).read_bytes()
 
 
 def test_every_builtin_has_a_golden_emit():

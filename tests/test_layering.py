@@ -289,9 +289,9 @@ def test_no_syntax_tree_class_keeps_a_position():
     assert positioned == []
 
 
-# The Schubert kernel tables, keyed by user input, that ROADMAP item 6 is to
-# bound; bounding one takes it off this list, and no name may join it.
-UNBOUNDED_CACHES = {"schubert._row_strips", "schubert._giambelli_monomials", "schubert._conjugate"}
+# Every table keyed by user input is bounded (ROADMAP item 6), so no name
+# may join this list.
+UNBOUNDED_CACHES = set()
 
 
 def test_every_cache_has_an_integer_maxsize():

@@ -1,5 +1,6 @@
 """The built-in verification scenarios and the report layer."""
 
+import io
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanocalc import dsl, profiles
+from fanocalc.cli import main
 from fanocalc.scenarios import (
     BUILTIN_NOTES,
     BUILTIN_SOURCES,
@@ -17,7 +19,6 @@ from fanocalc.scenarios import (
     _builtin_document,
     _render,
     builtin_scenarios,
-    pretty_builtin,
     run,
 )
 
@@ -39,6 +40,9 @@ def test_builtin_names_and_shapes():
     scenarios = builtin_scenarios()
     assert [s.name for s in scenarios] == sorted(BUILTIN_SOURCES)
     assert sorted(BUILTIN_SOURCES) == sorted(BUILTIN_NAMES)
+
+
+def test_each_builtin_source_defines_the_scenario_it_is_keyed_by():
     for source_name, source in BUILTIN_SOURCES.items():
         document = dsl.parse(source)
         assert [node.name for node in document.scenarios] == [source_name]
@@ -415,21 +419,22 @@ def test_every_cited_claim_is_verified_exactly_once():
         assert row["pass"] is True, key
 
 
-def counting_parse(monkeypatch):
-    """Rebind dsl.parse to count its calls per source, starting from an empty document cache."""
-    calls = []
-    original = dsl.parse
-    monkeypatch.setattr(dsl, "parse", lambda source: calls.append(source) or original(source))
-    _builtin_document.cache_clear()
-    return calls
-
-
 def test_each_builtin_source_is_parsed_once_per_process(monkeypatch):
-    calls = counting_parse(monkeypatch)
+    # a parse is logged as (source, document), a build as "build"
+    calls = []
+    parse, build = dsl.parse, dsl.Document.build
+    monkeypatch.setattr(dsl, "parse", lambda source, document=None: (
+        calls.append((source, document)) or parse(source, document)))
+    monkeypatch.setattr(dsl.Document, "build", lambda self: calls.append("build") or build(self))
+    _builtin_document.cache_clear()
     first = builtin_scenarios()
-    assert sorted(calls) == sorted(BUILTIN_SOURCES.values())
+    parses, builds = calls[:-1], calls[-1:]
+    # the ten sources, in name order, into one document, which is built once
+    assert [source for source, _ in parses] == [BUILTIN_SOURCES[name] for name in sorted(BUILTIN_SOURCES)]
+    assert len({id(document) for _, document in parses}) == 1 and parses[0][1] is not None
+    assert builds == ["build"]
     second = builtin_scenarios()
-    assert len(calls) == len(BUILTIN_SOURCES)  # the second call parses nothing
+    assert calls[len(BUILTIN_SOURCES):] == ["build"] * 2  # the second call parses nothing
     assert run(first).to_json() == run(second).to_json()
     for one, other in zip(first, second):
         assert one is not other
@@ -444,17 +449,28 @@ def test_each_builtin_source_is_parsed_once_per_process(monkeypatch):
     assert [len(s.assertions) for s in third] == [len(s.assertions) for s in first]
     assert [s.notes for s in third] == [s.notes for s in first]
     assert run(third).to_json() == run(first).to_json()
-    assert len(calls) == len(BUILTIN_SOURCES)
+    assert calls[len(BUILTIN_SOURCES):] == ["build"] * 3
 
 
-def test_a_changed_builtin_source_is_parsed_again(monkeypatch):
-    calls = counting_parse(monkeypatch)
+@pytest.fixture
+def builtin_cache():
+    """Clear the built-in document after the test, which parses a changed source into it."""
+    yield
+    _builtin_document.cache_clear()
+
+
+def test_a_changed_builtin_source_is_parsed_again(monkeypatch, builtin_cache):
     builtin_scenarios()
     changed = BUILTIN_SOURCES["moduli-counts"].replace("== 32 cite", "== 33 cite")
     monkeypatch.setitem(BUILTIN_SOURCES, "moduli-counts", changed)
+    # emit parses the entry it prints, so it prints the changed one with no cache clear
+    out = io.StringIO()
+    assert main(["emit", "moduli-counts"], out=out) == 0
+    assert out.getvalue() == dsl.parse(changed).pretty()
+    # run reads the document parsed once per process, and reports the changed entry once it is cleared
+    assert run(builtin_scenarios()).failed == 0
+    _builtin_document.cache_clear()
     report = run(builtin_scenarios())
-    assert calls[len(BUILTIN_SOURCES):] == [changed]
     assert report.failed == 1
     (row,) = [r for s in report.scenarios for r in s.results if not r.passed]
     assert (row.label, row.expected, row.actual) == ("dim-g", 33, 32)
-    assert pretty_builtin("moduli-counts") == dsl.parse(changed).pretty()
