@@ -4,7 +4,8 @@ Subpackages cover Schubert calculus on Grassmannians (:mod:`.schubert`),
 Chern classes of homogeneous bundles and hypersurface sections (:mod:`.chern`),
 blowup arithmetic and Riemann-Roch characteristics (:mod:`.blowup`),
 derived numerical profiles (:mod:`.profiles`), the scenario report layer
-(:mod:`.scenarios`) and the scenario language (:mod:`.dsl`).
+(:mod:`.scenarios`) and the scenario language: its text, read and printed
+(:mod:`.syntax`), built and evaluated (:mod:`.dsl`).
 """
 
 from .blowup import (

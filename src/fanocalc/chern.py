@@ -97,15 +97,28 @@ class BundleModel(FrozenRecord):
     __hash__ = None
 
 
-def universal_bundles(ctx: Grassmannian) -> tuple[BundleModel, BundleModel]:
-    """The dual tautological subbundle and the quotient bundle.
+def _cut(full: int, top: int | None) -> int:
+    """The limit of a class whose whole limit is ``full``, built to degree ``top``; None builds it whole."""
+    if top is None:
+        return full
+    if top < 0:
+        raise ValueError(f"a top degree must be non-negative, got {top}")
+    return min(full, top)
+
+
+def universal_bundles(ctx: Grassmannian, top: int | None = None) -> tuple[BundleModel, BundleModel]:
+    """The dual tautological subbundle and the quotient bundle, their classes built to degree ``top``.
 
     The dual S* of the tautological subbundle S has c_i = sigma_{1^i}
     (i <= k), the quotient Q has c_r = sigma_r (r <= n-k).  S itself has
     c_i(S) = (-1)^i c_i(S*), and the Whitney relation reads c(S) * c(Q) = 1.
+    ``top=None`` builds every component; a smaller top makes a ``truncated``
+    class of each bundle whose rank is above it, so its cost does not grow
+    with the rank.
     """
-    sub = TotalChernClass(ctx, [sigma(ctx, *([1] * i)) for i in range(ctx.k + 1)])
-    quot = TotalChernClass(ctx, [sigma(ctx, r) for r in range(ctx.width + 1)])
+    k, width = _cut(ctx.k, top), _cut(ctx.width, top)
+    sub = TotalChernClass(ctx, [sigma(ctx, *([1] * i)) for i in range(k + 1)], k < ctx.k)
+    quot = TotalChernClass(ctx, [sigma(ctx, r) for r in range(width + 1)], width < ctx.width)
     return BundleModel(ctx.k, sub), BundleModel(ctx.width, quot)
 
 
@@ -117,9 +130,9 @@ def tangent_bundle(ctx: Grassmannian, top: int | None = None) -> TotalChernClass
     """Total class of the tangent bundle, (dual subbundle) tensor (quotient bundle), built to degree ``top``.
 
     ``top=None`` builds every component; a smaller top skips the work of
-    every component above it.
+    every component above it, in the bundles' classes too.
     """
-    return tensor_chern(*universal_bundles(ctx), top)
+    return tensor_chern(*universal_bundles(ctx, top), top)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +142,13 @@ def _power_sums(bundle: BundleModel, limit: int) -> list[SchubertCycle]:
     """p_0 = rank, p_1, ..., p_limit of the Chern roots, by Newton's identities.
 
     p_m = sum_{i<m} (-1)^(i-1) c_i p_(m-i) + (-1)^(m-1) m c_m; c_i is zero
-    above the class's limit, so those terms are skipped.
+    above the class's limit, so those terms are skipped.  A truncated class,
+    whose components above its limit are unknown, raises instead.
     """
     ctx = bundle.total.context
     c, top = bundle.total.components, bundle.total.limit
+    if bundle.total.truncated and limit > top:
+        bundle.total.component(top + 1)  # raises: the class does not know it
     sums = [_trusted(ctx, 0, {(): bundle.rank})]
     for m in range(1, limit + 1):
         acc = {p: (-1) ** (m - 1) * m * v for p, v in c[m]._terms.items()} if m <= top else {}
@@ -169,9 +185,7 @@ def tensor_chern(a: BundleModel, b: BundleModel, top: int | None = None) -> Tota
         raise ContextMismatchError("bundle models from different contexts")
     ctx = a.total.context
     full = min(ctx.dim, a.rank * b.rank)
-    if top is not None and top < 0:
-        raise ValueError(f"a top degree must be non-negative, got {top}")
-    limit = full if top is None else min(full, top)
+    limit = _cut(full, top)
     pa, pb = _power_sums(a, limit), _power_sums(b, limit)
     sums = []
     for m in range(limit + 1):

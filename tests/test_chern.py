@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fanocalc import chern
 from fanocalc.chern import (
     BundleModel,
     TotalChernClass,
@@ -148,6 +149,53 @@ def test_a_truncated_class_reads_nothing_above_its_top():
     for top in (-1, -2):
         with pytest.raises(ValueError, match=f"^a top degree must be non-negative, got {top}$"):
             tensor_chern(*universal_bundles(GR26), top)
+
+
+def test_bundles_built_to_a_top_degree_stop_there(monkeypatch):
+    # P^(n-1) = Gr(1, n): the quotient has rank n - 1, but a class built to
+    # degree 4 holds five components, and c(T) = (1 + sigma_1)^n cut there
+    ctx = Grassmannian(1, 10**5)
+    sub, quot = universal_bundles(ctx, 4)
+    assert (sub.total.limit, sub.total.truncated) == (1, False)
+    assert (quot.total.limit, quot.total.truncated) == (4, True)
+    assert (sub.rank, quot.rank) == (1, 10**5 - 1)
+    limits = []
+
+    def recorded(*args):
+        bundles = universal_bundles(*args)
+        limits.extend(b.total.limit for b in bundles)
+        return bundles
+
+    monkeypatch.setattr(chern, "universal_bundles", recorded)
+    total = tangent_bundle.__wrapped__(ctx, 4)  # past the cache, so the bundles are built
+    assert limits == [1, 4]
+    assert total.components == tuple(math.comb(10**5, i) * sigma(ctx, i) for i in range(5))
+    assert total.truncated
+    for top in (-1, -2):
+        with pytest.raises(ValueError, match=f"^a top degree must be non-negative, got {top}$"):
+            universal_bundles(ctx, top)
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 7), (4, 8)])
+def test_a_tangent_class_from_cut_bundles_is_the_whole_class_cut(k, n):
+    ctx = Grassmannian(k, n)
+    whole = tensor_chern(*universal_bundles(ctx))
+    for top in range(6):
+        bundles = universal_bundles(ctx, top)
+        assert all(b.total.limit == min(b.rank, top) for b in bundles), top
+        assert tensor_chern(*bundles, top).components == whole.components[:top + 1], top
+    assert tangent_bundle(ctx, 4).components == whole.components[:5]
+
+
+def test_a_tensor_product_reads_no_component_a_cut_bundle_lacks():
+    # c_4(Q) of Gr(2, 6) is sigma_4, not zero, so a class built to degree 3 may not read it as zero
+    sub, quot = universal_bundles(GR26, 3)
+    assert quot.total.truncated and not sub.total.truncated
+    with pytest.raises(ValueError, match="^component 4 lies above degree 3, the degree this class was built to$"):
+        tensor_chern(sub, quot, 4)
+    with pytest.raises(ValueError, match="^component 4 lies above degree 3, the degree this class was built to$"):
+        tensor_chern(sub, quot)
+    assert tensor_chern(sub, quot, 3).components == tangent_bundle(GR26).components[:4]
 
 
 @pytest.mark.parametrize("ctx, degrees", [

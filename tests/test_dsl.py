@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanocalc import dsl
+from fanocalc import dsl, syntax
 from fanocalc.dsl import ParseError, parse
 from fanocalc.scenarios import BUILTIN_SOURCES, run
 
@@ -324,9 +324,9 @@ def _reference_tokens(source):
     for m in _BACKTRACKING_TOKEN.finditer(source, _BACKTRACKING_LEADING.match(source).end()):
         kind, text = m.lastgroup, m[m.lastgroup]
         if kind == "BAD" or kind == "WORD" and not text[0].isalpha():
-            with mock.patch.object(dsl, "_OPEN_STRING", _BACKTRACKING_OPEN_STRING):
+            with mock.patch.object(syntax, "_OPEN_STRING", _BACKTRACKING_OPEN_STRING):
                 try:
-                    dsl._lex_error(source, m.start())
+                    syntax._lex_error(source, m.start())
                 except ParseError as exc:
                     return _error(exc)
         tokens.append(("IDENT" if kind == "WORD" else kind, text, m.start()))
@@ -335,13 +335,13 @@ def _reference_tokens(source):
 
 def _streamed_tokens(source):
     """(kind, text, offset) of each token through EOF as the parser reads them, or the lexical error."""
-    parser = dsl._Parser(source, dsl.Document())
+    parser = syntax._Parser(source, dsl.Document())
     tokens = []
     try:
         while True:
-            kind = dsl._kind(parser.value)
+            kind = syntax._kind(parser.value)
             if kind == "BAD" or kind == "WORD":  # a name is an IDENT, so a WORD is none
-                dsl._lex_error(source, parser.start)
+                syntax._lex_error(source, parser.start)
             tokens.append((kind, parser.value, parser.start))
             if kind == "EOF":
                 return tokens
@@ -364,7 +364,7 @@ def test_kind_is_the_backtracking_patterns_group(text):
     m = _BACKTRACKING_TOKEN.match(text)
     assert m[m.lastgroup] == text
     name = m.lastgroup
-    assert dsl._kind(text) == ("IDENT" if name == "WORD" and text[0].isalpha() else name)
+    assert syntax._kind(text) == ("IDENT" if name == "WORD" and text[0].isalpha() else name)
 
 
 @settings(max_examples=500, deadline=None)
@@ -385,9 +385,9 @@ def test_trailing_garbage_rejected():
 
 def _statement_bounds(source):
     """Offsets of a valid source's scenario, statement and '}' tokens, and of its end."""
-    parser = dsl._Parser(source, dsl.Document())
+    parser = syntax._Parser(source, dsl.Document())
     bounds = []
-    while dsl._kind(parser.value) != "EOF":
+    while syntax._kind(parser.value) != "EOF":
         if parser.value in ("scenario", "profile", "center", "grassmannian", "assert", "}"):
             bounds.append(parser.start)
         parser.advance()
@@ -588,19 +588,19 @@ def test_tree_height_is_bounded():
     def chain(terms):
         return f'scenario "c" {{ assert {"+".join(["1"] * terms)} == {terms} cite "x" }}'
 
-    for terms in (5000, dsl._MAX_DEPTH + 1):
+    for terms in (5000, syntax._MAX_DEPTH + 1):
         with pytest.raises(ParseError) as info:
             parse(chain(terms))
         # reported at the operator whose node passes the bound
-        assert (info.value.line, info.value.column) == (1, 22 + 2 * dsl._MAX_DEPTH)
+        assert (info.value.line, info.value.column) == (1, 22 + 2 * syntax._MAX_DEPTH)
         assert info.value.message == "expression nesting too deep"
     # the tallest legal trees: one that needs no setup, and one with a call
     # at the bottom, which is evaluated only when the report runs
-    tallest = "+".join(["dim(2, 5)"] + ["1"] * (dsl._MAX_DEPTH - 2))
+    tallest = "+".join(["dim(2, 5)"] + ["1"] * (syntax._MAX_DEPTH - 2))
     with pytest.raises(ParseError):
         parse(f'scenario "c" {{ assert {tallest}+1 == 0 cite "x" }}')
-    for source in (chain(dsl._MAX_DEPTH),
-                   f'scenario "c" {{ assert {tallest} == {dsl._MAX_DEPTH + 4} cite "x" }}'):
+    for source in (chain(syntax._MAX_DEPTH),
+                   f'scenario "c" {{ assert {tallest} == {syntax._MAX_DEPTH + 4} cite "x" }}'):
         document = parse(source)
         assert parse(document.pretty()).pretty() == document.pretty()
         assert run(document.build()).failed == 0
@@ -980,7 +980,7 @@ def test_a_repeated_plain_text_is_one_node():
     assert a.left is b.left and a.right is b.right  # one call of the document each
     for left, right in ((a.left, a.right), (b.left, b.right)):
         assert left.args[0] is left.args[2] is left.args[3] is right.args[0] is a.left.args[0]
-        assert left.args[1] is dsl._DIVISOR_ATOMS["H"]
+        assert left.args[1] is syntax._DIVISOR_ATOMS["H"]
 
 
 class _Counting:
@@ -997,9 +997,9 @@ class _Counting:
 
 def _counted_parse(monkeypatch, source):
     """The document ``source`` parses to, and the _TOKEN, _PLAIN and _TAIL matches made."""
-    counters = [_Counting(getattr(dsl, name)) for name in ("_TOKEN", "_PLAIN", "_TAIL")]
+    counters = [_Counting(getattr(syntax, name)) for name in ("_TOKEN", "_PLAIN", "_TAIL")]
     for name, counter in zip(("_TOKEN", "_PLAIN", "_TAIL"), counters):
-        monkeypatch.setattr(dsl, name, counter)
+        monkeypatch.setattr(syntax, name, counter)
     return parse(source), *(counter.matches for counter in counters)
 
 
@@ -1108,7 +1108,7 @@ def test_a_tail_reads_as_its_tokens(monkeypatch, tail):
         assert [m is not None for m in tails] == [True] * len(expected)
         printed = parse(source).pretty()
         assert _tail_outcome(printed) == expected and parse(printed).pretty() == printed
-    monkeypatch.setattr(dsl, "_TAIL", _NO_TAIL)
+    monkeypatch.setattr(syntax, "_TAIL", _NO_TAIL)
     assert _tail_outcome(source) == outcome
 
 
@@ -1132,7 +1132,7 @@ def test_a_drawn_tail_parses_to_its_strings(cite, label, skips):
     assert _tail_outcome(source) == [(cite, label)]
     printed = parse(source).pretty()
     assert _tail_outcome(printed) == [(cite, label)] and parse(printed).pretty() == printed
-    with mock.patch.object(dsl, "_TAIL", _NO_TAIL):
+    with mock.patch.object(syntax, "_TAIL", _NO_TAIL):
         assert _tail_outcome(source) == [(cite, label)]
 
 
@@ -1147,7 +1147,7 @@ def test_a_drawn_tail_reads_as_its_tokens(pieces):
     # the outcome, the tree's strings or the ParseError, is the token route's
     source = _TAIL_HEAD + "cite " + "".join(pieces)
     outcome = _tail_outcome(source)
-    with mock.patch.object(dsl, "_TAIL", _NO_TAIL):
+    with mock.patch.object(syntax, "_TAIL", _NO_TAIL):
         assert _tail_outcome(source) == outcome
 
 

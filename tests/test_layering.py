@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fanocalc import dsl
+from fanocalc import dsl, syntax
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fanocalc"
 MODULES = {
@@ -219,14 +219,15 @@ def test_the_syntax_tree_compares_and_hashes_by_identity():
     # themselves, so the scenario language reads no id() and no class of it
     # takes an equality or a hash from anywhere but object
     calls = [
-        f"dsl.py:{node.lineno}"
-        for node in ast.walk(MODULES["dsl"])
+        f"{name}.py:{node.lineno}"
+        for name in ("syntax", "dsl")
+        for node in ast.walk(MODULES[name])
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "id"
     ]
     assert calls == []
     classes = [
-        value for value in vars(dsl).values()
-        if isinstance(value, type) and value.__module__ == dsl.__name__
+        value for module in (syntax, dsl) for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
     ]
     assert {"SigmaAtom", "Call", "BinOp", "Neg", "AssertStmt", "Document"} <= {
         cls.__name__ for cls in classes
@@ -237,7 +238,7 @@ def test_the_syntax_tree_compares_and_hashes_by_identity():
     ] == []
 
 
-def test_only_dsl_fail_makes_a_parse_error():
+def test_only_syntax_fail_makes_a_parse_error():
     # every document rule is enforced while parsing, and a line and column are
     # worked out of the source in one place, for an error
     def functions(body, prefix):
@@ -254,7 +255,35 @@ def test_only_dsl_fail_makes_a_parse_error():
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ParseError"
     )
-    assert makers == ["dsl._fail"]
+    assert makers == ["syntax._fail"]
+
+
+def test_syntax_imports_only_the_divisor_leaves_from_the_package():
+    # the printer tells a leaf by its class or identity, so reading and
+    # printing scenario text needs no evaluation and no engine class
+    internal = [
+        (node.module, sorted(alias.name for alias in node.names))
+        for node, _ in imports(MODULES["syntax"])
+        if internal_targets(node)
+    ]
+    assert internal == [("blowup", ["E", "H"])]
+
+
+# The names dsl takes from syntax: the parser, the printer, the error dsl
+# re-exports, and the node classes and operator key the evaluator reads.  A
+# name the seam gains joins this set.
+SEAM = {"ParseError", "_Parser", "_print_scenario", "SigmaAtom", "Call", "Neg", "_UNARY_MINUS"}
+
+
+def test_dsl_takes_a_pinned_set_of_names_from_syntax():
+    taken = {
+        alias.name
+        for node, _ in imports(MODULES["dsl"])
+        if internal_targets(node) == ["syntax"]
+        for alias in node.names
+    }
+    assert taken == SEAM
+    assert dsl.ParseError is syntax.ParseError
 
 
 def test_one_routine_reads_the_pieri_tables():
@@ -282,8 +311,8 @@ def test_one_routine_reads_the_pieri_tables():
 
 def test_no_syntax_tree_class_keeps_a_position():
     positioned = [
-        value.__name__ for value in vars(dsl).values()
-        if isinstance(value, type) and value.__module__ == dsl.__name__
+        value.__name__ for value in vars(syntax).values()
+        if isinstance(value, type) and value.__module__ == syntax.__name__
         and {"line", "column"} & set(getattr(value, "__slots__", ()))
     ]
     assert positioned == []

@@ -8,17 +8,15 @@ import pytest
 
 from fanocalc.blowup import BlowupModel, CurveCenter, Divisor, FourfoldProfile, SurfaceCenter
 from fanocalc.chern import BundleModel, TotalChernClass, tangent_bundle
-from fanocalc.dsl import (
-    Assertion,
+from fanocalc.dsl import Assertion, Document, Scenario
+from fanocalc.syntax import (
     AssertStmt,
     BinOp,
     Call,
     CenterStmt,
-    Document,
     GrassStmt,
     Neg,
     ProfileStmt,
-    Scenario,
     ScenarioNode,
     SigmaAtom,
 )

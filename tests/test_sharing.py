@@ -22,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import blowup, cli, dsl, profiles
+from fanocalc import blowup, cli, dsl, profiles, syntax
 from fanocalc.chern import tangent_bundle
-from fanocalc.dsl import AssertStmt, Document, parse
+from fanocalc.dsl import Document, parse
 from fanocalc.scenarios import BUILTIN_SOURCES, builtin_scenarios, run
+from fanocalc.syntax import AssertStmt
 from fanocalc.schubert import Grassmannian
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -166,9 +167,9 @@ def _builtin_parts(name):
     """The setup statements of a built-in, its rows and the sides of its rows, printed."""
     (node,) = parse(BUILTIN_SOURCES[name]).scenarios
     asserts = [s for s in node.statements if isinstance(s, AssertStmt)]
-    setups = [dsl._print_statement(s) for s in node.statements if not isinstance(s, AssertStmt)]
-    rows = [f"{dsl._print_expr(s.left)} {s.op} {dsl._print_expr(s.right)}" for s in asserts]
-    sides = sorted({dsl._print_expr(side) for s in asserts for side in (s.left, s.right)})
+    setups = [syntax._print_statement(s) for s in node.statements if not isinstance(s, AssertStmt)]
+    rows = [f"{syntax._print_expr(s.left)} {s.op} {syntax._print_expr(s.right)}" for s in asserts]
+    sides = sorted({syntax._print_expr(side) for s in asserts for side in (s.left, s.right)})
     return setups, rows, sides
 
 
@@ -201,7 +202,7 @@ def test_a_call_and_an_atom_of_one_text_stay_two_nodes():
     )
     (node,) = parse(source).scenarios
     call, atom, again = (stmt.left for stmt in node.statements[1:])
-    assert type(call) is dsl.Call and type(atom) is dsl.SigmaAtom and call is again
+    assert type(call) is syntax.Call and type(atom) is syntax.SigmaAtom and call is again
     report = _rows(source)
     assert [(row["actual"], row["pass"]) for row in report["a"]] == [
         ("error: ValueError: unknown function 'sigma'", False), ("sigma[1]", True),
@@ -290,9 +291,9 @@ def _setup_free(node):
     """Whether no setup statement can change the value of ``node``: a leaf, or an operator over such nodes."""
     if isinstance(node, (int, blowup.Divisor)):
         return True
-    if isinstance(node, dsl.Neg):
+    if isinstance(node, syntax.Neg):
         return _setup_free(node.operand)
-    return isinstance(node, dsl.BinOp) and _setup_free(node.left) and _setup_free(node.right)
+    return isinstance(node, syntax.BinOp) and _setup_free(node.left) and _setup_free(node.right)
 
 
 class _CountedPattern:
@@ -322,10 +323,10 @@ def test_a_check_of_the_seed41_files_makes_a_fixed_number_of_engine_calls(tmp_pa
     documents, parse_into = [], dsl.parse
     monkeypatch.setattr(dsl, "parse", lambda source, document=None: (
         documents.append(document) or parse_into(source, document)))
-    token, plain, tail = (_CountedPattern(dsl._TOKEN), _CountedPattern(dsl._PLAIN, documents),
-                          _CountedPattern(dsl._TAIL))
+    token, plain, tail = (_CountedPattern(syntax._TOKEN), _CountedPattern(syntax._PLAIN, documents),
+                          _CountedPattern(syntax._TAIL))
     for name, counted in (("_TOKEN", token), ("_PLAIN", plain), ("_TAIL", tail)):
-        monkeypatch.setattr(dsl, name, counted)
+        monkeypatch.setattr(syntax, name, counted)
     code, _, err = _check(*paths, "--format", "json")
     assert (code, err) == (0, "")
     assert len(documents) == 8 and len(set(map(id, documents))) == 1
@@ -355,11 +356,11 @@ def test_a_second_pass_of_the_builtins_applies_no_operator_to_setup_free_operand
         monkeypatch.setitem(dsl._OPERATORS, op, partial(recorded, _rule=rule))
     assert run(builtin_scenarios()).failed == 0
     assert applied, "the operators over calls and sigma[...] atoms run in every pass"
-    assert [dsl._print_expr(node) for node in applied if _setup_free(node)] == []
+    assert [syntax._print_expr(node) for node in applied if _setup_free(node)] == []
     # a fresh parse of the same text computes its setup-free operators once again
     applied.clear()
     assert run(parse(BUILTIN_SOURCES["v12-link"]).build()).failed == 0
-    assert sorted(dsl._print_expr(node) for node in applied if _setup_free(node)) == [
+    assert sorted(syntax._print_expr(node) for node in applied if _setup_free(node)) == [
         "-1", "-12", "-12 * (1 - 1)", "1 - 1", "2 * (7 - 1)", "2 * H", "2 * H - E", "7 - 1",
         "H - E"]
 
