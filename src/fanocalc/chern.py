@@ -215,7 +215,7 @@ def section_chern(ambient: TotalChernClass, degrees: tuple[int, ...]) -> TotalCh
     stand for their restrictions to the section.  One division turns c into
     c' with c'_m = c_m - d sigma_1 c'_(m-1), so component m reads only the
     ambient components up to m.  The components up to the dimension of the
-    section are kept, and no further than a truncated ambient class reaches:
+    section are built, and no further than a truncated ambient class reaches:
     the section of a class built to degree L is built to the same degree,
     and truncated when L is below the section's dimension.
     """

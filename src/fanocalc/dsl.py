@@ -17,16 +17,14 @@ is (c2h2 / h4) H^2, so c2xc = (c2h2 / h4) hhc, and no class is allowed.  A
 ``c2h2`` profile takes the center as stated, with no class.
 
 The leaves of an expression tree are values: an integer literal is its
-int, and H and E are the engine's divisors blowup.H and blowup.E.  A call
-or a sigma[...] atom, and an operator over one, takes a value under each
-set of setup statements that its scenarios have.  A setup-free expression
-is computed once per document: its node keeps its value when the first
-assertion that uses it runs, and every later build of the document reads
-it.  Every other distinct expression is evaluated once per build and
-distinct set of setup statements: running the built scenarios, again or
-not, computes each of its nodes once under each such set, when the first
-assertion that uses it runs.  Building evaluates nothing, and an error is
-not kept: it fails each assertion that uses its node, in every build, with
+int, and H and E are the engine's divisors blowup.H and blowup.E.  Every
+other distinct expression is evaluated once per build and distinct set of
+setup statements, whether or not a setup statement can change its value:
+running the built scenarios, again or not, computes each of its nodes once
+under each such set, when the first assertion that uses it runs.  Evaluation
+writes nothing into the document, so two builds share only its syntax tree
+and the engine's own caches.  Building evaluates nothing, and an error is
+not stored: it fails each assertion that uses its node, in every build, with
 the same message.
 
 ``^`` on a number raises ValueError, before computing, when the exponent
@@ -79,13 +77,12 @@ class Document:
     def build(self) -> list:
         """The document's scenarios; raises no ParseError, as the parser checked every rule.
 
-        A setup-free expression is computed once per document: its node
-        keeps its value, which every later build reads.  Every other
-        distinct expression is computed once per build and distinct set of
-        setup statements: the scenarios whose setup statements are the same
-        objects, in whatever order they were written, share one _Setup,
-        which holds the values every run of them fills and reads, and a
-        second build starts from fresh ones."""
+        Each distinct expression is computed once per build and distinct
+        set of setup statements: the scenarios whose setup statements are
+        the same objects, in whatever order they were written, share one
+        _Setup, which holds the values every run of them fills and reads,
+        and a second build starts from fresh ones, as the document holds no
+        value."""
         setups, scenarios = {}, []  # a scenario's setup statements -> their _Setup
         for node in self.scenarios:
             key = frozenset(node.setups.values())
@@ -168,7 +165,7 @@ class _Setup:
     def __init__(self, setups: dict):
         self.setups = setups  # a ScenarioNode's setups, which no build changes
         self.outcomes = {}  # _once method -> (value, exception)
-        self.values = {}  # node -> value, for the nodes that depend on setup; see _value
+        self.values = {}  # node -> value, for every node computed under this setup; see _value
 
     def statement(self, keyword: str):
         stmt = self.setups.get(keyword)
@@ -359,22 +356,19 @@ _OPERATORS = {"+": _additive("+", operator.add), "-": _additive("-", operator.su
 def _value(node, setup: _Setup):
     """The value of ``node`` under ``setup``, computed when its assertion runs.
 
-    An operator node whose operands are leaves or such nodes, so no setup
-    statement can change its value, keeps that value in ``kept`` once it
-    is first computed, and every later build of its document reads it.
-    ``setup.values`` maps each other node computed under ``setup`` to its
-    value, so each distinct expression of the document, which the parser
-    makes one node, is computed once per build and distinct set of setup
-    statements.  A failure is kept by neither, so each row that uses it,
-    in every build, raises it again.  A call raises in this order:
-    arguments, then unknown name, arity and types.  A leaf is an int, H or
-    E, each of its class exactly, so a class test finds it; a value is
-    never None."""
+    ``setup.values`` maps each node computed under ``setup`` to its value,
+    so each distinct expression of the document, which the parser makes one
+    node, is computed once per build and distinct set of setup statements,
+    whether or not a setup statement can change it.  A failure is not put
+    there, so each row that uses it, in every build, raises it again.  A
+    call raises in this order: arguments, then unknown name, arity and
+    types.  A leaf is an int, H or E, each of its class exactly, so a class
+    test finds it; a value is never None."""
     kind = node.__class__
     if kind is int or kind is Divisor:
         return node
     values = setup.values
-    if (value := node.kept) is not None or (value := values.get(node)) is not None:
+    if (value := values.get(node)) is not None:
         return value
     if kind is SigmaAtom:
         value = sigma(setup.grassmannian(), *node.parts)
@@ -384,7 +378,7 @@ def _value(node, setup: _Setup):
             cls = arg.__class__
             if cls is int or cls is Divisor:
                 args.append(arg)
-            elif (value := arg.kept) is not None or (value := values.get(arg)) is not None:
+            elif (value := values.get(arg)) is not None:
                 args.append(value)
             else:
                 args.append(_value(arg, setup))
@@ -395,18 +389,8 @@ def _value(node, setup: _Setup):
             raise TypeError(f"{name}() takes {entry[0]} arguments, got {len(args)}")
         value = entry[1](setup, *args)
     elif kind is Neg:
-        operand = node.operand
-        value = _OPERATORS[_UNARY_MINUS](_value(operand, setup))
-        # computed without error, a setup-free operand is a leaf or keeps its value
-        if (cls := operand.__class__) is int or cls is Divisor or operand.kept is not None:
-            node.kept = value
-            return value
+        value = _OPERATORS[_UNARY_MINUS](_value(node.operand, setup))
     else:
-        left, right = node.left, node.right
-        value = _OPERATORS[node.op](_value(left, setup), _value(right, setup))
-        if ((cls := left.__class__) is int or cls is Divisor or left.kept is not None) and (
-                (cls := right.__class__) is int or cls is Divisor or right.kept is not None):
-            node.kept = value
-            return value
+        value = _OPERATORS[node.op](_value(node.left, setup), _value(node.right, setup))
     values[node] = value
     return value

@@ -12,9 +12,10 @@ from operator import attrgetter
 # One factory per arity: each binds a class's slot setters into a _store that
 # takes one value per field and makes one setter call for each; a call with
 # a wrong number of values is Python's own TypeError.  One generic loop over
-# the setters in their place made the warm pass 5.9 % slower on paper-suite
-# and 0.8 % on scenario-files (medians of 10 alternating processes a side,
-# Python 3.11.7, 2 vCPUs).
+# the setters in their place made the warm paper-suite pass 3.5 % slower,
+# and 8.8 % slower than with the per-node value memo the syntax tree used to
+# hold, every pair slower and one by 12.7 %: too near warm_s's 10 % bound to
+# delete (medians of 10 alternating bench pairs, Python 3.11.7, 2 vCPUs).
 
 def _store1(set1):
     def _store(self, v1):

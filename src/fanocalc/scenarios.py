@@ -355,7 +355,8 @@ def _builtin_document() -> dsl.Document:
     The sources are one document as the files of a ``check`` are, so each
     distinct call is computed once per build and distinct set of setup
     statements.  The document is only built here, never handed out, so no
-    caller can change it."""
+    caller can change it, and building and running it write nothing into
+    it."""
     document = dsl.Document()
     for name in sorted(BUILTIN_SOURCES):
         dsl.parse(BUILTIN_SOURCES[name], document)
@@ -367,8 +368,9 @@ def builtin_scenarios() -> list:
 
     Every call builds the scenarios again: it returns fresh scenario,
     assertion and notes objects, with their own evaluation state, so a
-    caller may change them freely.  Only the values of setup-free
-    expressions, kept by the document, carry over from one call to the next."""
+    caller may change them freely.  No computed value carries over from one
+    call to the next: each build computes every expression it runs again,
+    and only the engine's own caches are shared."""
     scenarios = _builtin_document().build()
     for scenario in scenarios:
         scenario.notes = list(BUILTIN_NOTES.get(scenario.name, ()))

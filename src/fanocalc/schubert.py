@@ -260,7 +260,7 @@ def _trusted(context: Grassmannian, codim: int, terms: dict) -> SchubertCycle:
     """A cycle from keys that are already box partitions of weight ``codim``.
 
     Only zero coefficients are dropped; nothing is re-validated.  A table
-    with no zero is kept as it is, not copied, so every caller hands over
+    with no zero is used as it is, not copied, so every caller hands over
     a table of its own and does not change it afterwards.
     """
     cycle = object.__new__(SchubertCycle)

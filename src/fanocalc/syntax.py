@@ -149,8 +149,10 @@ _PLAIN = re.compile(r'([^,()\["#]*+)([,)])' + _SKIP)
 # would.  Any other tail fails the match (the lookahead keeps a 'label', or
 # a name that starts with it, from ending one), and the parser reads it
 # token by token, so its error is the one the tokens give.  Read token by
-# token everywhere, the warm scenario-files pass was 4.3 % slower (medians
-# of 10 alternating processes a side, Python 3.11.7, 2 vCPUs).
+# token everywhere, the warm scenario-files pass was 4.6 % slower, and 7.5 %
+# slower than with the per-node value memo the tree used to hold, every
+# pair slower and one by 10.6 %: too near warm_s's 10 % bound to delete
+# (medians of 10 alternating bench pairs, Python 3.11.7, 2 vCPUs).
 _TAIL = re.compile(rf'({_STRING}"){_SKIP}(?:label{_SKIP}({_STRING}"){_SKIP}|(?!label))')
 
 
@@ -185,15 +187,9 @@ def _lex_error(source: str, offset: int):
 # is built, so a document holds each distinct expression once, however
 # often it occurs.  Every node compares and hashes by identity, so a node
 # is a key of the parser's sharing table and of a dsl._Setup's values.
-# ``kept`` is the value of a setup-free operator node once it is first
-# computed, and None before that and on every other node; see dsl._value.
-# Without it, each such value in its _Setup's memo instead, the warm pass
-# was 4.6 % slower on paper-suite and 2.5 % on scenario-files (medians of
-# 10 alternating processes a side, Python 3.11.7, 2 vCPUs).
 
 class SigmaAtom:
     __slots__ = ("parts",)
-    kept = None  # its value depends on the scenario's grassmannian statement
 
     def __init__(self, parts: tuple):
         self.parts = parts
@@ -201,7 +197,6 @@ class SigmaAtom:
 
 class Call:
     __slots__ = ("name", "args")
-    kept = None  # its value depends on the scenario's setup statements
 
     def __init__(self, name: str, args: tuple):
         self.name = name
@@ -209,21 +204,19 @@ class Call:
 
 
 class BinOp:
-    __slots__ = ("op", "left", "right", "kept")
+    __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: object, right: object):
         self.op = op
         self.left = left
         self.right = right
-        self.kept = None
 
 
 class Neg:
-    __slots__ = ("operand", "kept")
+    __slots__ = ("operand",)
 
     def __init__(self, operand: object):
         self.operand = operand
-        self.kept = None
 
 
 class ProfileStmt:
@@ -577,7 +570,7 @@ class _Parser:
         self.advance()
         read = self.nested(start)
         # a read that stops short of the ',' or ')' fails its caller, and is
-        # not kept for a later parse into the document
+        # not stored for a later parse into the document
         if plain is not None and self.start == plain.end(1):
             self.operands[text] = read
         return read
