@@ -149,10 +149,9 @@ _PLAIN = re.compile(r'([^,()\["#]*+)([,)])' + _SKIP)
 # would.  Any other tail fails the match (the lookahead keeps a 'label', or
 # a name that starts with it, from ending one), and the parser reads it
 # token by token, so its error is the one the tokens give.  Read token by
-# token everywhere, the warm scenario-files pass was 4.6 % slower, and 7.5 %
-# slower than with the per-node value memo the tree used to hold, every
-# pair slower and one by 10.6 %: too near warm_s's 10 % bound to delete
-# (medians of 10 alternating bench pairs, Python 3.11.7, 2 vCPUs).
+# token everywhere, the warm scenario-files pass was 7.2 % slower (median
+# of 20 alternating bench pairs, 18 of them slower; Python 3.11.7, 2
+# vCPUs): the pattern stays, as that is most of warm_s's 10 % bound.
 _TAIL = re.compile(rf'({_STRING}"){_SKIP}(?:label{_SKIP}({_STRING}"){_SKIP}|(?!label))')
 
 
@@ -183,7 +182,7 @@ def _lex_error(source: str, offset: int):
 # other nodes are slotted classes that store their fields directly and
 # have no assignment guard: a pass builds one node per few tokens, and a
 # guarded node, a FrozenRecord whose fields go through its _store, costs
-# about four times as much to build.  Nothing changes a field once the node
+# about three times as much to build.  Nothing changes a field once the node
 # is built, so a document holds each distinct expression once, however
 # often it occurs.  Every node compares and hashes by identity, so a node
 # is a key of the parser's sharing table and of a dsl._Setup's values.

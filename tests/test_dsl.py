@@ -196,6 +196,8 @@ def test_bad_strings():
         # the first error wins, lexical or not
         ('scenario "y" { assert 1 == == 1 cite "x" $ }', (1, 28, "expected an expression, found '=='")),
         ('scenario "y" { assert 1 == $ == 1 cite "x" }', (1, 28, "unexpected character '$'")),
+        # a UTF-8 byte-order mark is a character of the file, not whitespace
+        ('\ufeffscenario "a" {\n}\n', (1, 1, "unexpected character '\\ufeff'")),
     ],
 )
 def test_lexical_rules(source, outcome):

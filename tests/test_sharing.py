@@ -6,7 +6,8 @@ A scenario's report is checked against a second route: its rows, read
 from the source text, run one per scenario, each in a document of its own
 after the same setup statements, so no row can take a value from another.
 The engine calls of one pass of the built-in scenarios, and of one check
-of the seed-41 bench files, are counted.
+of the seed-41 bench files, are counted, and so are the records that one
+pass of the built-in scenarios stores.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from fanocalc import blowup, cli, dsl, profiles, syntax
 from fanocalc.chern import tangent_bundle
 from fanocalc.dsl import Document, parse
+from fanocalc.record import FrozenRecord
 from fanocalc.scenarios import BUILTIN_SOURCES, builtin_scenarios, run
 from fanocalc.syntax import AssertStmt
 from fanocalc.schubert import Grassmannian
@@ -285,6 +288,41 @@ def test_a_pass_of_the_builtins_makes_a_fixed_number_of_engine_calls(monkeypatch
     # the three surface centres (Xi, Pi, the V14 plane) read their pairings off the cache
     after = profiles.surface_pairings.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+
+
+# Record class -> the records that one pass of the built-in scenarios stores,
+# once the per-process caches are filled.  Each record costs one generic
+# FrozenRecord._store call, so their number is pinned like the engine calls.
+_RECORD_STORES = {
+    "AssertionResult": 70,
+    "Divisor": 23,
+    "ScenarioResult": 10,
+    "BlowupModel": 6,
+    "SurfaceCenter": 4,
+    "CurveCenter": 2,
+    "Grassmannian": 2,
+    "Report": 1,
+}
+
+
+def _record_classes(cls=FrozenRecord):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("fanocalc."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def test_a_pass_of_the_builtins_stores_a_fixed_number_of_records(monkeypatch):
+    run(builtin_scenarios())  # fills the per-process caches
+    stores = Counter()
+    for cls in _record_classes():
+        def counted(self, *values, _store=cls._store):
+            stores[type(self).__name__] += 1
+            _store(self, *values)
+
+        monkeypatch.setattr(cls, "_store", counted)
+    assert run(builtin_scenarios()).failed == 0
+    assert stores == _RECORD_STORES
 
 
 def _setup_free(node):
