@@ -373,15 +373,7 @@ def _value(node, setup: _Setup):
     if kind is SigmaAtom:
         value = sigma(setup.grassmannian(), *node.parts)
     elif kind is Call:
-        args = []
-        for arg in node.args:  # a loop, not a comprehension, which would take a frame
-            cls = arg.__class__
-            if cls is int or cls is Divisor:
-                args.append(arg)
-            elif (value := values.get(arg)) is not None:
-                args.append(value)
-            else:
-                args.append(_value(arg, setup))
+        args = [_value(arg, setup) for arg in node.args]
         name, entry = node.name, _FUNCTIONS.get(node.name)
         if entry is None:
             raise ValueError(f"unknown function {name!r}")

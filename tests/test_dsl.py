@@ -1069,6 +1069,7 @@ _TAIL_OUTCOMES = {
     'cite 5 }': (2, 22, "expected a string, found '5'"),
     'cite label "y" }': (2, 22, "expected a string, found 'label'"),
     'cite "x" label': (2, 31, "expected a string, found end of input"),
+    'cite "x" label }': (2, 32, "expected a string, found '}'"),
     'cite "x" label 5 }': (2, 32, "expected a string, found '5'"),
     'cite "x" label label }': (2, 32, "expected a string, found 'label'"),
     'cite "x }': (2, 22, "unterminated string literal"),
